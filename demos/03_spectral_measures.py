@@ -4,8 +4,8 @@ At the canonical boundary value the eigenvalues of the small
 tridiagonal matrix are exactly the graph's distinct adjacency
 eigenvalues, and the measure weight at each is 1 / sum_k P_k(lambda)^2.
 Multiplying weights by the vertex count recovers integer eigenvalue
-multiplicities, which we confirm against a dense rotation-based
-eigensolver that shares no code with the tridiagonal path.
+multiplicities, which we confirm against a dense LAPACK eigensolver
+that shares no code with the tridiagonal path.
 """
 
 from drgjacobi import certify_distance_regular, graph_from_name, spectral_measure

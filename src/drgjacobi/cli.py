@@ -32,7 +32,6 @@ from .intersection import (
 from .jacobi import JacobiError
 
 EXIT_CODES = {"ok": 0, "witness": 2, "error": 1}
-_BUILTIN_PREFIXES = ("complete:", "cycle:", "hypercube:", "complete_bipartite:")
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class CliUsageError(Exception):
 
 def load_graph(source: str) -> Graph:
     """Resolve a graph source: builtin generator name or edge-list file."""
-    if source == "petersen" or source.startswith(_BUILTIN_PREFIXES):
+    if graphs.is_builtin_name(source):
         return graphs.graph_from_name(source)
     path = Path(source)
     if not path.exists():
@@ -114,13 +113,18 @@ def cmd_spectrum(args) -> CommandResult:
     if witness is not None:
         return CommandResult("witness", witness.to_json(), ["not distance-regular"])
     tau = _resolve_tau(args, seq)
+    if n is not None and tau == float(jacobi.canonical_tau(seq)):
+        atoms = jacobi.spectral_measure(seq, vertex_count=n, tol=args.tol).atoms
+        payload = {
+            "tau": tau,
+            "eigenvalues": [a.eigenvalue for a in atoms],
+            "weights": [a.weight for a in atoms],
+            "multiplicities": [a.multiplicity for a in atoms],
+        }
+        return CommandResult("ok", payload)
     lams = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau), args.tol)
     weights = [jacobi.atom_weight(seq, tau, lam) for lam in lams]
-    payload = {"tau": tau, "eigenvalues": lams, "weights": weights}
-    if n is not None and tau == float(jacobi.canonical_tau(seq)):
-        measure = jacobi.spectral_measure(seq, vertex_count=n, tol=args.tol)
-        payload["multiplicities"] = [a.multiplicity for a in measure.atoms]
-    return CommandResult("ok", payload)
+    return CommandResult("ok", {"tau": tau, "eigenvalues": lams, "weights": weights})
 
 
 def _verify_one(source: str) -> dict:
@@ -146,9 +150,12 @@ def _verify_one(source: str) -> dict:
         }
     )
 
+    mats = oracle.dense_distance_matrices(g)
     tau_star = float(jacobi.canonical_tau(seq))
     try:
-        residual = float(np.abs(oracle.matrix_poly_firstkind(g, seq, tau_star)).max())
+        residual = float(
+            np.abs(oracle.matrix_poly_firstkind(g, seq, tau_star, mats)).max()
+        )
         report["checks"].append(
             {"name": "basis_identity", "pass": True, "detail": "within 1e-10"}
         )
@@ -159,8 +166,7 @@ def _verify_one(source: str) -> dict:
                 "detail": {"max_entry": residual},
             }
         )
-        shifted = oracle.matrix_poly_firstkind(g, seq, tau_star + 1.0)
-        mats = oracle.dense_distance_matrices(g)
+        shifted = oracle.matrix_poly_firstkind(g, seq, tau_star + 1.0, mats)
         top = mats[-1] / np.sqrt(degree_sequence(seq)[-1])
         shift_residual = float(np.abs(shifted + top).max())
         report["checks"].append(
@@ -194,7 +200,7 @@ def _verify_one(source: str) -> dict:
 
     degs = degree_sequence(seq)
     norm_ok = True
-    for k, mat in enumerate(oracle.dense_distance_matrices(g)):
+    for k, mat in enumerate(mats):
         if oracle.operator_norm(mat.astype(float)) > degs[k] + 1e-8:
             norm_ok = False
             break
@@ -224,7 +230,7 @@ def cmd_moments(args) -> CommandResult:
     gen = families.family_from_name(args.family)
     if args.order < 0:
         raise CliUsageError("--order must be nonnegative")
-    exact = [families.moment(gen, k) for k in range(args.order + 1)]
+    exact = families.moment_sequence(gen, args.order)
     payload = {"family": gen.description, "order": args.order, "moments": exact}
     if gen.description.startswith("tree:"):
         n = int(gen.description.split(":")[1])
@@ -252,9 +258,11 @@ def cmd_interlace(args) -> CommandResult:
     if len(args.tau) != 2:
         raise CliUsageError("interlace needs exactly two --tau values")
     tau1, tau2 = float(args.tau[0]), float(args.tau[1])
+    if tau1 == tau2:
+        raise CliUsageError("interlace needs two different --tau values")
     e1 = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau1), args.tol)
     e2 = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau2), args.tol)
-    interlaced = jacobi.check_interlacing(seq, tau1, tau2)
+    interlaced = jacobi.spectra_interlace(e1, e2)
     min_gap = min(abs(x - y) for x in e1 for y in e2)
     payload = {
         "tau1": tau1,

@@ -132,27 +132,31 @@ def truncated_jacobi(gen: FamilyGenerator, m: int) -> JacobiOperator:
     return JacobiOperator(diag, off, tau=None)
 
 
-def moment(gen: FamilyGenerator, k: int, truncation: int | None = None) -> int:
-    """Exact k-th moment (J^k)_{0,0} of the family's Jacobi matrix.
+def moment_sequence(
+    gen: FamilyGenerator, order: int, truncation: int | None = None
+) -> list[int]:
+    """Exact moments (J^k)_{0,0} for k = 0..order of the family's Jacobi matrix.
 
-    Computed on the size ceil(k/2)+1 corner, which a longer truncation
-    cannot change (pass a larger ``truncation`` to double-check), by an
-    integer walk recursion: stepping up from level j-1 to j carries
-    weight a_j b_j, stepping down weight 1, staying at level j weight
-    alpha_j (a diagonal rescaling of the matrix that leaves the (0, 0)
-    corner of every power unchanged).
+    Computed on the size ceil(order/2)+1 corner, which a longer
+    truncation cannot change (pass a larger ``truncation`` to
+    double-check), by one integer walk recursion read off after every
+    step: stepping up from level j-1 to j carries weight a_j b_j,
+    stepping down weight 1, staying at level j weight alpha_j (a
+    diagonal rescaling of the matrix that leaves the (0, 0) corner of
+    every power unchanged).
     """
-    if k < 0:
+    if order < 0:
         raise SequenceError("moment order must be nonnegative")
-    size = (k + 1) // 2 + 1
+    size = (order + 1) // 2 + 1
     if truncation is not None:
         if truncation < size:
-            raise SequenceError(f"truncation must be at least {size} for order {k}")
+            raise SequenceError(f"truncation must be at least {size} for order {order}")
         size = truncation
     alphas = [gen.alpha(j) for j in range(size)]
     down = [0] + [a * b for a, b in (gen.pair(j) for j in range(1, size))]
     vec = [1] + [0] * (size - 1)
-    for _ in range(k):
+    moments = [1]
+    for _ in range(order):
         nxt = [0] * size
         for j in range(size):
             value = alphas[j] * vec[j]
@@ -162,7 +166,13 @@ def moment(gen: FamilyGenerator, k: int, truncation: int | None = None) -> int:
                 value += down[j] * vec[j - 1]
             nxt[j] = value
         vec = nxt
-    return vec[0]
+        moments.append(vec[0])
+    return moments
+
+
+def moment(gen: FamilyGenerator, k: int, truncation: int | None = None) -> int:
+    """Exact k-th moment (J^k)_{0,0}; see moment_sequence."""
+    return moment_sequence(gen, k, truncation)[-1]
 
 
 def kesten_mckay_density(n: int, x: float) -> float:

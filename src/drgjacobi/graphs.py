@@ -212,6 +212,24 @@ def _complete_bipartite(n: int) -> Graph:
     return graph_from_edges((i, n + j) for i in range(n) for j in range(n))
 
 
+# Builtin generators: name -> (builder, smallest parameter). A None
+# minimum marks a graph that takes no parameter.
+BUILTIN_GRAPHS = {
+    "petersen": (_petersen, None),
+    "complete": (_complete, 2),
+    "cycle": (_cycle, 3),
+    "hypercube": (_hypercube, 1),
+    "complete_bipartite": (_complete_bipartite, 1),
+}
+
+
+def is_builtin_name(name: str) -> bool:
+    """True iff name has the form of a builtin: "petersen" or "<base>:<arg>"."""
+    base, sep, _ = name.partition(":")
+    spec = BUILTIN_GRAPHS.get(base)
+    return spec is not None and bool(sep) == (spec[1] is not None)
+
+
 def graph_from_name(name: str) -> Graph:
     """Build one of the named graphs.
 
@@ -219,25 +237,19 @@ def graph_from_name(name: str) -> Graph:
     "hypercube:d" (d >= 1), "complete_bipartite:n" (n >= 1).
     """
     base, sep, arg = name.partition(":")
-    if base == "petersen":
-        if sep:
-            raise GraphError("petersen takes no parameter")
-        return _petersen()
-    builders = {
-        "complete": (_complete, 2),
-        "cycle": (_cycle, 3),
-        "hypercube": (_hypercube, 1),
-        "complete_bipartite": (_complete_bipartite, 1),
-    }
-    if base not in builders:
+    if base not in BUILTIN_GRAPHS:
         raise GraphError(f"unknown builtin graph {name!r}")
+    builder, minimum = BUILTIN_GRAPHS[base]
+    if minimum is None:
+        if sep:
+            raise GraphError(f"{base} takes no parameter")
+        return builder()
     if not sep:
         raise GraphError(f"{base} needs a parameter, e.g. {base}:4")
     try:
         k = int(arg)
     except ValueError:
         raise GraphError(f"bad parameter in {name!r}") from None
-    builder, minimum = builders[base]
     if k < minimum:
         raise GraphError(f"{base} parameter must be >= {minimum}")
     return builder(k)

@@ -382,19 +382,13 @@ def spectral_measure(
     return SpectralMeasure(atoms)
 
 
-def check_interlacing(
-    seq: IntersectionSequence, tau1: float, tau2: float, tol: float = 1e-9
-) -> bool:
-    """True iff the spectra of J_tau1 and J_tau2 are disjoint and interlaced.
+def spectra_interlace(e1: list[float], e2: list[float], tol: float = 1e-9) -> bool:
+    """True iff two sorted spectra are disjoint and interlaced.
 
     Disjoint means every pairwise gap exceeds tol; interlaced means each
-    open interval between consecutive eigenvalues of one operator holds
+    open interval between consecutive eigenvalues of one spectrum holds
     exactly one eigenvalue of the other.
     """
-    if tau1 == tau2:
-        raise ValueError("tau values must differ")
-    e1 = eigenvalues(build_jacobi(seq, tau1))
-    e2 = eigenvalues(build_jacobi(seq, tau2))
     min_gap = min(abs(x - y) for x in e1 for y in e2)
     if min_gap <= tol:
         return False
@@ -403,6 +397,20 @@ def check_interlacing(
             if sum(1 for lam in second if lo < lam < hi) != 1:
                 return False
     return True
+
+
+def check_interlacing(
+    seq: IntersectionSequence, tau1: float, tau2: float, tol: float = 1e-9
+) -> bool:
+    """True iff the spectra of J_tau1 and J_tau2 are disjoint and interlaced.
+
+    See spectra_interlace for the test applied to the two spectra.
+    """
+    if tau1 == tau2:
+        raise ValueError("tau values must differ")
+    e1 = eigenvalues(build_jacobi(seq, tau1))
+    e2 = eigenvalues(build_jacobi(seq, tau2))
+    return spectra_interlace(e1, e2, tol)
 
 
 def cd_kernel(

@@ -1,11 +1,12 @@
 """Brute-force dense reference implementations used for cross-checking.
 
 Everything here is deliberately independent of the tridiagonal Sturm
-machinery: the eigensolver is a cyclic Jacobi rotation scheme (two-sided
-rotations annihilating off-diagonal mass), the norm estimator is power
-iteration, and the distance matrices come from all-pairs BFS. Agreement
-with the main code paths is therefore evidence, not tautology. Dense
-paths are desk-scale only and refuse graphs beyond 2000 vertices.
+machinery: the eigensolver and the operator norm are LAPACK's dense
+symmetric solvers (numpy.linalg.eigh / eigvalsh), and the distance
+matrices come from scipy's compiled all-pairs shortest paths, not from
+the BFS the certifier uses. Agreement with the main code paths is
+therefore evidence, not tautology. Dense paths are desk-scale only and
+refuse graphs beyond 2000 vertices.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .graphs import Graph, _bfs
+from .graphs import Graph
 from .intersection import IntersectionSequence, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
@@ -32,10 +34,6 @@ class DenseSizeError(OracleError):
         )
 
 
-class NoConvergenceError(OracleError):
-    pass
-
-
 class BasisMismatchError(OracleError):
     def __init__(self, k: int, i: int, j: int, got: float, expected: float):
         self.k, self.i, self.j = k, i, j
@@ -49,23 +47,42 @@ def _check_size(n: int):
         raise DenseSizeError(n)
 
 
-def dense_adjacency(g: Graph) -> np.ndarray:
+def _sparse_adjacency(g: Graph) -> csr_matrix:
     _check_size(g.vertex_count)
     n = g.vertex_count
-    m = np.zeros((n, n), dtype=np.int64)
-    for i, nbrs in enumerate(g.adjacency):
-        for j in nbrs:
-            m[i, j] = 1
-    return m
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in g.adjacency], out=indptr[1:])
+    indices = np.fromiter(
+        (j for nbrs in g.adjacency for j in nbrs), dtype=np.int64, count=int(indptr[-1])
+    )
+    return csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n))
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    return _sparse_adjacency(g).toarray()
 
 
 def dense_distance_matrices(g: Graph) -> list[np.ndarray]:
-    """A_0 .. A_diam as dense integer matrices from all-pairs BFS."""
-    _check_size(g.vertex_count)
-    n = g.vertex_count
-    dist = np.array([_bfs(g.adjacency, v) for v in range(n)], dtype=np.int64)
+    """A_0 .. A_diam as dense integer matrices from all-pairs shortest paths."""
+    # Imported here: csgraph adds about 1 MB that only verify's oracle needs.
+    from scipy.sparse.csgraph import shortest_path
+
+    dist = shortest_path(_sparse_adjacency(g), directed=False, unweighted=True)
+    dist = dist.astype(np.int64)  # finite: graphs are connected
     diam = int(dist.max())
     return [(dist == k).astype(np.int64) for k in range(diam + 1)]
+
+
+def _symmetric(M: np.ndarray) -> np.ndarray:
+    """Float copy of M after the squareness, symmetry and size checks."""
+    a = np.array(M, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise OracleError("matrix must be square")
+    if not np.allclose(a, a.T, atol=0.0):
+        raise OracleError("matrix must be symmetric")
+    _check_size(n)
+    return a
 
 
 @dataclass(frozen=True)
@@ -78,57 +95,18 @@ class EigenDecomposition:
 
 
 def dense_symmetric_eigen(M: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Sweeps of two-sided plane rotations annihilate the off-diagonal mass
-    until it is negligible; NoConvergenceError after a fixed sweep
-    budget. The reconstruction residual max|M - Q L Q^T| must come out
-    below tol. Multiplicities are assigned by clustering the sorted
-    eigenvalues with gap 1e-6 * max|eigenvalue|.
+    The reconstruction residual max|M - Q L Q^T| must come out below
+    tol (OracleError otherwise). Multiplicities are assigned by
+    clustering the sorted eigenvalues with gap 1e-6 * max|eigenvalue|.
     """
-    a = np.array(M, dtype=float)
+    a = _symmetric(M)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise OracleError("matrix must be square")
-    if not np.allclose(a, a.T, atol=0.0):
-        raise OracleError("matrix must be symmetric")
-    _check_size(n)
-    q = np.eye(n)
-    scale = max(1.0, float(np.abs(a).max()))
-    target = 1e-15 * scale
-    for _ in range(60):
-        off = math.sqrt(float(np.sum(np.square(a - np.diag(np.diag(a))))))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= target / max(n, 2):
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = a[r, p] = 0.0
-                qp, qr = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    else:
-        raise NoConvergenceError("rotation sweeps did not reduce off-diagonal mass")
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    q = q[:, order]
-    residual = float(np.abs(np.asarray(M, dtype=float) - (q * values) @ q.T).max())
+    values, q = np.linalg.eigh(a)
+    residual = float(np.abs(a - (q * values) @ q.T).max())
     if residual >= tol:
-        raise NoConvergenceError(f"reconstruction residual {residual:.3e} >= {tol:.3e}")
+        raise OracleError(f"reconstruction residual {residual:.3e} >= {tol:.3e}")
 
     gap = 1e-6 * max(1.0, float(np.abs(values).max()))
     clusters = []
@@ -141,15 +119,22 @@ def dense_symmetric_eigen(M: np.ndarray, tol: float = 1e-9) -> EigenDecompositio
     return EigenDecomposition(values, tuple(clusters), q)
 
 
-def matrix_poly_firstkind(g: Graph, seq: IntersectionSequence, tau: float) -> np.ndarray:
+def matrix_poly_firstkind(
+    g: Graph,
+    seq: IntersectionSequence,
+    tau: float,
+    mats: list[np.ndarray] | None = None,
+) -> np.ndarray:
     """Evaluate P_{n+1}^(tau) at the dense adjacency matrix.
 
     En route asserts P_k(A) * sqrt(deg_k) = A_k entrywise (within 1e-10,
     BasisMismatchError otherwise). The result is the zero matrix exactly
     when tau = degree - a_d; otherwise it is (degree - a_d - tau) times
-    the normalized top distance matrix.
+    the normalized top distance matrix. ``mats`` may pass in the
+    graph's dense_distance_matrices when the caller already has them.
     """
-    mats = dense_distance_matrices(g)
+    if mats is None:
+        mats = dense_distance_matrices(g)
     if len(mats) != seq.d + 1:
         raise OracleError(
             f"sequence diameter {seq.d} does not match graph diameter {len(mats) - 1}"
@@ -178,35 +163,6 @@ def matrix_poly_firstkind(g: Graph, seq: IntersectionSequence, tau: float) -> np
     return adj @ p_cur - tau * p_cur - off[seq.d - 1] * p_prev
 
 
-def operator_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Spectral radius of a symmetric matrix by power iteration on M^2.
-
-    Squaring removes sign flip-flop between +r and -r eigenvalues. The
-    start vector is all-ones with a small deterministic tilt so it is
-    not orthogonal to the leading eigenspace in the intended uses.
-    """
-    a = np.asarray(M, dtype=float)
-    n = a.shape[0]
-    _check_size(n)
-    v = np.ones(n) + np.arange(n) / (10.0 * n)
-    v /= np.linalg.norm(v)
-    previous = -1.0
-    stable = 0
-    for _ in range(max_iter):
-        y = a @ v
-        estimate = float(np.linalg.norm(y))
-        if estimate == 0.0:
-            return 0.0
-        z = a @ y
-        norm_z = float(np.linalg.norm(z))
-        if norm_z == 0.0:
-            return estimate
-        v = z / norm_z
-        if abs(estimate - previous) <= tol * max(1.0, estimate):
-            stable += 1
-            if stable >= 3:
-                return estimate
-        else:
-            stable = 0
-        previous = estimate
-    raise NoConvergenceError("power iteration did not stabilize")
+def operator_norm(M: np.ndarray) -> float:
+    """Spectral radius of a symmetric matrix: max |eigenvalue| by LAPACK."""
+    return float(np.abs(np.linalg.eigvalsh(_symmetric(M))).max())

@@ -228,3 +228,40 @@ def test_pretty_output(capsys):
     assert "deg_k" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_interlace_rejects_equal_taus(capsys):
+    code, doc = run_json(capsys, ["interlace", "petersen", "--tau", "1", "--tau", "1"])
+    assert code == 1 and doc["payload"]["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["interlace", "petersen", "--tau", "2", "--tau", "0"], 2),
+        (["spectrum", "petersen"], 1),
+        (["spectrum", "petersen", "--tau", "0"], 1),
+        (["spectrum", "--array", "1,3;1,2"], 1),
+    ],
+)
+def test_each_command_solves_once_per_spectrum(capsys, monkeypatch, argv, solves):
+    from drgjacobi import jacobi
+
+    calls = []
+    original = jacobi.eigenvalues
+
+    def counting(J, tol=None):
+        calls.append(J.tau)
+        return original(J, tol)
+
+    monkeypatch.setattr(jacobi, "eigenvalues", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("source", ["petersen:1", "complete", "hamming:3"])
+def test_non_builtin_names_are_read_as_files(capsys, source):
+    code, doc = run_json(capsys, ["certify", source])
+    assert code == 1 and doc["payload"]["error"] == "usage"
+    assert "no such file or builtin graph" in doc["payload"]["message"]

@@ -10,6 +10,7 @@ from drgjacobi import (
     family_from_name,
     kesten_mckay_density,
     moment,
+    moment_sequence,
     spectral_radius_tree,
     tree_sequence,
     truncated_jacobi,
@@ -98,6 +99,43 @@ def test_moment_truncation_stability():
             assert moment(gen, k) == moment(gen, k, truncation=minimal + 4)
     with pytest.raises(SequenceError):
         moment(tree_sequence(3), 10, truncation=2)
+
+
+def _integer_power_moments(gen, order):
+    """(T^k)_{0,0} by dense exact integer matrix powers of the rescaled corner."""
+    import numpy as np
+
+    size = order // 2 + 2
+    t = np.zeros((size, size), dtype=object)
+    for j in range(size):
+        t[j, j] = gen.alpha(j)
+        if j + 1 < size:
+            a, b = gen.pair(j + 1)
+            t[j, j + 1] = 1
+            t[j + 1, j] = a * b
+    power = np.identity(size, dtype=object)
+    out = []
+    for _ in range(order + 1):
+        out.append(int(power[0, 0]))
+        power = power.dot(t)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["tree:2", "tree:3", "tree:4", "tree:5", "custom:1,4;1,2;2,1;period=2"]
+)
+def test_moment_sequence_matches_per_order_moment(name):
+    gen = family_from_name(name)
+    seq = moment_sequence(gen, 60)
+    assert len(seq) == 61
+    assert seq == [moment(gen, k) for k in range(61)]
+    assert seq == _integer_power_moments(gen, 60)
+    assert all(type(m) is int for m in seq)
+
+
+def test_moment_sequence_rejects_negative_order():
+    with pytest.raises(SequenceError):
+        moment_sequence(tree_sequence(3), -1)
 
 
 def test_kesten_mckay_density_values():

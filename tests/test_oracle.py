@@ -177,3 +177,52 @@ def test_sturm_solver_agrees_on_tree_truncations():
         sturm = eigenvalues(J)
         dense = dense_symmetric_eigen(J.to_dense())
         assert dense.eigenvalues == pytest.approx(sturm, abs=1e-8)
+
+
+def test_oracle_distances_match_bfs(corpus_entry, monkeypatch):
+    from drgjacobi import bfs_distances, graphs
+
+    _, g, _ = corpus_entry
+    expected = np.array([bfs_distances(g, v) for v in range(g.vertex_count)])
+
+    def refuse(*args):
+        raise AssertionError("the oracle must not use the certifier's BFS")
+
+    monkeypatch.setattr(graphs, "_bfs", refuse)
+    mats = dense_distance_matrices(g)
+    assert len(mats) == int(expected.max()) + 1
+    for k, mk in enumerate(mats):
+        assert np.array_equal(mk, (expected == k).astype(np.int64))
+
+
+def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
+    from drgjacobi import cli, oracle
+
+    calls = []
+    original = oracle.dense_distance_matrices
+
+    def counting(g):
+        calls.append(g.vertex_count)
+        return original(g)
+
+    monkeypatch.setattr(oracle, "dense_distance_matrices", counting)
+    assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [6, 8, 10]
+
+
+def test_dense_eigen_hypercube8():
+    dec = dense_symmetric_eigen(dense_adjacency(graph_from_name("hypercube:8")).astype(float))
+    assert [m for _, m in dec.clusters] == [math.comb(8, k) for k in range(8, -1, -1)]
+    expected = [8.0 - 2 * k for k in range(8, -1, -1)]
+    assert [v for v, _ in dec.clusters] == pytest.approx(expected, abs=1e-10)
+
+
+def test_operator_norm_rejects_asymmetric():
+    with pytest.raises(OracleError):
+        operator_norm(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_dense_eigen_residual_failure_is_oracle_error():
+    with pytest.raises(OracleError, match="residual"):
+        dense_symmetric_eigen(np.diag([1.0, 2.0, 3.0]), tol=0.0)
