@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .intersection import (
     SequenceError,
     certify_distance_regular,
     degree_sequence,
+    parse_pairs,
     sequence_from_pairs,
     verify_recurrence,
 )
@@ -64,18 +64,10 @@ def load_graph(source: str) -> Graph:
 
 def parse_array(text: str) -> IntersectionSequence:
     """Parse an explicit sequence "a1,b1;a2,b2;..."."""
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        fields = chunk.split(",")
-        if len(fields) != 2:
-            raise CliUsageError(f"bad pair {chunk!r} in --array")
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise CliUsageError(f"bad pair {chunk!r} in --array") from None
+    try:
+        pairs = parse_pairs(text, "--array")
+    except SequenceError as exc:
+        raise CliUsageError(str(exc)) from None
     if not pairs:
         raise CliUsageError("--array needs at least one pair")
     return sequence_from_pairs(pairs)
@@ -130,73 +122,47 @@ def cmd_spectrum(args) -> CommandResult:
 def _verify_one(source: str) -> dict:
     g = load_graph(source)
     report = {"input": source, "checks": []}
-    outcome = certify_distance_regular(g)
-    if isinstance(outcome, NonRegularityWitness):
-        report["checks"].append(
-            {"name": "certify", "pass": False, "detail": outcome.to_json()}
-        )
+
+    def check(name: str, passed: bool, detail):
+        report["checks"].append({"name": name, "pass": passed, "detail": detail})
+
+    seq = certify_distance_regular(g)
+    witness = isinstance(seq, NonRegularityWitness)
+    check("certify", not witness, seq.to_json())
+    if witness:
         return report
-    seq = outcome
-    report["checks"].append(
-        {"name": "certify", "pass": True, "detail": seq.to_json()}
-    )
 
     rec = verify_recurrence(g, seq)
-    report["checks"].append(
-        {
-            "name": "recurrence",
-            "pass": rec.ok,
-            "detail": "exact" if rec.ok else {"mismatch": list(rec.mismatch)},
-        }
-    )
+    check("recurrence", rec.ok, "exact" if rec.ok else {"mismatch": list(rec.mismatch)})
 
     mats = oracle.dense_distance_matrices(g)
     tau_star = float(jacobi.canonical_tau(seq))
     try:
-        residual = float(
-            np.abs(oracle.matrix_poly_firstkind(g, seq, tau_star, mats)).max()
-        )
-        report["checks"].append(
-            {"name": "basis_identity", "pass": True, "detail": "within 1e-10"}
-        )
-        report["checks"].append(
-            {
-                "name": "minimal_polynomial",
-                "pass": residual < 1e-8,
-                "detail": {"max_entry": residual},
-            }
-        )
+        residual = float(np.abs(oracle.matrix_poly_firstkind(g, seq, tau_star, mats)).max())
+        check("basis_identity", True, "within 1e-10")
+        check("minimal_polynomial", residual < 1e-8, {"max_entry": residual})
         shifted = oracle.matrix_poly_firstkind(g, seq, tau_star + 1.0, mats)
         top = mats[-1] / np.sqrt(degree_sequence(seq)[-1])
         shift_residual = float(np.abs(shifted + top).max())
-        report["checks"].append(
-            {
-                "name": "minimal_polynomial_shifted",
-                "pass": shift_residual < 1e-8,
-                "detail": {"max_entry_vs_predicted": shift_residual},
-            }
-        )
+        check("minimal_polynomial_shifted", shift_residual < 1e-8,
+              {"max_entry_vs_predicted": shift_residual})
     except oracle.BasisMismatchError as exc:
-        report["checks"].append(
-            {"name": "basis_identity", "pass": False, "detail": str(exc)}
-        )
+        check("basis_identity", False, str(exc))
 
-    measure = jacobi.spectral_measure(seq, vertex_count=g.vertex_count)
-    dense = oracle.dense_symmetric_eigen(oracle.dense_adjacency(g).astype(float))
-    agree = len(dense.clusters) == len(measure.atoms) and all(
-        abs(cv - atom.eigenvalue) < 1e-7 and cm == atom.multiplicity
-        for (cv, cm), atom in zip(dense.clusters, measure.atoms)
-    )
-    report["checks"].append(
-        {
-            "name": "oracle_spectrum",
-            "pass": agree,
-            "detail": {
-                "dense": [[cv, cm] for cv, cm in dense.clusters],
-                "measure": [[a.eigenvalue, a.multiplicity] for a in measure.atoms],
-            },
-        }
-    )
+    try:
+        measure = jacobi.spectral_measure(seq, vertex_count=g.vertex_count)
+    except JacobiError as exc:
+        check("oracle_spectrum", False, {"error": type(exc).__name__, "message": str(exc)})
+    else:
+        dense = oracle.dense_symmetric_eigen(oracle.dense_adjacency(g).astype(float))
+        agree = len(dense.clusters) == len(measure.atoms) and all(
+            abs(cv - atom.eigenvalue) < 1e-7 and cm == atom.multiplicity
+            for (cv, cm), atom in zip(dense.clusters, measure.atoms)
+        )
+        check("oracle_spectrum", agree, {
+            "dense": [[cv, cm] for cv, cm in dense.clusters],
+            "measure": [[a.eigenvalue, a.multiplicity] for a in measure.atoms],
+        })
 
     degs = degree_sequence(seq)
     norm_ok = True
@@ -204,19 +170,12 @@ def _verify_one(source: str) -> dict:
         if oracle.operator_norm(mat.astype(float)) > degs[k] + 1e-8:
             norm_ok = False
             break
-    report["checks"].append(
-        {"name": "norm_bound", "pass": norm_ok, "detail": "norm(A_k) <= deg(A_k)"}
-    )
+    check("norm_bound", norm_ok, "norm(A_k) <= deg(A_k)")
     return report
 
 
 def cmd_verify(args) -> CommandResult:
-    sources = list(args.inputs)
-    if args.jobs > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_one, sources))  # input order preserved
-    else:
-        reports = [_verify_one(s) for s in sources]
+    reports = [_verify_one(s) for s in args.inputs]
     all_pass = all(c["pass"] for r in reports for c in r["checks"])
     failing = [
         f"{r['input']}:{c['name']}" for r in reports for c in r["checks"] if not c["pass"]
@@ -241,11 +200,10 @@ def cmd_moments(args) -> CommandResult:
 
 
 def cmd_measure(args) -> CommandResult:
-    g = load_graph(args.input)
-    outcome = certify_distance_regular(g)
-    if isinstance(outcome, NonRegularityWitness):
-        return CommandResult("witness", outcome.to_json(), ["not distance-regular"])
-    measure = jacobi.spectral_measure(outcome, vertex_count=g.vertex_count)
+    seq, n, witness = _resolve_sequence(args)
+    if witness is not None:
+        return CommandResult("witness", witness.to_json(), ["not distance-regular"])
+    measure = jacobi.spectral_measure(seq, vertex_count=n)
     if args.plot_data:
         Path(args.plot_data).write_text(measure.plot_table())
     return CommandResult("ok", measure.to_json())
@@ -360,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full invariant battery per input")
     p.add_argument("inputs", nargs="+", help="graph sources")
-    p.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("moments", help="exact truncated-matrix moments of a family")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .intersection import SequenceError
+from .intersection import SequenceError, parse_pairs
 from .jacobi import JacobiOperator
 
 
@@ -101,21 +101,13 @@ def family_from_name(text: str) -> FamilyGenerator:
     pairs = []
     for chunk in rest.split(";"):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         if chunk.startswith("period="):
             try:
                 period = int(chunk[len("period="):])
             except ValueError:
                 raise SequenceError(f"bad period in {text!r}") from None
-            continue
-        fields = chunk.split(",")
-        if len(fields) != 2:
-            raise SequenceError(f"bad pair {chunk!r} in {text!r}")
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise SequenceError(f"bad pair {chunk!r} in {text!r}") from None
+        else:
+            pairs += parse_pairs(chunk, repr(text))
     return FamilyGenerator(tuple(pairs), period, text)
 
 

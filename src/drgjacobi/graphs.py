@@ -3,14 +3,19 @@
 Vertices are dense 0-based indices. Construction eagerly verifies
 simplicity (no loops, no parallel edges), symmetry of the adjacency
 relation, and connectivity, so everything downstream may assume all
-three. Distance-k data is obtained by one BFS per vertex, never by
-matrix powers, so entries are exact by construction.
+three. All distance data is read from one read-only all-pairs array,
+``Graph.distances``, filled on first use by one BFS per vertex (never
+by matrix powers, so entries are exact by construction) and shared by
+every query here and by certification in ``intersection``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class GraphError(Exception):
@@ -79,6 +84,20 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only n x n array of graph distances, filled on first use.
+
+        Its dtype is the smallest signed integer type that holds n + 1.
+        """
+        n = self.vertex_count
+        dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n)
+        dist = np.empty((n, n), dtype=dtype)
+        for v in range(n):
+            dist[v] = _bfs(self.adjacency, v)
+        dist.flags.writeable = False
+        return dist
 
     def edges(self):
         """Yield each undirected edge once, as (u, v) with u < v."""
@@ -256,10 +275,10 @@ def graph_from_name(name: str) -> Graph:
 
 
 def bfs_distances(g: Graph, v: int) -> list[int]:
-    """Graph distances from v to every vertex."""
+    """Graph distances from v to every vertex: row v of g.distances."""
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"vertex {v} out of range")
-    return _bfs(g.adjacency, v)
+    return g.distances[v].tolist()
 
 
 def eccentricity(g: Graph, v: int) -> int:
@@ -268,17 +287,14 @@ def eccentricity(g: Graph, v: int) -> int:
 
 def diameter(g: Graph) -> int:
     """Largest distance between any two vertices."""
-    return max(max(_bfs(g.adjacency, v)) for v in range(g.vertex_count))
+    return int(g.distances.max())
 
 
 def distance_k_matrix(g: Graph, k: int) -> DistanceKMatrix:
     """The 0/1 matrix of vertex pairs at distance exactly k."""
     if k < 0:
         raise GraphError("k must be nonnegative")
-    rows = []
-    for v in range(g.vertex_count):
-        dist = _bfs(g.adjacency, v)
-        rows.append(frozenset(u for u, d in enumerate(dist) if d == k))
+    rows = (frozenset(np.flatnonzero(row == k).tolist()) for row in g.distances)
     return DistanceKMatrix(k, tuple(rows))
 
 

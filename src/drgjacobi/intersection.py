@@ -16,7 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, _bfs
+from .graphs import Graph
+
+# Entries per numpy work block: its temporaries stay far below the
+# distance array, and every desk-scale graph fits in one block.
+BLOCK_ENTRIES = 1 << 16
 
 
 class SequenceError(Exception):
@@ -139,11 +143,18 @@ class NonRegularityWitness:
 
 def _pair_count(g: Graph, pair: tuple[int, int], k: int, count_type: str) -> int:
     i, j = pair
-    dist = _bfs(g.adjacency, i)
+    dist = g.distances[i]
     if dist[j] != k:
         raise ValueError(f"pair {pair} is at distance {dist[j]}, not {k}")
     target = k - 1 if count_type == "a" else k + 1
     return sum(1 for u in g.adjacency[j] if dist[u] == target)
+
+
+def _row_blocks(n: int, width: int):
+    """Consecutive row ranges [start, stop) of about BLOCK_ENTRIES / width rows."""
+    step = max(1, BLOCK_ENTRIES // width)
+    for start in range(0, n, step):
+        yield start, min(n, start + step)
 
 
 def certify_distance_regular(g: Graph):
@@ -152,7 +163,10 @@ def certify_distance_regular(g: Graph):
     Returns the IntersectionSequence on success, else a recheckable
     NonRegularityWitness. Regularity (constant degree) is checked first;
     then, per distance class, constancy of both neighbor-intersection
-    counts, short-circuiting on the first divergence.
+    counts. The reference pair of distance k is its first occurrence in
+    row-major order of the distance array; the witness is the first pair
+    in that order whose a count, then b count, differs from the
+    reference's.
     """
     n = g.vertex_count
     if n < 2:
@@ -165,30 +179,35 @@ def certify_distance_regular(g: Graph):
                 "NotRegular", 0, "b", (0, 0), degree, (v, v), g.degree(v)
             )
 
-    a_ref: dict[int, tuple[int, tuple[int, int]]] = {}
-    b_ref: dict[int, tuple[int, tuple[int, int]]] = {}
-    for i in range(n):
-        dist = _bfs(g.adjacency, i)
-        for j in range(n):
-            k = dist[j]
-            if k == 0:
-                continue
-            a_count = sum(1 for u in g.adjacency[j] if dist[u] == k - 1)
-            b_count = sum(1 for u in g.adjacency[j] if dist[u] == k + 1)
-            for count_type, count, ref in (("a", a_count, a_ref), ("b", b_count, b_ref)):
-                prev = ref.get(k)
-                if prev is None:
-                    ref[k] = (count, (i, j))
-                elif prev[0] != count:
-                    return NonRegularityWitness(
-                        "NotDistanceRegular", k, count_type,
-                        prev[1], prev[0], (i, j), count,
-                    )
+    dist = g.distances
+    nbrs = np.array(g.adjacency)  # n x degree, as g is regular
+    # A pair's code is a + (degree + 1) b: each neighbour of j one step
+    # closer to i adds 1, each one step farther degree + 1.
+    weight = np.array([1, 0, degree + 1])
+    ref = np.full(n + 1, -1)  # code of the first pair at distance k
+    ref_at = np.zeros(n + 1, dtype=np.int64)  # and its row-major index
+    for start, stop in _row_blocks(n, n * degree):
+        rows = dist[start:stop]
+        code = weight[rows[:, nbrs] - rows[:, :, None] + 1].sum(axis=2).ravel()
+        k = rows.ravel()
+        ks, first = np.unique(k, return_index=True)
+        fresh = ref[ks] < 0
+        ref[ks[fresh]] = code[first[fresh]]
+        ref_at[ks[fresh]] = first[fresh] + start * n
+        bad = np.flatnonzero(code != ref[k])
+        if bad.size:
+            x = int(bad[0])
+            kx = int(k[x])
+            (b1, a1), (b2, a2) = (divmod(int(c), degree + 1) for c in (ref[kx], code[x]))
+            col, c1, c2 = ("a", a1, a2) if a1 != a2 else ("b", b1, b2)
+            return NonRegularityWitness(
+                "NotDistanceRegular", kx, col,
+                divmod(int(ref_at[kx]), n), c1, divmod(start * n + x, n), c2,
+            )
 
-    d = max(a_ref)
-    a = tuple(a_ref[k][0] for k in range(1, d + 1))
-    b = (degree,) + tuple(b_ref[k][0] for k in range(1, d))
-    return IntersectionSequence(a, b)
+    d = int(dist.max())
+    b, a = np.divmod(ref[1 : d + 1], degree + 1)
+    return IntersectionSequence(tuple(a.tolist()), (degree,) + tuple(b[:-1].tolist()))
 
 
 def degree_sequence(seq: IntersectionSequence) -> list[int]:
@@ -235,35 +254,35 @@ class RecurrenceCheck:
         return self.ok
 
 
-def _dense_distance_stack(g: Graph, d: int) -> list[np.ndarray]:
-    mats = [np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64) for _ in range(d + 1)]
-    for i in range(g.vertex_count):
-        for j, dij in enumerate(_bfs(g.adjacency, i)):
-            if dij <= d:
-                mats[dij][i, j] = 1
-    return mats
-
-
 def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
     """Check A*A_k = a_{k+1} A_{k+1} + alpha_k A_k + b_k A_{k-1} exactly.
 
     Holds entrywise in integer arithmetic for k = 0..d, with A_{-1} and
     A_{d+1} taken as zero and the k = d diagonal coefficient degree - a_d.
+    A_k is the 0/1 array dist == k; row i of A*A_k is the sum of the
+    rows of A_k at the neighbors of i.
     """
-    mats = _dense_distance_stack(g, seq.d)
-    adjacency = mats[1]
-    alphas = seq.alphas
-    for k in range(seq.d + 1):
-        lhs = adjacency @ mats[k]
-        rhs = alphas[k] * mats[k]
-        if k < seq.d:
-            rhs = rhs + seq.a[k] * mats[k + 1]
-        if k > 0:
-            rhs = rhs + seq.b[k - 1] * mats[k - 1]
-        if not np.array_equal(lhs, rhs):
-            i, j = map(int, np.argwhere(lhs != rhs)[0])
-            return RecurrenceCheck(False, (k, i, j, int(lhs[i, j]), int(rhs[i, j])))
-    return RecurrenceCheck(True)
+    n, d = g.vertex_count, seq.d
+    dist = g.distances
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
+    indices = np.concatenate(g.adjacency)
+    alphas, a_next, b_prev = seq.alphas, seq.a + (0,), (0,) + seq.b
+    width = max(n, d + 2) + 1  # the last slot absorbs index k - 1 = -1 at k = 0
+    mismatch = None
+    for start, stop in _row_blocks(n, n * max(map(len, g.adjacency))):
+        rows = dist[start:stop]
+        lo, hi = indptr[start], indptr[stop]
+        gathered = dist[indices[lo:hi]]
+        for k in range(d + 1 if mismatch is None else mismatch[0]):
+            lhs = np.add.reduceat(gathered == k, indptr[start:stop] - lo, dtype=np.int64)
+            coeff = np.zeros(width, dtype=np.int64)  # rhs entry by distance
+            coeff[[k - 1, k, k + 1]] = b_prev[k], alphas[k], a_next[k]
+            rhs = coeff[rows]
+            if not np.array_equal(lhs, rhs):
+                i, j = map(int, np.argwhere(lhs != rhs)[0])
+                mismatch = (k, start + i, j, int(lhs[i, j]), int(rhs[i, j]))
+                break
+    return RecurrenceCheck(mismatch is None, mismatch)
 
 
 def distance_poly_eval(seq: IntersectionSequence, k: int, x):
@@ -286,6 +305,21 @@ def distance_poly_eval(seq: IntersectionSequence, k: int, x):
         nxt /= seq.a[m]  # a_{m+1}
         p_prev, p_cur = p_cur, nxt
     return p_cur
+
+
+def parse_pairs(text: str, where: str) -> list[tuple[int, int]]:
+    """Integer pairs from "a1,b1;a2,b2;...", blank chunks skipped; errors name ``where``."""
+    pairs = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            a, b = map(int, chunk.split(","))
+        except ValueError:  # not two fields, or not integers
+            raise SequenceError(f"bad pair {chunk!r} in {where}") from None
+        pairs.append((a, b))
+    return pairs
 
 
 def sequence_from_pairs(pairs) -> IntersectionSequence:

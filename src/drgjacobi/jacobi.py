@@ -160,8 +160,7 @@ def build_jacobi(seq: IntersectionSequence, tau: float) -> JacobiOperator:
     """The (d+1) x (d+1) completion J_tau of the sequence's tridiagonal."""
     alphas = seq.alphas
     diag = tuple(float(alphas[k]) for k in range(seq.d)) + (float(tau),)
-    off = tuple(math.sqrt(a * b) for a, b in zip(seq.a, seq.b))
-    return JacobiOperator(diag, off, tau=float(tau))
+    return JacobiOperator(diag, tuple(_offdiags(seq)), tau=float(tau))
 
 
 def canonical_tau(seq: IntersectionSequence) -> int:

@@ -4,9 +4,9 @@ Everything here is deliberately independent of the tridiagonal Sturm
 machinery: the eigensolver and the operator norm are LAPACK's dense
 symmetric solvers (numpy.linalg.eigh / eigvalsh), and the distance
 matrices come from scipy's compiled all-pairs shortest paths, not from
-the BFS the certifier uses. Agreement with the main code paths is
-therefore evidence, not tautology. Dense paths are desk-scale only and
-refuse graphs beyond 2000 vertices.
+Graph.distances, the array the certifier reads. Agreement with the main
+code paths is therefore evidence, not tautology. Dense paths are
+desk-scale only and refuse graphs beyond 2000 vertices.
 """
 
 from __future__ import annotations

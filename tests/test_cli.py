@@ -94,10 +94,40 @@ def test_verify_witness_on_prism(capsys, tmp_path):
     assert checks[0]["name"] == "certify" and not checks[0]["pass"]
 
 
-def test_verify_jobs_parallel_matches_serial(capsys):
-    _, serial = run(capsys, ["verify", "complete:4", "cycle:5", "petersen"])
-    _, parallel = run(capsys, ["verify", "complete:4", "cycle:5", "petersen", "--jobs", "3"])
-    assert serial == parallel  # input order preserved, byte-identical
+def test_verify_keeps_going_after_a_spectral_error(capsys):
+    # cycle:200's spectral measure raises WeightMismatchError
+    code, doc = run_json(capsys, ["verify", "petersen", "cycle:200"])
+    assert code == 2 and doc["status"] == "witness"
+    petersen, cycle = doc["payload"]["reports"]
+    assert len(petersen["checks"]) == 7 and all(c["pass"] for c in petersen["checks"])
+    assert "cycle:200:oracle_spectrum" in doc["diagnostics"]
+    spectrum = next(c for c in cycle["checks"] if c["name"] == "oracle_spectrum")
+    assert spectrum["detail"]["error"] == "WeightMismatchError"
+    assert spectrum["detail"]["message"]
+    assert cycle["checks"][-1]["name"] == "norm_bound"
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (["spectrum", "--array", "1,x"], "usage", "bad pair '1,x' in --array"),
+        (["spectrum", "--array", "1,3,4"], "usage", "bad pair '1,3,4' in --array"),
+        (["spectrum", "--array", ";"], "usage", "--array needs at least one pair"),
+        (["moments", "--family", "custom:1,3;x", "--order", "2"],
+         "SequenceError", "bad pair 'x' in 'custom:1,3;x'"),
+        (["moments", "--family", "custom:1,3;1", "--order", "2"],
+         "SequenceError", "bad pair '1' in 'custom:1,3;1'"),
+        (["moments", "--family", "custom:1,3;period=x", "--order", "2"],
+         "SequenceError", "bad period in 'custom:1,3;period=x'"),
+        (["moments", "--family", "custom:1,x;period=y", "--order", "2"],
+         "SequenceError", "bad pair '1,x' in 'custom:1,x;period=y'"),
+    ],
+)
+def test_pair_list_error_envelopes(capsys, argv, error, message):
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc == {"status": "error", "payload": {"error": error, "message": message},
+                   "diagnostics": []}
 
 
 def test_moments_tree2(capsys):

@@ -1,0 +1,195 @@
+"""The shared distance array and the certifier and recurrence check that read it."""
+
+import dataclasses
+import random
+from collections import deque
+
+import numpy as np
+import pytest
+
+from drgjacobi import (
+    GraphError,
+    certify_distance_regular,
+    graph_from_edges,
+    graph_from_name,
+    sequence_from_pairs,
+    verify_recurrence,
+)
+from drgjacobi import cli, graphs, intersection
+
+
+def reference_bfs(adjacency, source):
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_certify(g):
+    """The pure-Python certifier loop the array-based one replaced, as JSON."""
+    n = g.vertex_count
+    degree = g.degree(0)
+    for v in range(1, n):
+        if g.degree(v) != degree:
+            return {
+                "kind": "NotRegular", "distance": 0, "count_type": "b",
+                "first_pair": [0, 0], "first_count": degree,
+                "second_pair": [v, v], "second_count": g.degree(v),
+            }
+    a_ref, b_ref = {}, {}
+    for i in range(n):
+        dist = reference_bfs(g.adjacency, i)
+        for j in range(n):
+            k = dist[j]
+            if k == 0:
+                continue
+            a_count = sum(1 for u in g.adjacency[j] if dist[u] == k - 1)
+            b_count = sum(1 for u in g.adjacency[j] if dist[u] == k + 1)
+            for count_type, count, ref in (("a", a_count, a_ref), ("b", b_count, b_ref)):
+                prev = ref.get(k)
+                if prev is None:
+                    ref[k] = (count, (i, j))
+                elif prev[0] != count:
+                    return {
+                        "kind": "NotDistanceRegular", "distance": k,
+                        "count_type": count_type,
+                        "first_pair": list(prev[1]), "first_count": prev[0],
+                        "second_pair": [i, j], "second_count": count,
+                    }
+    d = max(a_ref)
+    a = tuple(a_ref[k][0] for k in range(1, d + 1))
+    b = (degree,) + tuple(b_ref[k][0] for k in range(1, d))
+    return sequence_from_pairs(zip(a, b)).to_json()
+
+
+def reference_recurrence(g, seq):
+    """Dense integer products, first failing k, then first (i, j) row-major."""
+    dist = np.array([reference_bfs(g.adjacency, v) for v in range(g.vertex_count)])
+    mats = [(dist == k).astype(np.int64) for k in range(seq.d + 1)]
+    alphas = seq.alphas
+    for k in range(seq.d + 1):
+        lhs = mats[1] @ mats[k]
+        rhs = alphas[k] * mats[k]
+        if k < seq.d:
+            rhs = rhs + seq.a[k] * mats[k + 1]
+        if k > 0:
+            rhs = rhs + seq.b[k - 1] * mats[k - 1]
+        if not np.array_equal(lhs, rhs):
+            i, j = map(int, np.argwhere(lhs != rhs)[0])
+            return (k, i, j, int(lhs[i, j]), int(rhs[i, j]))
+    return None
+
+
+def circulant(rng):
+    n = rng.randint(4, 16)
+    jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(3, n // 2)))
+    return [(i, (i + s) % n) for i in range(n) for s in jumps]
+
+
+def matchings(rng):
+    n = 2 * rng.randint(2, 8)
+    edges = []
+    for _ in range(rng.randint(2, 4)):
+        perm = rng.sample(range(n), n)
+        edges += zip(perm[::2], perm[1::2])
+    return edges
+
+
+def random_graph(rng):
+    n = rng.randint(3, 14)
+    p = rng.uniform(0.2, 0.8)
+    perm = rng.sample(range(n), n)
+    edges = list(zip(perm, perm[1:]))  # a Hamiltonian path keeps it connected
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return edges
+
+
+def random_graphs(count, seed):
+    rng = random.Random(seed)
+    kinds = (circulant, matchings, random_graph)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(graph_from_edges(kinds[len(out) % 3](rng)))
+        except GraphError:  # a disconnected union of matchings
+            continue
+    return out
+
+
+RANDOM_GRAPHS = random_graphs(1050, seed=20261017)
+
+
+def test_random_corpus_covers_every_outcome():
+    kinds = [reference_certify(g).get("kind", "certificate") for g in RANDOM_GRAPHS]
+    for kind in ("NotRegular", "NotDistanceRegular", "certificate"):
+        assert kinds.count(kind) >= 100, kind
+
+
+@pytest.mark.parametrize("block_entries", [intersection.BLOCK_ENTRIES, 1, 40])
+def test_certify_matches_reference_loop(block_entries, monkeypatch):
+    # 1 and 40 split every graph into many row blocks
+    monkeypatch.setattr(intersection, "BLOCK_ENTRIES", block_entries)
+    sample = RANDOM_GRAPHS if block_entries == intersection.BLOCK_ENTRIES else RANDOM_GRAPHS[::7]
+    for g in sample:
+        assert certify_distance_regular(g).to_json() == reference_certify(g)
+
+
+@pytest.mark.parametrize("block_entries", [intersection.BLOCK_ENTRIES, 1, 40])
+def test_recurrence_matches_dense_reference(block_entries, monkeypatch):
+    monkeypatch.setattr(intersection, "BLOCK_ENTRIES", block_entries)
+    tried = 0
+    for g in RANDOM_GRAPHS[:300]:
+        outcome = certify_distance_regular(g)
+        if not isinstance(outcome, intersection.IntersectionSequence):
+            continue
+        pairs = list(zip(outcome.a, outcome.b))
+        variants = [pairs, pairs + [(pairs[-1][0], 1)], pairs[:-1] or pairs]
+        for variant in variants:
+            try:
+                seq = sequence_from_pairs(variant)
+            except intersection.SequenceError:
+                continue
+            tried += 1
+            check = verify_recurrence(g, seq)
+            assert check.mismatch == reference_recurrence(g, seq)
+            assert bool(check) == (check.mismatch is None)
+    assert tried >= 50
+
+
+def test_distances_are_read_only_and_computed_once():
+    g = graph_from_name("petersen")
+    dist = g.distances
+    assert dist is g.distances
+    assert dist.dtype == np.int8 and dist.shape == (10, 10)
+    assert not dist.flags.writeable
+    with pytest.raises(ValueError):
+        dist[0, 1] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.distances = np.zeros((10, 10), dtype=np.int8)
+    assert dist.tolist() == [reference_bfs(g.adjacency, v) for v in range(10)]
+
+
+@pytest.mark.parametrize("n, dtype", [(126, np.int8), (127, np.int16), (400, np.int16)])
+def test_distance_dtype_holds_n_plus_one(n, dtype):
+    assert graph_from_name(f"cycle:{n}").distances.dtype == dtype
+
+
+def test_verify_runs_bfs_once_per_row(monkeypatch, capsys):
+    calls = []
+    original = graphs._bfs
+
+    def counting(adjacency, source):
+        calls.append(len(adjacency))
+        return original(adjacency, source)
+
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
+    capsys.readouterr()
+    # per input: the connectivity check plus one BFS per row of the array
+    assert sorted(calls) == [6] * 7 + [8] * 9 + [10] * 11

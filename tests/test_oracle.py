@@ -188,7 +188,11 @@ def test_oracle_distances_match_bfs(corpus_entry, monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle must not use the certifier's BFS")
 
+    class Poisoned:  # any read of the shared distance array fails
+        __getattr__ = __getitem__ = __array__ = __len__ = __iter__ = refuse
+
     monkeypatch.setattr(graphs, "_bfs", refuse)
+    monkeypatch.setitem(g.__dict__, "distances", Poisoned())
     mats = dense_distance_matrices(g)
     assert len(mats) == int(expected.max()) + 1
     for k, mk in enumerate(mats):
