@@ -46,7 +46,7 @@ for lam in eigenvalues(build_jacobi(seq, float(tau_star))):
 
 # Complete graphs have a closed form: the completions are 2 x 2 and the
 # two eigenvalues are tau/2 +- sqrt(tau^2 + 4(n-1))/2.
-print("\nComplete graph K_6, bisection vs closed form:")
+print("\nComplete graph K_6, LAPACK roots certified by Sturm counts vs closed form:")
 k6 = certify_distance_regular(graph_from_name("complete:6"))
 for tau in (-3.0, 0.0, 4.0):
     lams = eigenvalues(build_jacobi(k6, tau))

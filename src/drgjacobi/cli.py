@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -292,6 +293,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="drgjacobi",
@@ -301,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=None, help="bisection tolerance")
+        p.add_argument("--tol", type=positive_float, default=None,
+                       help="LAPACK solves; Sturm counts certify each root within tol/2")
 
     p = sub.add_parser("certify", help="intersection sequence or witness")
     p.add_argument("input", help="edge-list file or builtin name (petersen, complete:5, ...)")

@@ -189,8 +189,10 @@ def density_moment(n: int, k: int, quad_tol: float = 1e-8) -> float:
     """k-th moment of the Kesten-McKay density by adaptive quadrature.
 
     The substitution x = 2 sqrt(n-1) sin(theta) removes the square-root
-    edge singularity before integrating. Raises
-    QuadratureNotConvergedError if the error estimate exceeds quad_tol.
+    edge singularity before integrating. The tolerance is relative to
+    radius**k, the bound on |moment| with radius = 2 sqrt(n-1): raises
+    QuadratureNotConvergedError if the error estimate exceeds
+    quad_tol * radius**k.
     """
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
@@ -204,11 +206,10 @@ def density_moment(n: int, k: int, quad_tol: float = 1e-8) -> float:
         c = radius * math.cos(theta)
         return (x ** k) * n * c * c / (2.0 * math.pi * (shift + c * c))
 
-    value, err = quad(
-        integrand, -math.pi / 2, math.pi / 2, epsabs=0.5 * quad_tol, epsrel=1e-12
-    )
-    if err > quad_tol:
-        raise QuadratureNotConvergedError(value, err, quad_tol)
+    tol = quad_tol * radius**k
+    value, err = quad(integrand, -math.pi / 2, math.pi / 2, epsabs=0.5 * tol, epsrel=1e-12)
+    if err > tol:
+        raise QuadratureNotConvergedError(value, err, tol)
     return value
 
 

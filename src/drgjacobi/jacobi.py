@@ -7,12 +7,14 @@ operator acts on the span of the normalized distance operators as the
 Every boundary value tau gives a valid completion J_tau; the choice
 tau = degree - a_d reproduces the adjacency spectrum.
 
-Eigenvalues are found by bisection on the sign-change count of the
-first-kind polynomial sequence P_0, ..., P_n, P_{n+1}^(tau), which is
-exactly the Sturm chain of leading principal characteristic
-polynomials, so the solver doubles as a direct test of the three-term
-recurrence. Atom weights of the spectral measure are 1 / sum_k P_k^2,
-cross-checked against the Christoffel-Darboux derivative identity
+Eigenvalues come from LAPACK's tridiagonal solver and are certified by
+the sign-change count of the first-kind polynomial sequence P_0, ...,
+P_n, P_{n+1}^(tau), which is exactly the Sturm chain of leading
+principal characteristic polynomials: one count on both sides of every
+root proves it lies within tol/2 of the eigenvalue of its rank, and
+doubles as a direct test of the three-term recurrence. Atom weights of
+the spectral measure are 1 / sum_k P_k^2, cross-checked against the
+Christoffel-Darboux derivative identity
 sum_k P_k^2 = P_n * (P_{n+1}^(tau))' at each root.
 """
 
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .intersection import IntersectionSequence
 
@@ -33,7 +36,7 @@ class JacobiError(Exception):
 
 
 class ToleranceTooSmallError(JacobiError):
-    """Bisection stalled at float resolution before reaching tol."""
+    """The Sturm count does not place each root within tol/2 of its eigenvalue."""
 
 
 class NotAnEigenvalueError(JacobiError):
@@ -68,6 +71,8 @@ class JacobiOperator:
     def __post_init__(self):
         if len(self.offdiag) != len(self.diag) - 1:
             raise JacobiError("offdiag must be one shorter than diag")
+        if not all(math.isfinite(x) for x in self.diag + self.offdiag):
+            raise JacobiError("diagonal and off-diagonal entries must be finite")
         if any(not b > 0 for b in self.offdiag):
             raise JacobiError("off-diagonal entries must be strictly positive")
         if self.diag[0] != 0.0:
@@ -258,43 +263,25 @@ def gershgorin_interval(J: JacobiOperator) -> tuple[float, float]:
 def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     """All eigenvalues of J, strictly increasing.
 
-    Each eigenvalue is simple; each is bracketed and refined to an
-    interval shorter than tol by bisection on the Sturm sign-change
-    count, starting from the Gershgorin enclosure. tol defaults to
-    1e-12 relative to the enclosure width. If two brackets collapse
-    onto each other, or the midpoint stalls at float resolution, the
-    solver raises ToleranceTooSmallError rather than merging roots.
+    LAPACK (scipy's eigvalsh_tridiagonal) solves; one Sturm sign-change
+    count at roots -/+ tol/2 certifies. The counts must read exactly
+    k below and k + 1 above the k-th root, which proves that each root
+    lies within tol/2 of the k-th eigenvalue and that the roots are
+    strictly increasing; otherwise ToleranceTooSmallError is raised.
+    tol defaults to 1e-12 relative to the Gershgorin enclosure width.
     """
     n = J.size
-    if n == 1:
-        return [float(J.diag[0])]
-    lo, hi = gershgorin_interval(J)
     if tol is None:
+        lo, hi = gershgorin_interval(J)
         tol = 1e-12 * max(hi - lo, 1.0)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     diag = np.asarray(J.diag, dtype=float)
     off = np.asarray(J.offdiag, dtype=float)
-    los = np.full(n, lo)
-    his = np.full(n, hi)
-    targets = np.arange(1, n + 1)
-    while True:
-        gaps = his - los
-        if gaps.max() <= tol:
-            break
-        mids = 0.5 * (los + his)
-        stalled = (gaps > tol) & ((mids <= los) | (mids >= his))
-        if stalled.any():
-            raise ToleranceTooSmallError(
-                f"bisection stalled at float resolution near {mids[stalled][0]}"
-            )
-        counts = _sign_change_counts(diag, off, mids)
-        go_left = counts >= targets
-        his = np.where(go_left, mids, his)
-        los = np.where(go_left, los, mids)
-    roots = 0.5 * (los + his)
-    if np.any(np.diff(roots) <= 0):
-        raise ToleranceTooSmallError("adjacent root brackets collapsed; tol too small")
+    roots = eigvalsh_tridiagonal(diag, off)
+    counts = _sign_change_counts(diag, off, np.concatenate([roots - tol / 2, roots + tol / 2]))
+    if not np.array_equal(counts, np.r_[0:n, 1:n + 1]):
+        raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {tol / 2!r}")
     return [float(r) for r in roots]
 
 

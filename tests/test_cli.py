@@ -1,6 +1,8 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drgjacobi.cli import main
@@ -94,13 +96,22 @@ def test_verify_witness_on_prism(capsys, tmp_path):
     assert checks[0]["name"] == "certify" and not checks[0]["pass"]
 
 
-def test_verify_keeps_going_after_a_spectral_error(capsys):
-    # cycle:200's spectral measure raises WeightMismatchError
-    code, doc = run_json(capsys, ["verify", "petersen", "cycle:200"])
+def test_verify_keeps_going_after_a_spectral_error(capsys, monkeypatch):
+    from drgjacobi import jacobi
+
+    original = jacobi.spectral_measure
+
+    def failing_on_cycle(seq, vertex_count=None, tol=None):
+        if vertex_count == 12:
+            raise jacobi.WeightMismatchError("sum formula vs derivative formula")
+        return original(seq, vertex_count, tol)
+
+    monkeypatch.setattr(jacobi, "spectral_measure", failing_on_cycle)
+    code, doc = run_json(capsys, ["verify", "petersen", "cycle:12"])
     assert code == 2 and doc["status"] == "witness"
     petersen, cycle = doc["payload"]["reports"]
     assert len(petersen["checks"]) == 7 and all(c["pass"] for c in petersen["checks"])
-    assert "cycle:200:oracle_spectrum" in doc["diagnostics"]
+    assert doc["diagnostics"] == ["cycle:12:oracle_spectrum"]
     spectrum = next(c for c in cycle["checks"] if c["name"] == "oracle_spectrum")
     assert spectrum["detail"]["error"] == "WeightMismatchError"
     assert spectrum["detail"]["message"]
@@ -295,3 +306,91 @@ def test_non_builtin_names_are_read_as_files(capsys, source):
     code, doc = run_json(capsys, ["certify", source])
     assert code == 1 and doc["payload"]["error"] == "usage"
     assert "no such file or builtin graph" in doc["payload"]["message"]
+
+
+def _strict_json(out):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(out, parse_constant=reject)
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "petersen", "--tau={tau}"],
+        ["interlace", "petersen", "--tau={tau}", "--tau", "0"],
+        ["jacobi", "petersen", "--tau={tau}"],
+        ["jacobi", "--array", "1,3;1,2", "--tau={tau}"],
+    ],
+)
+def test_non_finite_tau_is_an_error_envelope(capsys, argv, tau):
+    code, out = run(capsys, [arg.format(tau=tau) for arg in argv])
+    doc = _strict_json(out)
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"] == {
+        "error": "JacobiError",
+        "message": "diagonal and off-diagonal entries must be finite",
+    }
+
+
+@pytest.mark.parametrize("n", [151, 200, 1000])
+def test_measure_long_cycles_match_closed_form(capsys, n):
+    # C_n: eigenvalues 2 cos(2 pi k / n), multiplicity 1 at +-2, else 2
+    code, doc = run_json(capsys, ["measure", f"cycle:{n}"])
+    assert code == 0
+    atoms = doc["payload"]["atoms"]
+    lams = sorted({round(2 * math.cos(2 * math.pi * k / n), 12) for k in range(n)})
+    assert [a["lambda"] for a in atoms] == pytest.approx(lams, abs=1e-10)
+    mults = [1 if abs(abs(lam) - 2) < 1e-9 else 2 for lam in lams]
+    assert [a["multiplicity"] for a in atoms] == mults
+    assert [a["weight"] for a in atoms] == pytest.approx([m / n for m in mults], rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [14, 16])
+def test_spectrum_hamming_array_matches_closed_form(capsys, dim):
+    # H(D,2): a_k = k, b_k = D - k + 1; eigenvalues D - 2k with weights C(D,k) / 2^D
+    array = ";".join(f"{k},{dim - k + 1}" for k in range(1, dim + 1))
+    code, doc = run_json(capsys, ["spectrum", "--array", array])
+    assert code == 0
+    ks = range(dim, -1, -1)
+    assert doc["payload"]["eigenvalues"] == pytest.approx([dim - 2 * k for k in ks], abs=1e-10)
+    assert doc["payload"]["weights"] == pytest.approx(
+        [math.comb(dim, k) / 2**dim for k in ks], rel=1e-8
+    )
+
+
+def test_spectrum_tree_prefix_matches_golub_welsch(capsys):
+    # first 400 pairs of the 3-regular tree; J_tau's diagonal is zero up to tau = 2
+    m = 400
+    array = ";".join(["1,3"] + ["1,2"] * (m - 1))
+    code, doc = run_json(capsys, ["spectrum", "--array", array])
+    assert code == 0
+    dense = np.diag(np.r_[np.zeros(m), 2.0])
+    off = np.sqrt(np.r_[3.0, np.full(m - 1, 2.0)])
+    dense += np.diag(off, 1) + np.diag(off, -1)
+    lams, vecs = np.linalg.eigh(dense)
+    assert doc["payload"]["tau"] == 2.0
+    assert doc["payload"]["eigenvalues"] == pytest.approx(lams, abs=1e-10)
+    assert doc["payload"]["weights"] == pytest.approx(vecs[0] ** 2, rel=1e-7, abs=1e-15)
+
+
+@pytest.mark.parametrize("family, order", [("tree:3", 16), ("tree:8", 10)])
+def test_moments_quadrature_converges_on_growing_moments(capsys, family, order):
+    code, doc = run_json(capsys, ["moments", "--family", family, "--order", str(order)])
+    assert code == 0
+    exact = doc["payload"]["moments"]
+    assert doc["payload"]["quadrature"] == pytest.approx(exact, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command", [["spectrum", "petersen"], ["interlace", "petersen", "--tau", "0", "--tau", "1"]]
+)
+def test_tol_must_be_positive_and_finite(capsys, command, tol):
+    code, doc = run_json(capsys, command + [f"--tol={tol}"])
+    assert code == 1 and doc["payload"] == {
+        "error": "usage",
+        "message": f"argument --tol: must be positive and finite, not {tol}",
+    }

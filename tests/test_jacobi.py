@@ -60,6 +60,14 @@ def test_jacobi_operator_validation():
         JacobiOperator((0.5, 1.0), (1.0,))  # leading diagonal entry is fixed at 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jacobi_operator_rejects_non_finite_entries(bad):
+    with pytest.raises(JacobiError, match="finite"):
+        JacobiOperator((0.0, bad), (1.0,))
+    with pytest.raises(JacobiError, match="finite"):
+        JacobiOperator((0.0, 1.0), (abs(bad),))
+
+
 def test_canonical_tau():
     for n in (2, 5, 12):
         assert canonical_tau(complete_seq(n)) == n - 2
@@ -138,6 +146,34 @@ def test_eigenvalues_tolerance_too_small():
     J = build_jacobi(complete_seq(4), 2.0)
     with pytest.raises(ToleranceTooSmallError):
         eigenvalues(J, tol=1e-30)
+
+
+@pytest.mark.parametrize("tamper", ["shift", "swap"])
+def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
+    from drgjacobi import jacobi
+
+    tol = 1e-9
+    J = build_jacobi(PETERSEN, 2.0)
+    assert eigenvalues(J, tol) == pytest.approx([-2.0, 1.0, 3.0], abs=tol)
+    original = jacobi.eigvalsh_tridiagonal
+
+    def tampered(diag, off):
+        roots = original(diag, off)
+        if tamper == "shift":
+            return roots + 10 * tol
+        return roots[[1, 0, 2]]
+
+    monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", tampered)
+    with pytest.raises(ToleranceTooSmallError):
+        eigenvalues(J, tol)
+
+
+def test_eigenvalues_hamming_near_closed_form():
+    # H(60,2) spans [-60, 60]: the roots are within 1e-12 of D - 2k
+    dim = 60
+    seq = sequence_from_pairs([(k, dim - k + 1) for k in range(1, dim + 1)])
+    lams = eigenvalues(build_jacobi(seq, float(canonical_tau(seq))))
+    assert np.abs(np.array(lams) - np.arange(-dim, dim + 1, 2)).max() < 1e-12
 
 
 def test_eigenvalue_residual_certificate(corpus_entry):
