@@ -106,18 +106,16 @@ def cmd_spectrum(args) -> CommandResult:
     if witness is not None:
         return CommandResult("witness", witness.to_json(), ["not distance-regular"])
     tau = _resolve_tau(args, seq)
-    if n is not None and tau == float(jacobi.canonical_tau(seq)):
-        atoms = jacobi.spectral_measure(seq, vertex_count=n, tol=args.tol).atoms
-        payload = {
-            "tau": tau,
-            "eigenvalues": [a.eigenvalue for a in atoms],
-            "weights": [a.weight for a in atoms],
-            "multiplicities": [a.multiplicity for a in atoms],
-        }
-        return CommandResult("ok", payload)
-    lams = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau), args.tol)
-    weights = [jacobi.atom_weight(seq, tau, lam) for lam in lams]
-    return CommandResult("ok", {"tau": tau, "eigenvalues": lams, "weights": weights})
+    vertex_count = n if tau == float(jacobi.canonical_tau(seq)) else None
+    atoms = jacobi.spectral_measure(seq, vertex_count, args.tol, tau).atoms
+    payload = {
+        "tau": tau,
+        "eigenvalues": [a.eigenvalue for a in atoms],
+        "weights": [a.weight for a in atoms],
+    }
+    if vertex_count is not None:
+        payload["multiplicities"] = [a.multiplicity for a in atoms]
+    return CommandResult("ok", payload)
 
 
 def _verify_one(source: str) -> dict:
@@ -221,8 +219,8 @@ def cmd_interlace(args) -> CommandResult:
         raise CliUsageError("interlace needs two different --tau values")
     e1 = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau1), args.tol)
     e2 = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau2), args.tol)
-    interlaced = jacobi.spectra_interlace(e1, e2)
-    min_gap = min(abs(x - y) for x in e1 for y in e2)
+    # each root lies within tol/2 of its eigenvalue, so a gap above tol separates them
+    interlaced, min_gap = jacobi.spectra_interlace(e1, e2, 1e-9 if args.tol is None else args.tol)
     payload = {
         "tau1": tau1,
         "tau2": tau2,

@@ -7,13 +7,13 @@ operator acts on the span of the normalized distance operators as the
 Every boundary value tau gives a valid completion J_tau; the choice
 tau = degree - a_d reproduces the adjacency spectrum.
 
-Eigenvalues come from LAPACK's tridiagonal solver and are certified by
-the sign-change count of the first-kind polynomial sequence P_0, ...,
-P_n, P_{n+1}^(tau), which is exactly the Sturm chain of leading
-principal characteristic polynomials: one count on both sides of every
-root proves it lies within tol/2 of the eigenvalue of its rank, and
-doubles as a direct test of the three-term recurrence. Atom weights of
-the spectral measure are 1 / sum_k P_k^2, cross-checked against the
+Eigenvalues come from LAPACK's tridiagonal solver. The three-term
+recurrence of J_tau is walked once per job, over all points at once.
+The certificate counts the negative pivots of J - x (the Sturm chain
+in ratio form, no rescaling) on both sides of every root, which proves
+that each root lies within tol/2 of the eigenvalue of its rank. The
+weights take one pass over all roots: atom weights of the spectral
+measure are 1 / sum_k P_k^2, cross-checked against the
 Christoffel-Darboux derivative identity
 sum_k P_k^2 = P_n * (P_{n+1}^(tau))' at each root.
 """
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, pairwise
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .intersection import IntersectionSequence
-
-RESCALE_LIMIT = 1e100  # sign-change counting is scale invariant
 
 
 class JacobiError(Exception):
@@ -138,11 +137,11 @@ class SpectralMeasure:
             if any(m is None for m in mults):
                 raise JacobiError("either all atoms carry a multiplicity or none")
             n = sum(mults)
+            bound = min(1e-6 * n, 0.25)  # below 1/2, so only one integer can pass
             for a in self.atoms:
-                if abs(n * a.weight - a.multiplicity) > 1e-6 * n:
-                    raise JacobiError(
-                        f"weight {a.weight} inconsistent with multiplicity "
-                        f"{a.multiplicity} out of {n}"
+                if a.multiplicity < 1 or abs(n * a.weight - a.multiplicity) > bound:
+                    raise MultiplicityNotIntegralError(
+                        f"N*weight = {n * a.weight!r} at eigenvalue {a.eigenvalue!r}"
                     )
 
     def to_json(self) -> dict:
@@ -165,7 +164,8 @@ def build_jacobi(seq: IntersectionSequence, tau: float) -> JacobiOperator:
     """The (d+1) x (d+1) completion J_tau of the sequence's tridiagonal."""
     alphas = seq.alphas
     diag = tuple(float(alphas[k]) for k in range(seq.d)) + (float(tau),)
-    return JacobiOperator(diag, tuple(_offdiags(seq)), tau=float(tau))
+    offdiag = tuple(math.sqrt(a * b) for a, b in zip(seq.a, seq.b))
+    return JacobiOperator(diag, offdiag, tau=float(tau))
 
 
 def canonical_tau(seq: IntersectionSequence) -> int:
@@ -173,18 +173,24 @@ def canonical_tau(seq: IntersectionSequence) -> int:
     return seq.tau_star
 
 
-def _offdiags(seq: IntersectionSequence) -> list[float]:
-    return [math.sqrt(a * b) for a, b in zip(seq.a, seq.b)]
+def _first_kind_rows(J: JacobiOperator, xs: np.ndarray):
+    """Yield (P_k(xs), P_k'(xs)) for k = 0 .. n+1, each an array over xs.
 
-
-def _poly_values(seq: IntersectionSequence, x: float) -> list[float]:
-    """P_0(x) .. P_d(x); these do not involve the boundary parameter."""
-    off = _offdiags(seq)
-    alphas = seq.alphas
-    values = [1.0, x / off[0]]
-    for k in range(1, seq.d):
-        values.append(((x - alphas[k]) * values[k] - off[k - 1] * values[k - 1]) / off[k])
-    return values
+    P_0 = 1 and off_k P_{k+1} = (x - diag_k) P_k - off_{k-1} P_{k-1};
+    the last row P_{n+1}^(tau) is left undivided. The derivatives
+    follow by differentiating the recurrence. Only the last two rows
+    are kept, and nothing is rescaled: the weights need true values.
+    """
+    off = (1.0,) + J.offdiag + (1.0,)
+    p_prev, p = np.zeros_like(xs), np.ones_like(xs)
+    dp_prev, dp = np.zeros_like(xs), np.zeros_like(xs)
+    yield p, dp
+    for k, a in enumerate(J.diag):
+        shift = xs - a
+        p_next = (shift * p - off[k] * p_prev) / off[k + 1]
+        dp_next = (p + shift * dp - off[k] * dp_prev) / off[k + 1]
+        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        yield p, dp
 
 
 def eval_first_kind(
@@ -196,62 +202,29 @@ def eval_first_kind(
     With derivatives=True the recurrence is differentiated alongside, so
     derivative values carry no finite-difference noise.
     """
-    off = _offdiags(seq)
-    values = _poly_values(seq, x)
-    n = seq.d
-    last = (x - tau) * values[n] - off[n - 1] * values[n - 1]
-    if not derivatives:
-        return FirstKindEvaluation(tuple(values) + (last,), float(x), float(tau))
-    alphas = seq.alphas
-    derivs = [0.0, 1.0 / off[0]]
-    for k in range(1, n):
-        derivs.append(
-            (values[k] + (x - alphas[k]) * derivs[k] - off[k - 1] * derivs[k - 1])
-            / off[k]
-        )
-    dlast = values[n] + (x - tau) * derivs[n] - off[n - 1] * derivs[n - 1]
-    return FirstKindEvaluation(
-        tuple(values) + (last,), float(x), float(tau), tuple(derivs) + (dlast,)
-    )
+    rows = list(_first_kind_rows(build_jacobi(seq, tau), np.array([float(x)])))
+    values = tuple(float(p[0]) for p, _ in rows)
+    derivs = tuple(float(dp[0]) for _, dp in rows) if derivatives else None
+    return FirstKindEvaluation(values, float(x), float(tau), derivs)
 
 
 def _sign_change_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each x, by Sturm sign changes.
+    """Number of eigenvalues below each x: the negative pivots of J - x.
 
-    Evaluates the chain p_0..p_N at every x at once; zero entries are
-    skipped (consecutive chain entries cannot both vanish). Running
-    rescaling keeps magnitudes below RESCALE_LIMIT without affecting
-    signs.
+    The pivots u_0 = diag_0 - x, u_k = (diag_k - x) - off_{k-1}^2 / u_{k-1}
+    are the ratios of consecutive entries of the Sturm chain, so they
+    stay in range and need no rescaling. A zero pivot is counted by its
+    sign bit and sends the next pivot to -/+inf (a tiny one may too, by
+    overflow), so the pair counts once.
     """
-    n = len(diag)
-    changes = np.zeros(xs.shape, dtype=np.int64)
-    last_sign = np.ones_like(xs)
-
-    def absorb(p):
-        nonlocal last_sign
-        s = np.sign(p)
-        nonzero = s != 0
-        changes[nonzero & (s != last_sign)] += 1
-        last_sign = np.where(nonzero, s, last_sign)
-
-    p_prev = np.ones_like(xs)
-    p = xs - diag[0]
-    if n > 1:
-        p = p / off[0]
-    absorb(p)
-    for k in range(1, n):
-        q = (xs - diag[k]) * p - off[k - 1] * p_prev
-        if k < n - 1:
-            q = q / off[k]
-        p_prev, p = p, q
-        mag = np.abs(p)
-        big = mag > RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, mag, 1.0)
-            p = p / scale
-            p_prev = p_prev / scale
-        absorb(p)
-    return n - changes
+    off2 = off * off
+    with np.errstate(divide="ignore", over="ignore"):
+        pivot = diag[0] - xs
+        counts = np.signbit(pivot).astype(np.int64)
+        for k in range(1, len(diag)):
+            pivot = (diag[k] - xs) - off2[k - 1] / pivot
+            counts += np.signbit(pivot)
+    return counts
 
 
 def gershgorin_interval(J: JacobiOperator) -> tuple[float, float]:
@@ -263,12 +236,13 @@ def gershgorin_interval(J: JacobiOperator) -> tuple[float, float]:
 def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     """All eigenvalues of J, strictly increasing.
 
-    LAPACK (scipy's eigvalsh_tridiagonal) solves; one Sturm sign-change
-    count at roots -/+ tol/2 certifies. The counts must read exactly
-    k below and k + 1 above the k-th root, which proves that each root
-    lies within tol/2 of the k-th eigenvalue and that the roots are
-    strictly increasing; otherwise ToleranceTooSmallError is raised.
-    tol defaults to 1e-12 relative to the Gershgorin enclosure width.
+    LAPACK (scipy's eigvalsh_tridiagonal) solves; one Sturm count (the
+    negative pivots of J - x) at roots -/+ tol/2 certifies. The counts
+    must read exactly k below and k + 1 above the k-th root, which
+    proves that each root lies within tol/2 of the k-th eigenvalue and
+    that the roots are strictly increasing; otherwise
+    ToleranceTooSmallError is raised. tol defaults to 1e-12 relative to
+    the Gershgorin enclosure width.
     """
     n = J.size
     if tol is None:
@@ -307,12 +281,34 @@ def eigenfunction_coeffs(
     return coeffs
 
 
+def _inverse_weights(J: JacobiOperator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k P_k^2 and P_n * (P_{n+1}^(tau))' at every x, in one walk."""
+    direct = np.zeros_like(xs)
+    for (p, _), (_, dp_next) in pairwise(_first_kind_rows(J, xs)):
+        direct += p * p
+    return direct, p * dp_next
+
+
+def _checked_weights(J: JacobiOperator, roots: np.ndarray, rtol: float) -> np.ndarray:
+    """1 / sum_k P_k^2 at every root; WeightMismatchError at the first
+    root where the derivative identity disagrees beyond rtol."""
+    direct, via_derivative = _inverse_weights(J, roots)
+    bad = np.abs(direct - via_derivative) > rtol * np.maximum(
+        np.abs(direct), np.abs(via_derivative)
+    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise WeightMismatchError(
+            f"sum formula {float(direct[i])!r} vs derivative formula "
+            f"{float(via_derivative[i])!r} at {float(roots[i])!r}"
+        )
+    return 1.0 / direct
+
+
 def weight_formulas(seq: IntersectionSequence, tau: float, lam: float) -> tuple[float, float]:
     """Both inverse-weight values at lam: sum_k P_k^2 and P_n * (P_{n+1}^(tau))'."""
-    ev = eval_first_kind(seq, tau, lam, derivatives=True)
-    direct = sum(v * v for v in ev.values[:-1])
-    via_derivative = ev.values[-2] * ev.derivatives[-1]
-    return direct, via_derivative
+    direct, via_derivative = _inverse_weights(build_jacobi(seq, tau), np.array([float(lam)]))
+    return float(direct[0]), float(via_derivative[0])
 
 
 def atom_weight(
@@ -324,65 +320,55 @@ def atom_weight(
     sum_k P_k^2 = P_n * (P_{n+1}^(tau))' valid at roots; disagreement
     beyond rtol raises WeightMismatchError.
     """
-    direct, via_derivative = weight_formulas(seq, tau, lam)
-    if abs(direct - via_derivative) > rtol * max(abs(direct), abs(via_derivative)):
-        raise WeightMismatchError(
-            f"sum formula {direct!r} vs derivative formula {via_derivative!r} at {lam!r}"
-        )
-    return 1.0 / direct
+    return float(_checked_weights(build_jacobi(seq, tau), np.array([float(lam)]), rtol)[0])
 
 
 def spectral_measure(
     seq: IntersectionSequence,
     vertex_count: int | None = None,
     tol: float | None = None,
+    tau: float | None = None,
 ) -> SpectralMeasure:
-    """The adjacency spectral measure reconstructed from J_{degree - a_d}.
+    """The spectral measure of J_tau; tau defaults to degree - a_d.
 
-    With vertex_count N, eigenvalue multiplicities round(N * weight) are
-    attached; a rounding error beyond 1e-6 * N raises
-    MultiplicityNotIntegralError (the sequence is then not a genuine
-    graph spectrum).
+    At the default tau this is the adjacency spectral measure. Weights
+    for all roots come from one pass of the recurrence. With
+    vertex_count N, eigenvalue multiplicities round(N * weight) are
+    attached; MultiplicityNotIntegralError is raised when they do not
+    sum to N or, from SpectralMeasure, when N * weight is not close to
+    an integer (the sequence is then not a genuine graph spectrum).
     """
-    tau = float(canonical_tau(seq))
-    lams = eigenvalues(build_jacobi(seq, tau), tol)
-    weights = [atom_weight(seq, tau, lam) for lam in lams]
+    J = build_jacobi(seq, canonical_tau(seq) if tau is None else tau)
+    lams = eigenvalues(J, tol)
+    weights = _checked_weights(J, np.array(lams), 1e-8).tolist()
     mults: list[int | None] = [None] * len(lams)
     if vertex_count is not None:
-        total = 0
-        for idx, w in enumerate(weights):
-            m = round(vertex_count * w)
-            if abs(vertex_count * w - m) >= 1e-6 * vertex_count or m < 1:
-                raise MultiplicityNotIntegralError(
-                    f"N*weight = {vertex_count * w!r} at eigenvalue {lams[idx]!r}"
-                )
-            mults[idx] = m
-            total += m
-        if total != vertex_count:
+        mults = [round(vertex_count * w) for w in weights]
+        if sum(mults) != vertex_count:
             raise MultiplicityNotIntegralError(
-                f"multiplicities sum to {total}, expected {vertex_count}"
+                f"multiplicities sum to {sum(mults)}, expected {vertex_count}"
             )
-    atoms = tuple(
-        SpectralAtom(lam, w, m) for lam, w, m in zip(lams, weights, mults)
+    return SpectralMeasure(
+        tuple(SpectralAtom(lam, w, m) for lam, w, m in zip(lams, weights, mults))
     )
-    return SpectralMeasure(atoms)
 
 
-def spectra_interlace(e1: list[float], e2: list[float], tol: float = 1e-9) -> bool:
-    """True iff two sorted spectra are disjoint and interlaced.
+def spectra_interlace(
+    e1: list[float], e2: list[float], tol: float = 1e-9
+) -> tuple[bool, float]:
+    """(interlaced, min_gap) for two sorted spectra.
 
-    Disjoint means every pairwise gap exceeds tol; interlaced means each
-    open interval between consecutive eigenvalues of one spectrum holds
-    exactly one eigenvalue of the other.
+    min_gap is the smallest distance between an eigenvalue of e1 and
+    one of e2. The spectra interlace when they are disjoint (min_gap
+    exceeds tol) and each open interval between consecutive eigenvalues
+    of one spectrum holds exactly one eigenvalue of the other, that is,
+    when their merged order alternates between the two.
     """
-    min_gap = min(abs(x - y) for x in e1 for y in e2)
-    if min_gap <= tol:
-        return False
-    for first, second in ((e1, e2), (e2, e1)):
-        for lo, hi in zip(first, first[1:]):
-            if sum(1 for lam in second if lo < lam < hi) != 1:
-                return False
-    return True
+    merged = np.concatenate([e1, e2])
+    order = np.argsort(merged, kind="stable")
+    alternates = (order[1:] >= len(e1)) != (order[:-1] >= len(e1))
+    min_gap = float(np.diff(merged[order])[alternates].min())
+    return bool(min_gap > tol and alternates.all()), min_gap
 
 
 def check_interlacing(
@@ -396,7 +382,7 @@ def check_interlacing(
         raise ValueError("tau values must differ")
     e1 = eigenvalues(build_jacobi(seq, tau1))
     e2 = eigenvalues(build_jacobi(seq, tau2))
-    return spectra_interlace(e1, e2, tol)
+    return spectra_interlace(e1, e2, tol)[0]
 
 
 def cd_kernel(
@@ -412,12 +398,12 @@ def cd_kernel(
     """
     if not 0 <= k <= seq.d - 1:
         raise ValueError(f"k must be in 0..{seq.d - 1}")
-    px = _poly_values(seq, x)
-    py = _poly_values(seq, y)
-    total = sum(px[j] * py[j] for j in range(k + 1))
+    J = build_jacobi(seq, canonical_tau(seq))  # P_0 .. P_d do not involve tau
+    rows = islice(_first_kind_rows(J, np.array([x, y], dtype=float)), k + 2)
+    px, py = np.array([p for p, _ in rows]).T
+    total = float(sum(px[:-1] * py[:-1]))
     if x != y:
-        off = _offdiags(seq)
-        ratio = off[k] * (py[k] * px[k + 1] - px[k] * py[k + 1]) / (x - y)
+        ratio = float(J.offdiag[k] * (py[k] * px[k + 1] - px[k] * py[k + 1]) / (x - y))
         if abs(total - ratio) > rtol * max(1.0, abs(total), abs(ratio)):
             raise KernelMismatchError(
                 f"sum form {total!r} vs ratio form {ratio!r} at ({x!r}, {y!r})"

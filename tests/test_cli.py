@@ -200,6 +200,18 @@ def test_interlace(capsys):
     assert len(doc["payload"]["spectrum1"]) == 3
 
 
+def test_interlace_tol_sets_the_gap(capsys):
+    # roots certified within 5e-15 are disjoint at a gap of 6.7e-11
+    argv = ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001"]
+    _, doc = run_json(capsys, argv + ["--tol", "1e-14"])
+    assert doc["payload"]["min_gap"] == pytest.approx(6.7e-11, rel=0.01)
+    assert doc["payload"]["interlaced"] is True
+    _, doc = run_json(capsys, argv)  # without --tol the gap must exceed 1e-9
+    assert doc["payload"]["interlaced"] is False
+    _, doc = run_json(capsys, argv + ["--tol", "1e-10"])
+    assert doc["payload"]["interlaced"] is False
+
+
 def test_interlace_needs_two_taus(capsys):
     code, doc = run_json(capsys, ["interlace", "petersen", "--tau", "2"])
     assert code == 1 and doc["status"] == "error"
