@@ -3,17 +3,24 @@
 Vertices are dense 0-based indices. Construction eagerly verifies
 simplicity (no loops, no parallel edges), symmetry of the adjacency
 relation, and connectivity, so everything downstream may assume all
-three. All distance data is read from one read-only all-pairs array,
-``Graph.distances``, filled on first use by one BFS per vertex (never
-by matrix powers, so entries are exact by construction) and shared by
-every query here and by certification in ``intersection``.
+three; it also stores the adjacency once as int32 CSR arrays,
+``Graph.csr``, which the array kernels here, in ``intersection`` and
+in ``oracle`` read. All distance data is read from one read-only
+all-pairs array, ``Graph.distances``, filled on first use by path
+search, never by matrix powers, so entries are exact by construction:
+scipy's compiled unweighted ``csgraph.shortest_path`` in row blocks, or
+one Python BFS per vertex below ``COMPILED_FILL_MIN_VERTICES`` vertices.
+The array is shared by every query here, by certification in
+``intersection`` and by ``oracle``, which accepts it only after its own
+Bellman-identity check.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -47,32 +54,48 @@ class OddPairCountError(GraphError):
     """The ordered count of adjacent same-shell pairs must be even."""
 
 
+# Entries per numpy work block: its temporaries stay far below the
+# distance array, and every desk-scale graph fits in one block.
+BLOCK_ENTRIES = 1 << 16
+
+# Graphs with fewer vertices fill their distance table by one Python BFS
+# per row: scipy's fixed cost per fill, about 0.1 ms for building and
+# validating the sparse matrix, exceeds the whole Python fill there.
+# Measured crossovers (numpy 2.4, scipy 1.17, 2-core x86 VM): near 24
+# vertices on cycles and cubes, near 18 on complete graphs; at 40
+# vertices scipy is 2.4x (cycle) to 6x (complete) faster.
+COMPILED_FILL_MIN_VERTICES = 24
+
+# Builtin graphs with more vertices are refused from their parameter,
+# before any allocation. hypercube:12 is the largest admitted cube.
+MAX_BUILTIN_VERTICES = 4096
+
+
+def _row_blocks(n: int, width: int):
+    """Consecutive row ranges [start, stop) of about BLOCK_ENTRIES / width rows."""
+    step = max(1, BLOCK_ENTRIES // width)
+    for start in range(0, n, step):
+        yield start, min(n, start + step)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple connected undirected graph.
 
     ``adjacency[i]`` is the strictly increasing tuple of neighbors of
-    vertex ``i``.
+    vertex ``i``. ``csr`` holds the same lists as read-only int32 arrays
+    ``(indptr, indices)``: the neighbors of ``i`` are
+    ``indices[indptr[i]:indptr[i + 1]]``.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
+    csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.adjacency)
         if n < 2:
             raise GraphError("a graph needs at least two vertices")
-        for i, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for j in nbrs:
-                if j == i:
-                    raise SelfLoopError(i)
-                if not 0 <= j < n:
-                    raise GraphError(f"neighbor {j} of {i} out of range")
-                if j <= prev:
-                    raise GraphError(f"adjacency[{i}] not strictly increasing")
-                prev = j
-                if i not in self.adjacency[j]:
-                    raise GraphError(f"asymmetric edge ({i}, {j})")
+        object.__setattr__(self, "csr", _checked_csr(self.adjacency))
         seen = _bfs(self.adjacency, 0)
         if any(d < 0 for d in seen):
             component = tuple(v for v, d in enumerate(seen) if d >= 0)
@@ -94,8 +117,20 @@ class Graph:
         n = self.vertex_count
         dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n)
         dist = np.empty((n, n), dtype=dtype)
-        for v in range(n):
-            dist[v] = _bfs(self.adjacency, v)
+        if n < COMPILED_FILL_MIN_VERTICES:
+            for v in range(n):
+                dist[v] = _bfs(self.adjacency, v)
+        else:
+            # Imported here: csgraph adds about 1 MB that small graphs never need.
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import shortest_path
+
+            indptr, indices = self.csr
+            # float64 data with directed=True (exact, as the adjacency is
+            # symmetric) is the form scipy validates without converting.
+            adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+            for start, stop in _row_blocks(n, n):
+                dist[start:stop] = shortest_path(adj, unweighted=True, indices=np.arange(start, stop))
         dist.flags.writeable = False
         return dist
 
@@ -108,6 +143,53 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(vertices={self.vertex_count}, edges={sum(1 for _ in self.edges())})"
+
+
+def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency lists as read-only int32 CSR arrays, after validation."""
+    n = len(adjacency)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adjacency), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    codes = rows * n
+    codes += indices
+    # Valid lists give loop-free, in-range, strictly increasing codes,
+    # and the reversed entries give the same codes in another order.
+    valid = (
+        ((indices >= 0) & (indices < n)).all()
+        and (codes[1:] > codes[:-1]).all()
+        and (indices != rows).all()
+    )
+    if valid:
+        reversed_codes = indices * n
+        reversed_codes += rows
+        reversed_codes.sort()
+        valid = np.array_equal(codes, reversed_codes)
+    if not valid:
+        _raise_first_offence(adjacency)
+    csr = (indptr.astype(np.int32), indices.astype(np.int32))
+    for a in csr:
+        a.flags.writeable = False
+    return csr
+
+
+def _raise_first_offence(adjacency):
+    """Raise for the first offending entry of invalid lists, in row-major order."""
+    n = len(adjacency)
+    entries = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs}
+    for i, nbrs in enumerate(adjacency):
+        prev = -1
+        for j in nbrs:
+            if j == i:
+                raise SelfLoopError(i)
+            if not 0 <= j < n:
+                raise GraphError(f"neighbor {j} of {i} out of range")
+            if j <= prev:
+                raise GraphError(f"adjacency[{i}] not strictly increasing")
+            prev = j
+            if (j, i) not in entries:
+                raise GraphError(f"asymmetric edge ({i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -151,6 +233,21 @@ def _bfs(adjacency, source: int) -> list[int]:
     return dist
 
 
+def _component_of_zero(pairs) -> tuple[int, ...]:
+    """The sorted component of vertex 0, in memory linear in len(pairs)."""
+    nbrs = defaultdict(list)
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return tuple(sorted(seen))
+
+
 def graph_from_edges(edges, vertex_count: int | None = None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
@@ -170,11 +267,15 @@ def graph_from_edges(edges, vertex_count: int | None = None) -> Graph:
         if vertex_count < n:
             raise GraphError("vertex_count smaller than largest edge index + 1")
         n = vertex_count
+    if n > len(pairs) + 1:  # cannot be connected; refused before allocating n sets
+        raise NotConnectedError(_component_of_zero(pairs))
     nbrs = [set() for _ in range(n)]
     for u, v in pairs:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(tuple(tuple(sorted(s)) for s in nbrs))
+    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    del nbrs, pairs  # freed before validation allocates its arrays
+    return Graph(adjacency)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -231,14 +332,15 @@ def _complete_bipartite(n: int) -> Graph:
     return graph_from_edges((i, n + j) for i in range(n) for j in range(n))
 
 
-# Builtin generators: name -> (builder, smallest parameter). A None
-# minimum marks a graph that takes no parameter.
+# Builtin generators: name -> (builder, smallest parameter, largest
+# parameter). The largest keeps the graph within MAX_BUILTIN_VERTICES. A
+# None minimum marks a graph that takes no parameter.
 BUILTIN_GRAPHS = {
-    "petersen": (_petersen, None),
-    "complete": (_complete, 2),
-    "cycle": (_cycle, 3),
-    "hypercube": (_hypercube, 1),
-    "complete_bipartite": (_complete_bipartite, 1),
+    "petersen": (_petersen, None, None),
+    "complete": (_complete, 2, MAX_BUILTIN_VERTICES),
+    "cycle": (_cycle, 3, MAX_BUILTIN_VERTICES),
+    "hypercube": (_hypercube, 1, MAX_BUILTIN_VERTICES.bit_length() - 1),
+    "complete_bipartite": (_complete_bipartite, 1, MAX_BUILTIN_VERTICES // 2),
 }
 
 
@@ -253,12 +355,14 @@ def graph_from_name(name: str) -> Graph:
     """Build one of the named graphs.
 
     Supported: "complete:n" (n >= 2), "cycle:n" (n >= 3), "petersen",
-    "hypercube:d" (d >= 1), "complete_bipartite:n" (n >= 1).
+    "hypercube:d" (d >= 1), "complete_bipartite:n" (n >= 1). A parameter
+    giving more than MAX_BUILTIN_VERTICES vertices raises GraphError
+    before anything is built.
     """
     base, sep, arg = name.partition(":")
     if base not in BUILTIN_GRAPHS:
         raise GraphError(f"unknown builtin graph {name!r}")
-    builder, minimum = BUILTIN_GRAPHS[base]
+    builder, minimum, maximum = BUILTIN_GRAPHS[base]
     if minimum is None:
         if sep:
             raise GraphError(f"{base} takes no parameter")
@@ -271,6 +375,10 @@ def graph_from_name(name: str) -> Graph:
         raise GraphError(f"bad parameter in {name!r}") from None
     if k < minimum:
         raise GraphError(f"{base} parameter must be >= {minimum}")
+    if k > maximum:
+        raise GraphError(
+            f"{base} parameter must be <= {maximum} (at most {MAX_BUILTIN_VERTICES} vertices)"
+        )
     return builder(k)
 
 
@@ -279,10 +387,6 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"vertex {v} out of range")
     return g.distances[v].tolist()
-
-
-def eccentricity(g: Graph, v: int) -> int:
-    return max(bfs_distances(g, v))
 
 
 def diameter(g: Graph) -> int:

@@ -16,11 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
-
-# Entries per numpy work block: its temporaries stay far below the
-# distance array, and every desk-scale graph fits in one block.
-BLOCK_ENTRIES = 1 << 16
+from .graphs import Graph, _row_blocks
 
 
 class SequenceError(Exception):
@@ -150,13 +146,6 @@ def _pair_count(g: Graph, pair: tuple[int, int], k: int, count_type: str) -> int
     return sum(1 for u in g.adjacency[j] if dist[u] == target)
 
 
-def _row_blocks(n: int, width: int):
-    """Consecutive row ranges [start, stop) of about BLOCK_ENTRIES / width rows."""
-    step = max(1, BLOCK_ENTRIES // width)
-    for start in range(0, n, step):
-        yield start, min(n, start + step)
-
-
 def certify_distance_regular(g: Graph):
     """Certify distance-regularity of g.
 
@@ -180,7 +169,7 @@ def certify_distance_regular(g: Graph):
             )
 
     dist = g.distances
-    nbrs = np.array(g.adjacency)  # n x degree, as g is regular
+    nbrs = g.csr[1].reshape(n, degree)  # as g is regular
     # A pair's code is a + (degree + 1) b: each neighbour of j one step
     # closer to i adds 1, each one step farther degree + 1.
     weight = np.array([1, 0, degree + 1])
@@ -264,8 +253,7 @@ def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
     """
     n, d = g.vertex_count, seq.d
     dist = g.distances
-    indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
-    indices = np.concatenate(g.adjacency)
+    indptr, indices = g.csr
     alphas, a_next, b_prev = seq.alphas, seq.a + (0,), (0,) + seq.b
     width = max(n, d + 2) + 1  # the last slot absorbs index k - 1 = -1 at k = 0
     mismatch = None

@@ -2,10 +2,13 @@
 
 Everything here is deliberately independent of the tridiagonal Sturm
 machinery: the eigensolver and the operator norm are LAPACK's dense
-symmetric solvers (numpy.linalg.eigh / eigvalsh), and the distance
-matrices come from scipy's compiled all-pairs shortest paths, not from
-Graph.distances, the array the certifier reads. Agreement with the main
-code paths is therefore evidence, not tautology. Dense paths are
+symmetric solvers (numpy.linalg.eigh / eigvalsh). The distance matrices
+are read from Graph.distances, the array the certifier reads, but only
+after a check that shares no code with the BFS that filled it: the
+Bellman identity D_jj = 0, |D_uj - D_ij| <= 1 and
+min_{u ~ i} D_uj = D_ij - 1 (i != j), which on a connected graph holds
+for the distance matrix and for no other array. Agreement with the
+main code paths is therefore evidence, not tautology. Dense paths are
 desk-scale only and refuse graphs beyond 2000 vertices.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graphs import Graph
+from .graphs import Graph, _row_blocks
 from .intersection import IntersectionSequence, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
@@ -50,11 +53,7 @@ def _check_size(n: int):
 def _sparse_adjacency(g: Graph) -> csr_matrix:
     _check_size(g.vertex_count)
     n = g.vertex_count
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(nbrs) for nbrs in g.adjacency], out=indptr[1:])
-    indices = np.fromiter(
-        (j for nbrs in g.adjacency for j in nbrs), dtype=np.int64, count=int(indptr[-1])
-    )
+    indptr, indices = g.csr
     return csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n))
 
 
@@ -62,13 +61,39 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     return _sparse_adjacency(g).toarray()
 
 
-def dense_distance_matrices(g: Graph) -> list[np.ndarray]:
-    """A_0 .. A_diam as dense integer matrices from all-pairs shortest paths."""
-    # Imported here: csgraph adds about 1 MB that only verify's oracle needs.
-    from scipy.sparse.csgraph import shortest_path
+def _check_bellman(g: Graph, dist: np.ndarray):
+    """Raise OracleError unless dist is g's distance matrix.
 
-    dist = shortest_path(_sparse_adjacency(g), directed=False, unweighted=True)
-    dist = dist.astype(np.int64)  # finite: graphs are connected
+    Checks, for every column j, D_jj = 0, |D_uj - D_ij| <= 1 for every
+    u ~ i, and min_{u ~ i} D_uj = D_ij - 1 for every i != j, by a gather
+    of the rows of dist at the neighbors of i. On a connected graph the
+    three conditions fix D. Names the first failing (i, j) in row-major
+    order.
+    """
+    n = g.vertex_count
+    indptr, indices = g.csr
+    for start, stop in _row_blocks(n, n * max(map(len, g.adjacency))):
+        rows = dist[start:stop]
+        lo = indptr[start]
+        gathered = dist[indices[lo : indptr[stop]]]
+        offsets = indptr[start:stop] - lo
+        nearest = np.minimum.reduceat(gathered, offsets)
+        farthest = np.maximum.reduceat(gathered, offsets)
+        lipschitz = (nearest >= rows - 1) & (farthest <= rows + 1)
+        closer = nearest == rows - 1  # at i != j; D_jj = 0 takes its place at i = j
+        diagonal = (np.arange(stop - start), np.arange(start, stop))
+        closer[diagonal] = rows[diagonal] == 0
+        ok = lipschitz & closer
+        if not ok.all():
+            i, j = map(int, np.argwhere(~ok)[0])
+            raise OracleError(f"distance table fails the Bellman identity at ({start + i}, {j})")
+
+
+def dense_distance_matrices(g: Graph) -> list[np.ndarray]:
+    """A_0 .. A_diam as dense integer matrices, from the Bellman-checked g.distances."""
+    _check_size(g.vertex_count)
+    dist = g.distances
+    _check_bellman(g, dist)
     diam = int(dist.max())
     return [(dist == k).astype(np.int64) for k in range(diam + 1)]
 

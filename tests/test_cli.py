@@ -248,6 +248,17 @@ def test_malformed_file_reports_line(capsys, tmp_path):
     assert "line 2" in doc["payload"]["message"]
 
 
+@pytest.mark.parametrize(
+    "source, error",
+    [("far.edges", "NotConnectedError"), ("complete:100000", "GraphError"), ("hypercube:40", "GraphError")],
+)
+def test_oversized_sources_are_error_envelopes(capsys, tmp_path, monkeypatch, source, error):
+    monkeypatch.chdir(tmp_path)
+    Path("far.edges").write_text("0 1\n1 99999999\n")
+    code, doc = run_json(capsys, ["certify", source])
+    assert code == 1 and doc["payload"]["error"] == error
+
+
 def test_missing_source_is_usage_error(capsys):
     code, doc = run_json(capsys, ["spectrum"])
     assert code == 1 and doc["payload"]["error"] == "usage"

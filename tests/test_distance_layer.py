@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -131,18 +131,18 @@ def test_random_corpus_covers_every_outcome():
         assert kinds.count(kind) >= 100, kind
 
 
-@pytest.mark.parametrize("block_entries", [intersection.BLOCK_ENTRIES, 1, 40])
+@pytest.mark.parametrize("block_entries", [graphs.BLOCK_ENTRIES, 1, 40])
 def test_certify_matches_reference_loop(block_entries, monkeypatch):
     # 1 and 40 split every graph into many row blocks
-    monkeypatch.setattr(intersection, "BLOCK_ENTRIES", block_entries)
-    sample = RANDOM_GRAPHS if block_entries == intersection.BLOCK_ENTRIES else RANDOM_GRAPHS[::7]
+    monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+    sample = RANDOM_GRAPHS if block_entries == graphs.BLOCK_ENTRIES else RANDOM_GRAPHS[::7]
     for g in sample:
         assert certify_distance_regular(g).to_json() == reference_certify(g)
 
 
-@pytest.mark.parametrize("block_entries", [intersection.BLOCK_ENTRIES, 1, 40])
+@pytest.mark.parametrize("block_entries", [graphs.BLOCK_ENTRIES, 1, 40])
 def test_recurrence_matches_dense_reference(block_entries, monkeypatch):
-    monkeypatch.setattr(intersection, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     tried = 0
     for g in RANDOM_GRAPHS[:300]:
         outcome = certify_distance_regular(g)
@@ -180,16 +180,56 @@ def test_distance_dtype_holds_n_plus_one(n, dtype):
     assert graph_from_name(f"cycle:{n}").distances.dtype == dtype
 
 
-def test_verify_runs_bfs_once_per_row(monkeypatch, capsys):
-    calls = []
-    original = graphs._bfs
+@pytest.mark.parametrize(
+    "crossover, block_entries",
+    [(graphs.COMPILED_FILL_MIN_VERTICES, graphs.BLOCK_ENTRIES), (2, graphs.BLOCK_ENTRIES), (2, 40)],
+)
+def test_both_fill_paths_match_reference_bfs(crossover, block_entries, monkeypatch):
+    # every corpus graph has at most 16 vertices, so only crossover 2
+    # sends them through scipy; 40 entries split them into row blocks
+    monkeypatch.setattr(graphs, "COMPILED_FILL_MIN_VERTICES", crossover)
+    monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+    for g in RANDOM_GRAPHS:
+        fresh = graphs.Graph(g.adjacency)  # the shared graphs may hold a table already
+        expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
+        assert fresh.distances.tolist() == expected
 
-    def counting(adjacency, source):
-        calls.append(len(adjacency))
-        return original(adjacency, source)
 
-    monkeypatch.setattr(graphs, "_bfs", counting)
-    assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
+def prism_edges(n):
+    """C_n x K_2."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return ring + [(u + n, v + n) for u, v in ring] + [(i, i + n) for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["hypercube:9", "cycle:400", "complete:200", "prism:400"])
+def test_both_fill_paths_match_reference_bfs_on_ladder(name, monkeypatch):
+    g = graph_from_edges(prism_edges(400)) if name == "prism:400" else graph_from_name(name)
+    expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
+    for crossover in (g.vertex_count + 1, graphs.COMPILED_FILL_MIN_VERTICES):
+        monkeypatch.setattr(graphs, "COMPILED_FILL_MIN_VERTICES", crossover)
+        assert graphs.Graph(g.adjacency).distances.tolist() == expected
+
+
+def test_verify_fills_each_table_once(monkeypatch, capsys):
+    from scipy.sparse import csgraph
+
+    bfs_rows, compiled_rows = Counter(), Counter()
+    original_bfs, original_shortest_path = graphs._bfs, csgraph.shortest_path
+
+    def counting_bfs(adjacency, source):
+        bfs_rows[len(adjacency)] += 1
+        return original_bfs(adjacency, source)
+
+    def counting_shortest_path(adj, *args, indices, **kwargs):
+        compiled_rows[adj.shape[0]] += len(indices)
+        return original_shortest_path(adj, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(graphs, "_bfs", counting_bfs)
+    monkeypatch.setattr(csgraph, "shortest_path", counting_shortest_path)
+    assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
     capsys.readouterr()
-    # per input: the connectivity check plus one BFS per row of the array
-    assert sorted(calls) == [6] * 7 + [8] * 9 + [10] * 11
+    # per input: the connectivity check, then each row of the table once,
+    # by Python BFS below the crossover and by scipy above it; the oracle
+    # fills no table of its own
+    assert bfs_rows == {10: 1 + 10, 30: 1, 32: 1}
+    assert compiled_rows == {30: 30, 32: 32}

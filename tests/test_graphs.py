@@ -1,8 +1,12 @@
+import random
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from drgjacobi import (
+    Graph,
     GraphError,
     MalformedLineError,
     NotConnectedError,
@@ -16,6 +20,7 @@ from drgjacobi import (
     isoscycle_count,
     parse_edge_list,
 )
+from drgjacobi.graphs import BUILTIN_GRAPHS, MAX_BUILTIN_VERTICES
 
 
 def kneser_petersen_text():
@@ -208,3 +213,95 @@ def test_diameter_examples():
     assert diameter(graph_from_name("complete:7")) == 1
     assert diameter(graph_from_name("cycle:6")) == 3
     assert diameter(graph_from_name("petersen")) == 2
+
+
+def reference_structure_error(adjacency):
+    """The per-entry validation loop the CSR check replaced: (type, message) or None."""
+    n = len(adjacency)
+    for i, nbrs in enumerate(adjacency):
+        prev = -1
+        for j in nbrs:
+            if j == i:
+                return SelfLoopError, f"self-loop at vertex {i}"
+            if not 0 <= j < n:
+                return GraphError, f"neighbor {j} of {i} out of range"
+            if j <= prev:
+                return GraphError, f"adjacency[{i}] not strictly increasing"
+            prev = j
+            if i not in adjacency[j]:
+                return GraphError, f"asymmetric edge ({i}, {j})"
+    return None
+
+
+def test_validation_reports_the_first_offending_entry():
+    rng = random.Random(20261018)
+    raised = 0
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        rows = [sorted(rng.sample(range(n), rng.randint(0, n - 1))) for _ in range(n)]
+        for _ in range(rng.randint(0, 2)):  # a self-loop, a stray index or a swap
+            row = rows[rng.randrange(n)]
+            kind = rng.randrange(3)
+            if kind == 0:
+                row.insert(rng.randint(0, len(row)), rows.index(row))
+            elif kind == 1:
+                row.insert(rng.randint(0, len(row)), rng.choice([-1, n, n + 5]))
+            elif len(row) > 1:
+                k = rng.randrange(len(row) - 1)
+                row[k], row[k + 1] = row[k + 1], row[k]
+        adjacency = tuple(map(tuple, rows))
+        expected = reference_structure_error(adjacency)
+        try:
+            Graph(adjacency)
+        except NotConnectedError:
+            assert expected is None
+        except GraphError as exc:
+            assert (type(exc), str(exc)) == expected
+            raised += 1
+        else:
+            assert expected is None
+    assert raised > 1000
+
+
+def test_csr_matches_adjacency():
+    g = graph_from_name("petersen")
+    indptr, indices = g.csr
+    assert indptr.dtype == indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert [tuple(indices[indptr[i] : indptr[i + 1]]) for i in range(10)] == list(g.adjacency)
+
+
+@pytest.mark.parametrize(
+    "kind, arg",
+    [
+        ("text", "0 1\n1 99999999\n"),
+        ("edges", 10**9),
+        ("name", "complete:100000"),
+        ("name", "hypercube:40"),
+        ("name", f"hypercube:{10**9}"),
+        ("name", f"cycle:{MAX_BUILTIN_VERTICES + 1}"),
+        ("name", f"complete_bipartite:{MAX_BUILTIN_VERTICES // 2 + 1}"),
+        ("name", "hypercube:13"),
+    ],
+)
+def test_oversized_input_fails_before_allocating(kind, arg):
+    build = {
+        "text": parse_edge_list,
+        "edges": lambda count: graph_from_edges([(0, 1)], vertex_count=count),
+        "name": graph_from_name,
+    }[kind]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError) as err:
+            build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    if kind != "name":  # a path on 3 (or 2) of the vertices
+        assert err.value.component == ((0, 1, 99999999) if kind == "text" else (0, 1))
+
+
+def test_builtin_cap_admits_the_ladder():
+    assert MAX_BUILTIN_VERTICES >= 4096
+    assert BUILTIN_GRAPHS["hypercube"][2] == 12  # hypercube:12 has 4096 vertices

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -179,24 +180,76 @@ def test_sturm_solver_agrees_on_tree_truncations():
         assert dense.eigenvalues == pytest.approx(sturm, abs=1e-8)
 
 
-def test_oracle_distances_match_bfs(corpus_entry, monkeypatch):
-    from drgjacobi import bfs_distances, graphs
+def reference_bfs(adjacency, source):
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
+
+def test_oracle_distances_match_bfs(corpus_entry):
     _, g, _ = corpus_entry
-    expected = np.array([bfs_distances(g, v) for v in range(g.vertex_count)])
-
-    def refuse(*args):
-        raise AssertionError("the oracle must not use the certifier's BFS")
-
-    class Poisoned:  # any read of the shared distance array fails
-        __getattr__ = __getitem__ = __array__ = __len__ = __iter__ = refuse
-
-    monkeypatch.setattr(graphs, "_bfs", refuse)
-    monkeypatch.setitem(g.__dict__, "distances", Poisoned())
+    expected = np.array([reference_bfs(g.adjacency, v) for v in range(g.vertex_count)])
     mats = dense_distance_matrices(g)
     assert len(mats) == int(expected.max()) + 1
     for k, mk in enumerate(mats):
         assert np.array_equal(mk, (expected == k).astype(np.int64))
+
+
+def tampered_tables(dist):
+    """Each entry moved by +-1 (the diagonal included), and each pair of rows swapped."""
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            for delta in (-1, 1):
+                table = dist.copy()
+                table[i, j] += delta
+                yield table
+        for i2 in range(i + 1, n):
+            table = dist.copy()
+            table[[i, i2]] = table[[i2, i]]
+            yield table
+
+
+def test_bellman_check_rejects_tampered_tables(corpus_entry, monkeypatch):
+    _, g, _ = corpus_entry
+    count = 0
+    for table in tampered_tables(np.array(g.distances)):
+        monkeypatch.setitem(g.__dict__, "distances", table)
+        with pytest.raises(OracleError, match="Bellman identity at"):
+            dense_distance_matrices(g)
+        count += 1
+    n = g.vertex_count
+    assert count == 2 * n * n + n * (n - 1) // 2
+
+
+def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
+    import json
+
+    from drgjacobi import certify_distance_regular, cli, graphs
+
+    # certify gets the genuine sequence, so verify reaches the oracle
+    seq = certify_distance_regular(graph_from_name("petersen"))
+    monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
+    original = graphs._bfs
+
+    def tampered(adjacency, source):
+        dist = original(adjacency, source)
+        if source == 3:
+            dist[7] += 1
+        return dist
+
+    monkeypatch.setattr(graphs, "_bfs", tampered)
+    assert cli.main(["verify", "petersen"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["payload"]["error"] == "OracleError"
+    assert "Bellman identity at" in out["payload"]["message"]
 
 
 def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
