@@ -134,15 +134,15 @@ def _verify_one(source: str) -> dict:
     rec = verify_recurrence(g, seq)
     check("recurrence", rec.ok, "exact" if rec.ok else {"mismatch": list(rec.mismatch)})
 
-    mats = oracle.dense_distance_matrices(g)
     tau_star = float(jacobi.canonical_tau(seq))
+    degs = degree_sequence(seq)
+    dist = g.distances  # the walk Bellman-checks it before any read below
     try:
-        residual = float(np.abs(oracle.matrix_poly_firstkind(g, seq, tau_star, mats)).max())
+        at_star, shifted = oracle.matrix_poly_firstkind(g, seq, (tau_star, tau_star + 1.0))
+        residual = float(np.abs(at_star).max())
         check("basis_identity", True, "within 1e-10")
         check("minimal_polynomial", residual < 1e-8, {"max_entry": residual})
-        shifted = oracle.matrix_poly_firstkind(g, seq, tau_star + 1.0, mats)
-        top = mats[-1] / np.sqrt(degree_sequence(seq)[-1])
-        shift_residual = float(np.abs(shifted + top).max())
+        shift_residual = float(np.abs(shifted + (dist == seq.d) / np.sqrt(degs[-1])).max())
         check("minimal_polynomial_shifted", shift_residual < 1e-8,
               {"max_entry_vs_predicted": shift_residual})
     except oracle.BasisMismatchError as exc:
@@ -163,12 +163,9 @@ def _verify_one(source: str) -> dict:
             "measure": [[a.eigenvalue, a.multiplicity] for a in measure.atoms],
         })
 
-    degs = degree_sequence(seq)
-    norm_ok = True
-    for k, mat in enumerate(mats):
-        if oracle.operator_norm(mat.astype(float)) > degs[k] + 1e-8:
-            norm_ok = False
-            break
+    norm_ok = all(
+        oracle.operator_norm((dist == k).astype(float)) <= degs[k] + 1e-8 for k in range(seq.d + 1)
+    )
     check("norm_bound", norm_ok, "norm(A_k) <= deg(A_k)")
     return report
 
@@ -329,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact truncated-matrix moments of a family")
     p.add_argument("--family", required=True, help="tree:n or custom:a1,b1;...;period=p")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True,
+                   help=f"highest moment, at most {families.MAX_MOMENT_ORDER}")
     p.set_defaults(handler=cmd_moments)
 
     p = sub.add_parser("measure", help="spectral measure with multiplicities")
@@ -348,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="graph source")
     p.add_argument("--array", help="explicit sequence a1,b1;a2,b2;...")
     p.add_argument("--family", help="tree:n or custom:... (corner truncation)")
-    p.add_argument("--size", type=int, default=8, help="truncation size with --family")
+    p.add_argument("--size", type=int, default=8,
+                   help=f"truncation size with --family, at most {families.MAX_TRUNCATION_SIZE}")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tau", type=float, default=None)
     group.add_argument("--canonical", action="store_true")

@@ -19,6 +19,15 @@ from scipy.integrate import quad
 from .intersection import SequenceError, parse_pairs
 from .jacobi import JacobiOperator
 
+# Largest corner truncation, and largest moment order, that are built.
+# Above them a request is refused before anything is allocated: a corner
+# holds two float tuples of its size, and the moment walk takes
+# O(order^2) big-integer steps (order 2000 takes about 0.7 s). Both
+# admit the size ladder (corners to 8000, moments to order 400) with
+# headroom.
+MAX_TRUNCATION_SIZE = 1 << 16
+MAX_MOMENT_ORDER = 2000
+
 
 class QuadratureNotConvergedError(Exception):
     def __init__(self, estimate: float, error: float, tol: float):
@@ -119,6 +128,8 @@ def truncated_jacobi(gen: FamilyGenerator, m: int) -> JacobiOperator:
     """
     if m < 1:
         raise SequenceError("truncation size must be at least 1")
+    if m > MAX_TRUNCATION_SIZE:
+        raise SequenceError(f"truncation size must be at most {MAX_TRUNCATION_SIZE}")
     diag = tuple(float(gen.alpha(k)) for k in range(m))
     off = tuple(math.sqrt(a * b) for a, b in (gen.pair(k) for k in range(1, m)))
     return JacobiOperator(diag, off, tau=None)
@@ -139,6 +150,8 @@ def moment_sequence(
     """
     if order < 0:
         raise SequenceError("moment order must be nonnegative")
+    if order > MAX_MOMENT_ORDER:
+        raise SequenceError(f"moment order must be at most {MAX_MOMENT_ORDER}")
     size = (order + 1) // 2 + 1
     if truncation is not None:
         if truncation < size:

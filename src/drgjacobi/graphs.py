@@ -17,6 +17,7 @@ Bellman-identity check.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,9 +67,13 @@ BLOCK_ENTRIES = 1 << 16
 # vertices scipy is 2.4x (cycle) to 6x (complete) faster.
 COMPILED_FILL_MIN_VERTICES = 24
 
-# Builtin graphs with more vertices are refused from their parameter,
-# before any allocation. hypercube:12 is the largest admitted cube.
+# Builtin graphs with more vertices or more edges are refused from their
+# parameter, before any allocation: construction holds every edge in
+# Python objects, about 200 bytes per edge at its tracemalloc peak
+# (complete:1024 peaks near 92 MB). hypercube:12, cycle:4096,
+# complete:1024 and complete_bipartite:724 are the largest admitted.
 MAX_BUILTIN_VERTICES = 4096
+MAX_BUILTIN_EDGES = 1 << 19
 
 
 def _row_blocks(n: int, width: int):
@@ -333,14 +338,20 @@ def _complete_bipartite(n: int) -> Graph:
 
 
 # Builtin generators: name -> (builder, smallest parameter, largest
-# parameter). The largest keeps the graph within MAX_BUILTIN_VERTICES. A
-# None minimum marks a graph that takes no parameter.
+# parameter). The largest keeps the graph within MAX_BUILTIN_VERTICES
+# and MAX_BUILTIN_EDGES: complete:n has n(n-1)/2 edges and
+# complete_bipartite:n n^2, while cycles and cubes reach the vertex cap
+# first. A None minimum marks a graph that takes no parameter.
 BUILTIN_GRAPHS = {
     "petersen": (_petersen, None, None),
-    "complete": (_complete, 2, MAX_BUILTIN_VERTICES),
+    "complete": (
+        _complete, 2, min(MAX_BUILTIN_VERTICES, (1 + math.isqrt(1 + 8 * MAX_BUILTIN_EDGES)) // 2)
+    ),
     "cycle": (_cycle, 3, MAX_BUILTIN_VERTICES),
     "hypercube": (_hypercube, 1, MAX_BUILTIN_VERTICES.bit_length() - 1),
-    "complete_bipartite": (_complete_bipartite, 1, MAX_BUILTIN_VERTICES // 2),
+    "complete_bipartite": (
+        _complete_bipartite, 1, min(MAX_BUILTIN_VERTICES // 2, math.isqrt(MAX_BUILTIN_EDGES))
+    ),
 }
 
 
@@ -356,8 +367,8 @@ def graph_from_name(name: str) -> Graph:
 
     Supported: "complete:n" (n >= 2), "cycle:n" (n >= 3), "petersen",
     "hypercube:d" (d >= 1), "complete_bipartite:n" (n >= 1). A parameter
-    giving more than MAX_BUILTIN_VERTICES vertices raises GraphError
-    before anything is built.
+    giving more than MAX_BUILTIN_VERTICES vertices or MAX_BUILTIN_EDGES
+    edges raises GraphError before anything is built.
     """
     base, sep, arg = name.partition(":")
     if base not in BUILTIN_GRAPHS:
@@ -377,7 +388,8 @@ def graph_from_name(name: str) -> Graph:
         raise GraphError(f"{base} parameter must be >= {minimum}")
     if k > maximum:
         raise GraphError(
-            f"{base} parameter must be <= {maximum} (at most {MAX_BUILTIN_VERTICES} vertices)"
+            f"{base} parameter must be <= {maximum} (at most {MAX_BUILTIN_VERTICES} "
+            f"vertices and {MAX_BUILTIN_EDGES} edges)"
         )
     return builder(k)
 

@@ -291,11 +291,14 @@ def _inverse_weights(J: JacobiOperator, xs: np.ndarray) -> tuple[np.ndarray, np.
 
 def _checked_weights(J: JacobiOperator, roots: np.ndarray, rtol: float) -> np.ndarray:
     """1 / sum_k P_k^2 at every root; WeightMismatchError at the first
-    root where the derivative identity disagrees beyond rtol."""
-    direct, via_derivative = _inverse_weights(J, roots)
-    bad = np.abs(direct - via_derivative) > rtol * np.maximum(
-        np.abs(direct), np.abs(via_derivative)
-    )
+    root where the derivative identity disagrees beyond rtol, or where
+    either side overflowed to inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct, via_derivative = _inverse_weights(J, roots)
+        gap = direct - via_derivative
+        bad = ~np.isfinite(gap) | (
+            np.abs(gap) > rtol * np.maximum(np.abs(direct), np.abs(via_derivative))
+        )
     if bad.any():
         i = int(np.argmax(bad))
         raise WeightMismatchError(

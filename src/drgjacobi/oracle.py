@@ -2,23 +2,24 @@
 
 Everything here is deliberately independent of the tridiagonal Sturm
 machinery: the eigensolver and the operator norm are LAPACK's dense
-symmetric solvers (numpy.linalg.eigh / eigvalsh). The distance matrices
-are read from Graph.distances, the array the certifier reads, but only
-after a check that shares no code with the BFS that filled it: the
-Bellman identity D_jj = 0, |D_uj - D_ij| <= 1 and
-min_{u ~ i} D_uj = D_ij - 1 (i != j), which on a connected graph holds
-for the distance matrix and for no other array. Agreement with the
-main code paths is therefore evidence, not tautology. Dense paths are
-desk-scale only and refuse graphs beyond 2000 vertices.
+symmetric solvers (numpy.linalg.eigh / eigvalsh), and the adjacency
+matrix is built from Graph.csr. Distances come from one table,
+Graph.distances, the array the certifier reads, returned by
+checked_distances only after a check that shares no code with the BFS
+that filled it: the Bellman identity, which on a connected graph holds
+for the distance matrix and for no other array. Each A_k is read off it
+as dist == k, one k at a time. Agreement with the main code paths is
+therefore evidence, not tautology. Dense paths are desk-scale only and
+refuse graphs beyond 2000 vertices.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .graphs import Graph, _row_blocks
 from .intersection import IntersectionSequence, degree_sequence
@@ -50,26 +51,27 @@ def _check_size(n: int):
         raise DenseSizeError(n)
 
 
-def _sparse_adjacency(g: Graph) -> csr_matrix:
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix (int64), built from g.csr."""
     _check_size(g.vertex_count)
     n = g.vertex_count
     indptr, indices = g.csr
-    return csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n))
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
+    return adj
 
 
-def dense_adjacency(g: Graph) -> np.ndarray:
-    return _sparse_adjacency(g).toarray()
-
-
-def _check_bellman(g: Graph, dist: np.ndarray):
-    """Raise OracleError unless dist is g's distance matrix.
+def checked_distances(g: Graph) -> np.ndarray:
+    """g.distances, after the size check and a check that it is g's distance matrix.
 
     Checks, for every column j, D_jj = 0, |D_uj - D_ij| <= 1 for every
     u ~ i, and min_{u ~ i} D_uj = D_ij - 1 for every i != j, by a gather
     of the rows of dist at the neighbors of i. On a connected graph the
-    three conditions fix D. Names the first failing (i, j) in row-major
-    order.
+    three conditions (the Bellman identity) fix D. OracleError names the
+    first failing (i, j) in row-major order.
     """
+    _check_size(g.vertex_count)
+    dist = g.distances
     n = g.vertex_count
     indptr, indices = g.csr
     for start, stop in _row_blocks(n, n * max(map(len, g.adjacency))):
@@ -87,15 +89,7 @@ def _check_bellman(g: Graph, dist: np.ndarray):
         if not ok.all():
             i, j = map(int, np.argwhere(~ok)[0])
             raise OracleError(f"distance table fails the Bellman identity at ({start + i}, {j})")
-
-
-def dense_distance_matrices(g: Graph) -> list[np.ndarray]:
-    """A_0 .. A_diam as dense integer matrices, from the Bellman-checked g.distances."""
-    _check_size(g.vertex_count)
-    dist = g.distances
-    _check_bellman(g, dist)
-    diam = int(dist.max())
-    return [(dist == k).astype(np.int64) for k in range(diam + 1)]
+    return dist
 
 
 def _symmetric(M: np.ndarray) -> np.ndarray:
@@ -145,39 +139,37 @@ def dense_symmetric_eigen(M: np.ndarray, tol: float = 1e-9) -> EigenDecompositio
 
 
 def matrix_poly_firstkind(
-    g: Graph,
-    seq: IntersectionSequence,
-    tau: float,
-    mats: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Evaluate P_{n+1}^(tau) at the dense adjacency matrix.
+    g: Graph, seq: IntersectionSequence, taus: Sequence[float]
+) -> list[np.ndarray]:
+    """Evaluate P_{n+1}^(tau) at the dense adjacency matrix, for each tau.
 
-    En route asserts P_k(A) * sqrt(deg_k) = A_k entrywise (within 1e-10,
-    BasisMismatchError otherwise). The result is the zero matrix exactly
-    when tau = degree - a_d; otherwise it is (degree - a_d - tau) times
-    the normalized top distance matrix. ``mats`` may pass in the
-    graph's dense_distance_matrices when the caller already has them.
+    One walk of the recurrence serves every tau: only its last step
+    reads tau, so each result is bitwise what a walk for that tau alone
+    gives. En route the walk asserts P_k(A) * sqrt(deg_k) = A_k
+    entrywise, with A_k read as dist == k from checked_distances(g)
+    (within 1e-10, BasisMismatchError otherwise); A itself is built
+    from g.csr, so at k = 1 two sources are compared. A result is the
+    zero matrix exactly when tau = degree - a_d; otherwise it is
+    (degree - a_d - tau) times the normalized top distance matrix.
     """
-    if mats is None:
-        mats = dense_distance_matrices(g)
-    if len(mats) != seq.d + 1:
-        raise OracleError(
-            f"sequence diameter {seq.d} does not match graph diameter {len(mats) - 1}"
-        )
-    adj = mats[1].astype(float)
+    dist = checked_distances(g)
+    diam = int(dist.max())
+    if diam != seq.d:
+        raise OracleError(f"sequence diameter {seq.d} does not match graph diameter {diam}")
+    adj = dense_adjacency(g).astype(float)
     off = [math.sqrt(a * b) for a, b in zip(seq.a, seq.b)]
     degrees = degree_sequence(seq)
     alphas = seq.alphas
 
     def check_basis(k: int, poly_of_a: np.ndarray):
         rescaled = poly_of_a * math.sqrt(degrees[k])
-        delta = np.abs(rescaled - mats[k])
+        expected = dist == k
+        delta = np.abs(rescaled - expected)
         if delta.max() > 1e-10:
             i, j = map(int, np.unravel_index(int(delta.argmax()), delta.shape))
-            raise BasisMismatchError(k, i, j, float(rescaled[i, j]), float(mats[k][i, j]))
+            raise BasisMismatchError(k, i, j, float(rescaled[i, j]), float(expected[i, j]))
 
-    identity = np.eye(g.vertex_count)
-    p_prev = identity
+    p_prev = np.eye(g.vertex_count)
     check_basis(0, p_prev)
     p_cur = adj / off[0]
     check_basis(1, p_cur)
@@ -185,7 +177,9 @@ def matrix_poly_firstkind(
         p_next = (adj @ p_cur - alphas[k] * p_cur - off[k - 1] * p_prev) / off[k]
         p_prev, p_cur = p_cur, p_next
         check_basis(k + 1, p_cur)
-    return adj @ p_cur - tau * p_cur - off[seq.d - 1] * p_prev
+    head = adj @ p_cur
+    tail = off[seq.d - 1] * p_prev
+    return [head - tau * p_cur - tail for tau in taus]
 
 
 def operator_norm(M: np.ndarray) -> float:

@@ -32,8 +32,8 @@ from drgjacobi import (
     weight_formulas,
 )
 from drgjacobi.oracle import (
+    checked_distances,
     dense_adjacency,
-    dense_distance_matrices,
     dense_symmetric_eigen,
     matrix_poly_firstkind,
 )
@@ -106,11 +106,10 @@ def test_criterion_5_minimal_polynomial(corpus):
     with criterion(5, "minimal polynomial at tau*; shifted tau gives the top basis matrix (1e-8)"):
         for name, g, seq in corpus:
             tau_star = float(canonical_tau(seq))
-            at_star = matrix_poly_firstkind(g, seq, tau_star)
+            at_star, shifted = matrix_poly_firstkind(g, seq, (tau_star, tau_star + 1.0))
             assert np.abs(at_star).max() < 1e-8, name
             # shifting tau by +1 must produce (tau* - tau) = -1 times A_d/sqrt(deg_d)
-            shifted = matrix_poly_firstkind(g, seq, tau_star + 1.0)
-            top = dense_distance_matrices(g)[-1] / math.sqrt(degree_sequence(seq)[-1])
+            top = (checked_distances(g) == seq.d) / math.sqrt(degree_sequence(seq)[-1])
             assert np.abs(shifted - (-1.0) * top).max() < 1e-8, name
             assert np.abs(shifted).max() > 1e-3, name  # genuinely nonzero
 

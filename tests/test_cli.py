@@ -250,13 +250,33 @@ def test_malformed_file_reports_line(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "source, error",
-    [("far.edges", "NotConnectedError"), ("complete:100000", "GraphError"), ("hypercube:40", "GraphError")],
+    [
+        ("far.edges", "NotConnectedError"),
+        ("complete:100000", "GraphError"),
+        ("hypercube:40", "GraphError"),
+        ("complete:1025", "GraphError"),
+        ("complete_bipartite:725", "GraphError"),
+    ],
 )
 def test_oversized_sources_are_error_envelopes(capsys, tmp_path, monkeypatch, source, error):
     monkeypatch.chdir(tmp_path)
     Path("far.edges").write_text("0 1\n1 99999999\n")
     code, doc = run_json(capsys, ["certify", source])
     assert code == 1 and doc["payload"]["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobi", "--family", "tree:3", "--size", str(10**9)],
+        ["moments", "--family", "tree:3", "--order", str(10**9)],
+        ["moments", "--family", "custom:1,3;1,2", "--order", str(10**9)],
+    ],
+)
+def test_oversized_family_requests_are_error_envelopes(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 1 and doc["payload"]["error"] == "SequenceError"
+    assert "at most" in doc["payload"]["message"]
 
 
 def test_missing_source_is_usage_error(capsys):
@@ -417,3 +437,28 @@ def test_tol_must_be_positive_and_finite(capsys, command, tol):
         "error": "usage",
         "message": f"argument --tol: must be positive and finite, not {tol}",
     }
+
+
+def readme_command_lines():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_examples(line, capsys, tmp_path, monkeypatch):
+    import shlex
+
+    monkeypatch.chdir(tmp_path)  # --plot-data writes its file here
+    program, *argv = shlex.split(line)
+    assert program == "drgjacobi"
+    code, out = run(capsys, argv)
+    assert code == 0
+    if "--pretty" in argv:
+        assert out.startswith("status: ok\n")
+    else:
+        doc = json.loads(out)
+        assert list(doc) == ["status", "payload", "diagnostics"]
+        assert doc["status"] == "ok"
+    if "--plot-data" in argv:
+        assert (tmp_path / argv[argv.index("--plot-data") + 1]).read_text().startswith("# lambda")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from drgjacobi import (
     tree_sequence,
     truncated_jacobi,
 )
+from drgjacobi.families import MAX_MOMENT_ORDER, MAX_TRUNCATION_SIZE
 
 
 def test_tree_sequence_pairs():
@@ -136,6 +138,35 @@ def test_moment_sequence_matches_per_order_moment(name):
 def test_moment_sequence_rejects_negative_order():
     with pytest.raises(SequenceError):
         moment_sequence(tree_sequence(3), -1)
+
+
+def test_caps_admit_the_ladder():
+    # corners to m = 8000 and moments to order 400, with headroom
+    assert MAX_TRUNCATION_SIZE >= 4 * 8000
+    assert MAX_MOMENT_ORDER >= 4 * 400
+    assert truncated_jacobi(tree_sequence(3), 8000).size == 8000
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: truncated_jacobi(tree_sequence(3), 10**9),
+        lambda: truncated_jacobi(tree_sequence(3), MAX_TRUNCATION_SIZE + 1),
+        lambda: moment_sequence(tree_sequence(3), 10**9),
+        lambda: moment_sequence(tree_sequence(3), MAX_MOMENT_ORDER + 1),
+        lambda: moment(tree_sequence(3), 10**9),
+    ],
+    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "moment-1e9"],
+)
+def test_oversized_family_requests_fail_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SequenceError, match="at most"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_kesten_mckay_density_values():

@@ -20,7 +20,7 @@ from drgjacobi import (
     isoscycle_count,
     parse_edge_list,
 )
-from drgjacobi.graphs import BUILTIN_GRAPHS, MAX_BUILTIN_VERTICES
+from drgjacobi.graphs import BUILTIN_GRAPHS, MAX_BUILTIN_EDGES, MAX_BUILTIN_VERTICES
 
 
 def kneser_petersen_text():
@@ -282,6 +282,8 @@ def test_csr_matches_adjacency():
         ("name", f"cycle:{MAX_BUILTIN_VERTICES + 1}"),
         ("name", f"complete_bipartite:{MAX_BUILTIN_VERTICES // 2 + 1}"),
         ("name", "hypercube:13"),
+        ("name", "complete:1025"),
+        ("name", "complete_bipartite:725"),
     ],
 )
 def test_oversized_input_fails_before_allocating(kind, arg):
@@ -305,3 +307,23 @@ def test_oversized_input_fails_before_allocating(kind, arg):
 def test_builtin_cap_admits_the_ladder():
     assert MAX_BUILTIN_VERTICES >= 4096
     assert BUILTIN_GRAPHS["hypercube"][2] == 12  # hypercube:12 has 4096 vertices
+    assert BUILTIN_GRAPHS["cycle"][2] == 4096
+
+
+def test_builtin_largest_parameters_follow_both_caps():
+    # (vertices, edges) of each builtin, as closed forms: nothing is built
+    sizes = {
+        "complete": lambda n: (n, n * (n - 1) // 2),
+        "cycle": lambda n: (n, n),
+        "hypercube": lambda d: (1 << d, d << (d - 1)),
+        "complete_bipartite": lambda n: (2 * n, n * n),
+    }
+    largest = {}
+    for base, size in sizes.items():
+        top = BUILTIN_GRAPHS[base][2]
+        vertices, edges = size(top)
+        assert vertices <= MAX_BUILTIN_VERTICES and edges <= MAX_BUILTIN_EDGES
+        vertices, edges = size(top + 1)
+        assert vertices > MAX_BUILTIN_VERTICES or edges > MAX_BUILTIN_EDGES
+        largest[base] = top
+    assert largest == {"complete": 1024, "cycle": 4096, "hypercube": 12, "complete_bipartite": 724}

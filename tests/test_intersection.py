@@ -19,7 +19,7 @@ from drgjacobi import (
     sequence_from_pairs,
     verify_recurrence,
 )
-from drgjacobi.oracle import dense_distance_matrices
+from drgjacobi.oracle import checked_distances
 
 PRISM_TEXT = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5"
 
@@ -174,7 +174,7 @@ def test_verify_recurrence_k4_reduces_to_square():
     g = graph_from_name("complete:4")
     seq = certify_distance_regular(g)
     assert verify_recurrence(g, seq)
-    a = dense_distance_matrices(g)[1]
+    a = (checked_distances(g) == 1).astype(np.int64)
     assert np.array_equal(a @ a, 3 * np.eye(4, dtype=np.int64) + 2 * a)
 
 
@@ -186,8 +186,8 @@ def test_verify_recurrence_tampered_sequence_fails():
     k, i, j, lhs, rhs = check.mismatch
     assert lhs != rhs
     # the reported entry is recomputable from dense products
-    mats = dense_distance_matrices(g)
-    assert (mats[1] @ mats[k])[i, j] == lhs
+    dist = checked_distances(g)
+    assert ((dist == 1).astype(np.int64) @ (dist == k).astype(np.int64))[i, j] == lhs
 
 
 def test_alphas_and_tau_star():

@@ -13,31 +13,37 @@ from drgjacobi.oracle import (
     BasisMismatchError,
     DenseSizeError,
     OracleError,
+    checked_distances,
     dense_adjacency,
-    dense_distance_matrices,
     dense_symmetric_eigen,
     matrix_poly_firstkind,
     operator_norm,
 )
 
 
+def distance_matrices(g):
+    """A_0 .. A_diam as 0/1 integer matrices, read off the checked table."""
+    dist = checked_distances(g)
+    return [(dist == k).astype(np.int64) for k in range(int(dist.max()) + 1)]
+
+
 def test_dense_distance_matrices_k3():
-    mats = dense_distance_matrices(graph_from_name("complete:3"))
-    assert len(mats) == 2
-    assert np.array_equal(mats[0], np.eye(3, dtype=np.int64))
-    assert np.array_equal(mats[1], np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+    dist = checked_distances(graph_from_name("complete:3"))
+    assert int(dist.max()) == 1
+    assert np.array_equal(dist == 0, np.eye(3, dtype=bool))
+    assert np.array_equal(dist == 1, ~np.eye(3, dtype=bool))
 
 
 def test_dense_distance_matrices_row_sums():
-    c6 = dense_distance_matrices(graph_from_name("cycle:6"))
+    c6 = distance_matrices(graph_from_name("cycle:6"))
     assert [int(m.sum(axis=1)[0]) for m in c6] == [1, 2, 2, 1]
-    petersen = dense_distance_matrices(graph_from_name("petersen"))
+    petersen = distance_matrices(graph_from_name("petersen"))
     assert [int(m.sum(axis=1)[0]) for m in petersen] == [1, 3, 6]
 
 
 def test_dense_distance_matrices_partition(corpus_entry):
     _, g, _ = corpus_entry
-    mats = dense_distance_matrices(g)
+    mats = distance_matrices(g)
     assert np.array_equal(sum(mats), np.ones_like(mats[0]))
     for m in mats:
         assert np.array_equal(m, m.T)
@@ -45,7 +51,7 @@ def test_dense_distance_matrices_partition(corpus_entry):
 
 def test_distance_rows_orthogonal(corpus_entry):
     _, g, _ = corpus_entry
-    mats = dense_distance_matrices(g)
+    mats = distance_matrices(g)
     for k, mk in enumerate(mats):
         for r in range(k + 1, len(mats)):
             assert int((mk * mats[r]).sum()) == 0  # <A_k e_i, A_r e_i> = 0
@@ -101,7 +107,7 @@ def test_oracle_agrees_with_spectral_measure(corpus_entry):
 
 def test_matrix_poly_minimal_at_canonical(corpus_entry):
     _, g, seq = corpus_entry
-    result = matrix_poly_firstkind(g, seq, float(seq.tau_star))
+    (result,) = matrix_poly_firstkind(g, seq, (float(seq.tau_star),))
     assert np.abs(result).max() < 1e-8
 
 
@@ -109,39 +115,48 @@ def test_matrix_poly_shifted_gives_normalized_top(corpus_entry):
     from drgjacobi import degree_sequence
 
     _, g, seq = corpus_entry
-    mats = dense_distance_matrices(g)
-    top = mats[-1] / math.sqrt(degree_sequence(seq)[-1])
-    for tau_offset in (1.0, -2.5):
-        tau = seq.tau_star + tau_offset
-        result = matrix_poly_firstkind(g, seq, tau)
+    top = (checked_distances(g) == seq.d) / math.sqrt(degree_sequence(seq)[-1])
+    offsets = (1.0, -2.5)
+    results = matrix_poly_firstkind(g, seq, [seq.tau_star + t for t in offsets])
+    assert len(results) == len(offsets)
+    for tau_offset, result in zip(offsets, results):
         assert np.abs(result - (-tau_offset) * top).max() < 1e-8
+
+
+def test_matrix_poly_one_walk_equals_separate_walks(corpus_entry):
+    _, g, seq = corpus_entry
+    taus = (float(seq.tau_star), seq.tau_star + 1.0, -0.75)
+    together = matrix_poly_firstkind(g, seq, taus)
+    for tau, result in zip(taus, together):
+        (alone,) = matrix_poly_firstkind(g, seq, (tau,))
+        assert np.array_equal(result.view(np.int64), alone.view(np.int64))
 
 
 def test_matrix_poly_petersen_tau0_magnitude():
     g = graph_from_name("petersen")
     seq = sequence_from_pairs([(1, 3), (1, 2)])
-    result = matrix_poly_firstkind(g, seq, 0.0)
+    (result,) = matrix_poly_firstkind(g, seq, (0.0,))
     assert np.abs(result).max() == pytest.approx(2 / math.sqrt(6), abs=1e-10)
 
 
 def test_matrix_poly_k2_square():
     g = graph_from_name("complete:2")
     seq = sequence_from_pairs([(1, 1)])
-    assert np.abs(matrix_poly_firstkind(g, seq, 0.0)).max() < 1e-12  # A^2 - I
+    assert np.abs(matrix_poly_firstkind(g, seq, (0.0,))[0]).max() < 1e-12  # A^2 - I
 
 
 def test_matrix_poly_basis_mismatch():
     g = graph_from_name("petersen")
     tampered = sequence_from_pairs([(1, 3), (2, 2)])
     with pytest.raises(BasisMismatchError):
-        matrix_poly_firstkind(g, tampered, 1.0)
+        matrix_poly_firstkind(g, tampered, (1.0,))
 
 
 def test_operator_norm_examples():
     for n in (3, 6):
         a = dense_adjacency(graph_from_name(f"complete:{n}")).astype(float)
         assert operator_norm(a) == pytest.approx(n - 1, abs=1e-8)
-    petersen_a2 = dense_distance_matrices(graph_from_name("petersen"))[2].astype(float)
+    petersen_a2 = (checked_distances(graph_from_name("petersen")) == 2).astype(float)
     assert operator_norm(petersen_a2) == pytest.approx(6.0, abs=1e-8)
     assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
     assert operator_norm(np.zeros((4, 4))) == 0.0
@@ -152,7 +167,7 @@ def test_norm_bounded_by_degree(corpus_entry):
 
     _, g, seq = corpus_entry
     degs = degree_sequence(seq)
-    for k, mat in enumerate(dense_distance_matrices(g)):
+    for k, mat in enumerate(distance_matrices(g)):
         norm = operator_norm(mat.astype(float))
         assert norm <= degs[k] + 1e-8
         assert norm == pytest.approx(degs[k], abs=1e-8)  # equality on finite DRGs
@@ -196,10 +211,7 @@ def reference_bfs(adjacency, source):
 def test_oracle_distances_match_bfs(corpus_entry):
     _, g, _ = corpus_entry
     expected = np.array([reference_bfs(g.adjacency, v) for v in range(g.vertex_count)])
-    mats = dense_distance_matrices(g)
-    assert len(mats) == int(expected.max()) + 1
-    for k, mk in enumerate(mats):
-        assert np.array_equal(mk, (expected == k).astype(np.int64))
+    assert np.array_equal(checked_distances(g), expected)
 
 
 def tampered_tables(dist):
@@ -223,7 +235,7 @@ def test_bellman_check_rejects_tampered_tables(corpus_entry, monkeypatch):
     for table in tampered_tables(np.array(g.distances)):
         monkeypatch.setitem(g.__dict__, "distances", table)
         with pytest.raises(OracleError, match="Bellman identity at"):
-            dense_distance_matrices(g)
+            checked_distances(g)
         count += 1
     n = g.vertex_count
     assert count == 2 * n * n + n * (n - 1) // 2
@@ -255,17 +267,44 @@ def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
 def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
     from drgjacobi import cli, oracle
 
-    calls = []
-    original = oracle.dense_distance_matrices
+    checks, walks = [], []
+    original_check, original_walk = oracle.checked_distances, oracle.matrix_poly_firstkind
 
-    def counting(g):
-        calls.append(g.vertex_count)
-        return original(g)
+    def counting_check(g):
+        checks.append(g.vertex_count)
+        return original_check(g)
 
-    monkeypatch.setattr(oracle, "dense_distance_matrices", counting)
+    def counting_walk(g, seq, taus):
+        walks.append((g.vertex_count, len(taus)))
+        return original_walk(g, seq, taus)
+
+    monkeypatch.setattr(oracle, "checked_distances", counting_check)
+    monkeypatch.setattr(oracle, "matrix_poly_firstkind", counting_walk)
     assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(calls) == [6, 8, 10]
+    # one Bellman-checked table and one first-kind walk, for both taus, per input
+    assert sorted(checks) == [6, 8, 10]
+    assert sorted(walks) == [(6, 2), (8, 2), (10, 2)]
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_verify_peak_memory_is_a_few_dense_matrices(n, monkeypatch, capsys):
+    import tracemalloc
+
+    from drgjacobi import cli
+
+    g = graph_from_name(f"cycle:{n}")
+    g.distances  # filled beforehand: the table is the graph's, not verify's
+    monkeypatch.setattr(cli, "load_graph", lambda source: g)
+    tracemalloc.start()
+    try:
+        assert cli.main(["verify", f"cycle:{n}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # no list of the d + 1 = n/2 + 1 distance matrices: a few n x n floats at a time
+    assert peak <= 16 * n * n * 8
 
 
 def test_dense_eigen_hypercube8():

@@ -159,6 +159,37 @@ def test_spectral_measure_tau_defaults_to_canonical(corpus_entry):
     )
 
 
+def test_non_finite_weight_sums_are_mismatches():
+    # at tau = -3 the smallest root of the m = 1000 tree prefix lies far
+    # below the bulk, and both sides of its weight identity overflow to
+    # nan; the pass must name that root rather than warn and go on
+    seq = tree_prefix(1000)
+    lams = eigenvalues(build_jacobi(seq, -3.0))
+    with pytest.raises(WeightMismatchError) as exc:
+        spectral_measure(seq, tau=-3.0)
+    assert str(exc.value) == f"sum formula nan vs derivative formula nan at {lams[0]!r}"
+
+
+@pytest.mark.parametrize(
+    "direct, via_derivative",
+    [
+        ([1.0, np.inf, 2.0], [1.0, 5.0, 2.0]),
+        ([1.0, 5.0, 2.0], [1.0, -np.inf, 2.0]),
+        ([1.0, np.inf, 2.0], [1.0, np.inf, 2.0]),
+        ([1.0, np.nan, 2.0], [1.0, 5.0, 2.0]),
+    ],
+)
+def test_weight_gate_flags_either_side_non_finite(direct, via_derivative, monkeypatch):
+    from drgjacobi import jacobi
+
+    monkeypatch.setattr(
+        jacobi, "_inverse_weights", lambda J, xs: (np.array(direct), np.array(via_derivative))
+    )
+    J = build_jacobi(tree_prefix(2), 0.0)
+    with pytest.raises(WeightMismatchError, match=r"at 0\.5$"):
+        jacobi._checked_weights(J, np.array([0.25, 0.5, 0.75]), 1e-8)
+
+
 # ------------------------------------------------- pivot counts
 
 
