@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .intersection import SequenceError, parse_pairs
 from .jacobi import JacobiOperator
 
@@ -205,12 +203,19 @@ def density_moment(n: int, k: int, quad_tol: float = 1e-8) -> float:
     edge singularity before integrating. The tolerance is relative to
     radius**k, the bound on |moment| with radius = 2 sqrt(n-1): raises
     QuadratureNotConvergedError if the error estimate exceeds
-    quad_tol * radius**k.
+    quad_tol * radius**k, and SequenceError for an order whose integrand
+    would near the float64 range.
     """
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
     if n < 2:
         raise SequenceError("tree degree must be at least 2")
+    # The integrand's intermediate x^k n c^2 reaches n radius^(k+2); quad's error
+    # estimate overflows near 2^1021, so orders keep it below 2^1000.
+    top = math.floor((1000 - math.log2(n)) / (1 + math.log2(n - 1) / 2)) - 2
+    if k > top:
+        raise SequenceError(f"tree:{n} quadrature moment order must be at most {top}")
+    from scipy.integrate import quad  # here: it would double the command line's import time
     radius = 2.0 * math.sqrt(n - 1.0)
     shift = float((n - 2) ** 2)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -248,28 +249,42 @@ def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
 
     Holds entrywise in integer arithmetic for k = 0..d, with A_{-1} and
     A_{d+1} taken as zero and the k = d diagonal coefficient degree - a_d.
-    A_k is the 0/1 array dist == k; row i of A*A_k is the sum of the
-    rows of A_k at the neighbors of i.
+    (A*A_k)_{ij} counts the neighbours u of i with d(u, j) = k. For a
+    pair at distance m, d(u, j) is m - 1, m or m + 1, so one pass checks
+    every k: the three counts must equal a_m, alpha_m and b_{m+1}, and a
+    k outside 0..d is not checked. Two sparse products over the
+    neighbours of i give the counts: sum_u d(u, j) = deg(i) m + farther -
+    closer, and the number of odd d(u, j), as level neighbours share m's
+    parity.
     """
-    n, d = g.vertex_count, seq.d
-    dist = g.distances
+    from scipy.sparse import csr_array  # here, as in Graph.distances: import stays light
+
+    n, d, dist = g.vertex_count, seq.d, g.distances
     indptr, indices = g.csr
-    alphas, a_next, b_prev = seq.alphas, seq.a + (0,), (0,) + seq.b
-    width = max(n, d + 2) + 1  # the last slot absorbs index k - 1 = -1 at k = 0
+    degrees, top = np.diff(indptr), int(dist.max())
+    small = np.min_scalar_type(-1 - int(degrees.max()) * top)  # holds any sum of distances
+    adj = csr_array((np.ones(len(indices), dtype=small), indices, indptr), shape=(n, n))
+    parity = dist & 1
+    # rhs[s, m]: the count with d(u, j) = m + s - 1 that equation k = m + s - 1
+    # demands of a pair at distance m; -1 where k is outside 0..d.
+    rhs = np.full((3, max(top, d) + 2), -1)
+    rhs[0, 1 : d + 2] = seq.a + (0,)  # a_m, and a_{d+1} = 0
+    rhs[1, : d + 1] = seq.alphas
+    rhs[2, :d] = seq.b  # b_{m+1}
     mismatch = None
-    for start, stop in _row_blocks(n, n * max(map(len, g.adjacency))):
-        rows = dist[start:stop]
-        lo, hi = indptr[start], indptr[stop]
-        gathered = dist[indices[lo:hi]]
-        for k in range(d + 1 if mismatch is None else mismatch[0]):
-            lhs = np.add.reduceat(gathered == k, indptr[start:stop] - lo, dtype=np.int64)
-            coeff = np.zeros(width, dtype=np.int64)  # rhs entry by distance
-            coeff[[k - 1, k, k + 1]] = b_prev[k], alphas[k], a_next[k]
-            rhs = coeff[rows]
-            if not np.array_equal(lhs, rhs):
-                i, j = map(int, np.argwhere(lhs != rhs)[0])
-                mismatch = (k, start + i, j, int(lhs[i, j]), int(rhs[i, j]))
-                break
+    for start, stop in _row_blocks(n, n):
+        m, deg, rows = dist[start:stop], degrees[start:stop, None], adj[start:stop]
+        net, odd = rows @ dist - deg * m, rows @ parity  # net: farther - closer
+        level = np.where(m & 1, odd, deg - odd)
+        farther = (deg - level + net) // 2
+        lhs, expected = np.stack((farther - net, level, farther)), np.take(rhs, m, axis=1)
+        bad = (lhs != expected) & (expected >= 0)
+        if bad.any():
+            k = np.where(bad, m + np.arange(-1, 2)[:, None, None], n + 1).min(axis=0)
+            if mismatch is None or k.min() < mismatch[0]:  # the first failing k, then (i, j)
+                i, j = map(int, np.argwhere(k == k.min())[0])
+                s = k[i, j] - m[i, j] + 1
+                mismatch = (int(k[i, j]), start + i, j, int(lhs[s, i, j]), int(expected[s, i, j]))
     return RecurrenceCheck(mismatch is None, mismatch)
 
 
@@ -284,15 +299,20 @@ def distance_poly_eval(seq: IntersectionSequence, k: int, x):
         raise ValueError(f"k must be in 0..{seq.d}")
     exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
     xv = Fraction(x) if exact else float(x)
-    alphas = seq.alphas
-    p_prev, p_cur = None, Fraction(1) if exact else 1.0
-    for m in range(k):
-        nxt = (xv - alphas[m]) * p_cur
+    return next(islice(_distance_polys(seq, xv, Fraction(1) if exact else 1.0), k, None))
+
+
+def _distance_polys(seq: IntersectionSequence, x, one=1.0):
+    """Yield p_0(x) = one, p_1(x), ..., p_d(x); x may be a float array."""
+    alphas, p_prev, p = seq.alphas, None, one
+    yield p
+    for m in range(seq.d):
+        nxt = (x - alphas[m]) * p
         if m > 0:
             nxt -= seq.b[m - 1] * p_prev
         nxt /= seq.a[m]  # a_{m+1}
-        p_prev, p_cur = p_cur, nxt
-    return p_cur
+        p_prev, p = p, nxt
+        yield p
 
 
 def parse_pairs(text: str, where: str) -> list[tuple[int, int]]:

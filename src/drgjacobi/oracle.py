@@ -1,16 +1,17 @@
 """Brute-force dense reference implementations used for cross-checking.
 
 Everything here is deliberately independent of the tridiagonal Sturm
-machinery: the eigensolver and the operator norm are LAPACK's dense
-symmetric solvers (numpy.linalg.eigh / eigvalsh), and the adjacency
-matrix is built from Graph.csr. Distances come from one table,
-Graph.distances, the array the certifier reads, returned by
-checked_distances only after a check that shares no code with the BFS
-that filled it: the Bellman identity, which on a connected graph holds
-for the distance matrix and for no other array. Each A_k is read off it
-as dist == k, one k at a time. Agreement with the main code paths is
-therefore evidence, not tautology. Dense paths are desk-scale only and
-refuse graphs beyond 2000 vertices.
+machinery: LAPACK's dense symmetric solvers (numpy.linalg.eigh and
+eigvalsh) run on the adjacency matrix built from Graph.csr. Distances
+come from one table, Graph.distances, returned by checked_distances only
+after a check that shares no code with the BFS that filled it: the
+Bellman identity, which on a connected graph holds for the distance
+matrix alone. Each A_k is read off it as dist == k, one k at a time.
+Agreement with the main code paths is therefore evidence, not
+tautology. verify solves A once: when the walk here has shown
+A_k = p_k(A), each norm(A_k) is max |p_k| over that spectrum, and
+operator_norm stays the per-matrix reference of the tests. Dense paths
+are desk-scale only and refuse graphs beyond 2000 vertices.
 """
 
 from __future__ import annotations
@@ -121,21 +122,14 @@ def dense_symmetric_eigen(M: np.ndarray, tol: float = 1e-9) -> EigenDecompositio
     clustering the sorted eigenvalues with gap 1e-6 * max|eigenvalue|.
     """
     a = _symmetric(M)
-    n = a.shape[0]
     values, q = np.linalg.eigh(a)
     residual = float(np.abs(a - (q * values) @ q.T).max())
     if residual >= tol:
         raise OracleError(f"reconstruction residual {residual:.3e} >= {tol:.3e}")
 
     gap = 1e-6 * max(1.0, float(np.abs(values).max()))
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > gap:
-            block = values[start:i]
-            clusters.append((float(block.mean()), len(block)))
-            start = i
-    return EigenDecomposition(values, tuple(clusters), q)
+    blocks = np.split(values, np.flatnonzero(np.diff(values) > gap) + 1)
+    return EigenDecomposition(values, tuple((float(b.mean()), len(b)) for b in blocks), q)
 
 
 def matrix_poly_firstkind(

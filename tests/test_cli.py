@@ -462,3 +462,36 @@ def test_readme_command_line_examples(line, capsys, tmp_path, monkeypatch):
         assert doc["status"] == "ok"
     if "--plot-data" in argv:
         assert (tmp_path / argv[argv.index("--plot-data") + 1]).read_text().startswith("# lambda")
+
+
+@pytest.mark.parametrize("n, top", [(2, 997), (3, 663), (9, 396)])
+def test_tree_quadrature_orders_stop_inside_float64(capsys, n, top):
+    code, doc = run_json(capsys, ["moments", "--family", f"tree:{n}", "--order", str(top)])
+    assert code == 0
+    quadrature, exact = doc["payload"]["quadrature"], doc["payload"]["moments"]
+    assert len(quadrature) == top + 1 and all(math.isfinite(q) for q in quadrature)
+    assert quadrature == pytest.approx(exact, rel=1e-9, abs=1e-9)
+    code, doc = run_json(capsys, ["moments", "--family", f"tree:{n}", "--order", str(top + 1)])
+    assert code == 1
+    assert doc["payload"] == {
+        "error": "SequenceError",
+        "message": f"tree:{n} quadrature moment order must be at most {top}",
+    }
+
+
+def test_import_leaves_quadrature_and_graph_search_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import drgjacobi
+
+    src = str(Path(drgjacobi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, drgjacobi.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.sparse.csgraph') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -192,6 +192,19 @@ def test_density_normalizes_and_matches_exact_moments():
     assert density_moment(2, 4) == pytest.approx(6.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n, top", [(2, 997), (3, 663), (9, 396), (100, 228)])
+def test_density_moment_refuses_orders_beyond_float64(n, top):
+    assert math.isfinite(density_moment(n, top))
+    assert math.isfinite(density_moment(n, top - 1))
+    with pytest.raises(SequenceError, match=f"at most {top}$"):
+        density_moment(n, top + 1)
+
+
+def test_density_moment_refuses_degrees_beyond_float64():
+    with pytest.raises(SequenceError, match="at most -1$"):
+        density_moment(10**200, 0)  # (n - 2)**2 alone leaves float64 here
+
+
 def test_density_moment_unreachable_tolerance():
     with pytest.raises(QuadratureNotConvergedError):
         density_moment(3, 8, quad_tol=1e-20)

@@ -287,24 +287,118 @@ def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
     assert sorted(walks) == [(6, 2), (8, 2), (10, 2)]
 
 
-@pytest.mark.parametrize("n", [200, 300])
-def test_verify_peak_memory_is_a_few_dense_matrices(n, monkeypatch, capsys):
+def verify_peak(name, monkeypatch, capsys):
+    """tracemalloc peak of verify on one builtin, its distance table filled beforehand."""
     import tracemalloc
 
     from drgjacobi import cli
 
-    g = graph_from_name(f"cycle:{n}")
+    g = graph_from_name(name)
     g.distances  # filled beforehand: the table is the graph's, not verify's
     monkeypatch.setattr(cli, "load_graph", lambda source: g)
     tracemalloc.start()
     try:
-        assert cli.main(["verify", f"cycle:{n}"]) == 0
+        assert cli.main(["verify", name]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
+    return peak
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_verify_peak_memory_is_a_few_dense_matrices(n, monkeypatch, capsys):
     # no list of the d + 1 = n/2 + 1 distance matrices: a few n x n floats at a time
-    assert peak <= 16 * n * n * 8
+    assert verify_peak(f"cycle:{n}", monkeypatch, capsys) <= 16 * n * n * 8
+
+
+def test_verify_peak_memory_does_not_grow_with_diameter(monkeypatch, capsys):
+    # 256 vertices each, at diameter 128 and 8
+    cycle = verify_peak("cycle:256", monkeypatch, capsys)
+    cube = verify_peak("hypercube:8", monkeypatch, capsys)
+    assert max(cycle, cube) <= 16 * 256 * 256 * 8
+    assert cycle <= 1.25 * cube
+
+
+def test_verify_makes_one_dense_eigensolve_per_input(monkeypatch, capsys):
+    from drgjacobi import cli
+
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, len(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
+    capsys.readouterr()
+    # the spectrum of A serves oracle_spectrum and every norm(A_k) of norm_bound
+    assert sorted(calls) == [("eigh", 6), ("eigh", 8), ("eigh", 10)]
+
+
+def mapped_norms(g, seq):
+    """max |p_k| over the dense spectrum of A, k = 0..d, as verify reads norm(A_k)."""
+    from drgjacobi.intersection import _distance_polys
+
+    values = dense_symmetric_eigen(dense_adjacency(g).astype(float)).eigenvalues
+    return [float(np.abs(p).max()) for p in _distance_polys(seq, values)]
+
+
+def assert_mapped_norms_match_dense_norms(g, seq):
+    dist = checked_distances(g)
+    norms = mapped_norms(g, seq)
+    assert len(norms) == seq.d + 1
+    for k, norm in enumerate(norms):
+        assert norm == pytest.approx(operator_norm((dist == k).astype(float)), abs=1e-8)
+
+
+def test_mapped_norms_match_dense_norms_on_corpus(corpus_entry):
+    _, g, seq = corpus_entry
+    assert_mapped_norms_match_dense_norms(g, seq)
+
+
+@pytest.mark.parametrize("name", ["cycle:300", "hypercube:8"])
+def test_mapped_norms_match_dense_norms_on_ladder(name):
+    from drgjacobi import certify_distance_regular
+
+    g = graph_from_name(name)
+    assert_mapped_norms_match_dense_norms(g, certify_distance_regular(g))
+
+
+def test_distance_poly_walk_is_bitwise_the_scalar_evaluation(corpus_entry):
+    from drgjacobi import distance_poly_eval
+    from drgjacobi.intersection import _distance_polys
+
+    _, g, seq = corpus_entry
+    xs = np.array([-2.5, -1.0, 0.0, 0.3, 1.0, float(seq.degree), 7.25])
+    for k, values in enumerate(_distance_polys(seq, xs)):
+        expected = [distance_poly_eval(seq, k, float(x)) for x in xs]
+        assert np.array_equal(np.broadcast_to(values, xs.shape).view(np.int64),
+                              np.array(expected).view(np.int64))
+
+
+def test_norm_bound_fails_when_the_basis_identity_does(monkeypatch, capsys):
+    import json
+
+    from drgjacobi import cli, oracle
+
+    def failing_walk(g, seq, taus):
+        raise BasisMismatchError(1, 0, 1, 0.5, 1.0)
+
+    monkeypatch.setattr(oracle, "matrix_poly_firstkind", failing_walk)
+    assert cli.main(["verify", "petersen"]) == 2
+    report = json.loads(capsys.readouterr().out)["payload"]["reports"][0]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert [c["name"] for c in report["checks"]] == [
+        "certify", "recurrence", "basis_identity", "oracle_spectrum", "norm_bound",
+    ]
+    assert not checks["basis_identity"]["pass"]
+    assert checks["oracle_spectrum"]["pass"]  # the battery goes on
+    assert checks["norm_bound"] == {
+        "name": "norm_bound", "pass": False, "detail": "needs basis_identity",
+    }
 
 
 def test_dense_eigen_hypercube8():
