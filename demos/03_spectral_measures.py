@@ -15,7 +15,7 @@ for name in ("complete:4", "cycle:6", "petersen", "hypercube:3", "complete_bipar
     g = graph_from_name(name)
     seq = certify_distance_regular(g)
     measure = spectral_measure(seq, vertex_count=g.vertex_count)
-    dense = dense_symmetric_eigen(dense_adjacency(g).astype(float))
+    dense = dense_symmetric_eigen(dense_adjacency(g))
     print(f"\n== {name}")
     print("   lambda      weight        multiplicity   dense check")
     for atom, (value, mult) in zip(measure.atoms, dense.clusters):

@@ -54,6 +54,13 @@ class CliUsageError(Exception):
     pass
 
 
+class _NotDistanceRegular(Exception):
+    """Certification of the source graph found a witness; main renders it."""
+
+    def __init__(self, witness: NonRegularityWitness):
+        self.witness = witness
+
+
 def load_graph(source: str) -> Graph:
     """Resolve a graph source: builtin generator name or edge-list file."""
     if graphs.is_builtin_name(source):
@@ -75,17 +82,20 @@ def parse_array(text: str) -> IntersectionSequence:
     return sequence_from_pairs(pairs)
 
 
-def _resolve_sequence(args) -> tuple[IntersectionSequence, int | None, NonRegularityWitness | None]:
-    """Sequence plus vertex count (when a graph is the source)."""
+def _resolve_sequence(args) -> tuple[IntersectionSequence, int | None]:
+    """Sequence plus vertex count (when a graph is the source).
+
+    A graph that fails certification raises _NotDistanceRegular.
+    """
     if getattr(args, "array", None):
-        return parse_array(args.array), None, None
+        return parse_array(args.array), None
     if getattr(args, "input", None) is None:
         raise CliUsageError("give a graph source or --array")
     g = load_graph(args.input)
     outcome = certify_distance_regular(g)
     if isinstance(outcome, NonRegularityWitness):
-        return None, None, outcome
-    return outcome, g.vertex_count, None
+        raise _NotDistanceRegular(outcome)
+    return outcome, g.vertex_count
 
 
 def _resolve_tau(args, seq: IntersectionSequence) -> float:
@@ -95,17 +105,12 @@ def _resolve_tau(args, seq: IntersectionSequence) -> float:
 
 
 def cmd_certify(args) -> CommandResult:
-    g = load_graph(args.input)
-    outcome = certify_distance_regular(g)
-    if isinstance(outcome, NonRegularityWitness):
-        return CommandResult("witness", outcome.to_json(), ["not distance-regular"])
-    return CommandResult("ok", outcome.to_json())
+    seq, _ = _resolve_sequence(args)
+    return CommandResult("ok", seq.to_json())
 
 
 def cmd_spectrum(args) -> CommandResult:
-    seq, n, witness = _resolve_sequence(args)
-    if witness is not None:
-        return CommandResult("witness", witness.to_json(), ["not distance-regular"])
+    seq, n = _resolve_sequence(args)
     tau = _resolve_tau(args, seq)
     vertex_count = n if tau == float(jacobi.canonical_tau(seq)) else None
     atoms = jacobi.spectral_measure(seq, vertex_count, args.tol, tau).atoms
@@ -151,7 +156,7 @@ def _verify_one(source: str) -> dict:
         basis_ok = False
         check("basis_identity", False, str(exc))
 
-    dense = oracle.dense_symmetric_eigen(oracle.dense_adjacency(g).astype(float))
+    dense = oracle.dense_symmetric_eigen(oracle.dense_adjacency(g))
     try:
         measure = jacobi.spectral_measure(seq, vertex_count=g.vertex_count)
     except JacobiError as exc:
@@ -186,18 +191,15 @@ def cmd_moments(args) -> CommandResult:
     exact = families.moment_sequence(gen, args.order)
     payload = {"family": gen.description, "order": args.order, "moments": exact}
     if gen.description.startswith("tree:"):
-        n = int(gen.description.split(":")[1])
-        top = families.density_moment(n, args.order)  # first: refuses an order beyond float64
-        quadrature = [families.density_moment(n, k) for k in range(args.order)] + [top]
+        top = families.density_moment(gen.degree, args.order)  # first: refuses an order beyond float64
+        quadrature = [families.density_moment(gen.degree, k) for k in range(args.order)] + [top]
         payload["quadrature"] = quadrature
         payload["abs_diff"] = [abs(q - m) for q, m in zip(quadrature, exact)]
     return CommandResult("ok", payload)
 
 
 def cmd_measure(args) -> CommandResult:
-    seq, n, witness = _resolve_sequence(args)
-    if witness is not None:
-        return CommandResult("witness", witness.to_json(), ["not distance-regular"])
+    seq, n = _resolve_sequence(args)
     measure = jacobi.spectral_measure(seq, vertex_count=n)
     if args.plot_data:
         Path(args.plot_data).write_text(measure.plot_table())
@@ -205,9 +207,7 @@ def cmd_measure(args) -> CommandResult:
 
 
 def cmd_interlace(args) -> CommandResult:
-    seq, _, witness = _resolve_sequence(args)
-    if witness is not None:
-        return CommandResult("witness", witness.to_json(), ["not distance-regular"])
+    seq, _ = _resolve_sequence(args)
     if len(args.tau) != 2:
         raise CliUsageError("interlace needs exactly two --tau values")
     tau1, tau2 = float(args.tau[0]), float(args.tau[1])
@@ -233,9 +233,7 @@ def cmd_jacobi(args) -> CommandResult:
         gen = families.family_from_name(args.family)
         op = families.truncated_jacobi(gen, args.size)
         return CommandResult("ok", op.to_json())
-    seq, _, witness = _resolve_sequence(args)
-    if witness is not None:
-        return CommandResult("witness", witness.to_json(), ["not distance-regular"])
+    seq, _ = _resolve_sequence(args)
     tau = _resolve_tau(args, seq)
     return CommandResult("ok", jacobi.build_jacobi(seq, tau).to_json())
 
@@ -364,6 +362,8 @@ def main(argv=None) -> int:
         return EXIT_CODES["error"]
     try:
         result = args.handler(args)
+    except _NotDistanceRegular as exc:
+        result = CommandResult("witness", exc.witness.to_json(), ["not distance-regular"])
     except (
         CliUsageError,
         GraphError,

@@ -12,7 +12,8 @@ scipy's compiled unweighted ``csgraph.shortest_path`` in row blocks, or
 one Python BFS per vertex below ``COMPILED_FILL_MIN_VERTICES`` vertices.
 The array is shared by every query here, by certification in
 ``intersection`` and by ``oracle``, which accepts it only after its own
-Bellman-identity check.
+Bellman-identity check. The distance-k matrix A_k is the boolean array
+``distances == k``.
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ class Graph:
         if n < 2:
             raise GraphError("a graph needs at least two vertices")
         object.__setattr__(self, "csr", _checked_csr(self.adjacency))
-        seen = _bfs(self.adjacency, 0)
-        if any(d < 0 for d in seen):
-            component = tuple(v for v, d in enumerate(seen) if d >= 0)
+        component = _component_of_zero(self.adjacency)
+        if len(component) < n:
             raise NotConnectedError(component)
 
     @property
@@ -147,7 +147,7 @@ class Graph:
                     yield (u, v)
 
     def __repr__(self):
-        return f"Graph(vertices={self.vertex_count}, edges={sum(1 for _ in self.edges())})"
+        return f"Graph(vertices={self.vertex_count}, edges={len(self.csr[1]) // 2})"
 
 
 def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
@@ -197,32 +197,6 @@ def _raise_first_offence(adjacency):
                 raise GraphError(f"asymmetric edge ({i}, {j})")
 
 
-@dataclass(frozen=True)
-class DistanceKMatrix:
-    """Symmetric 0/1 matrix with (i, j) = 1 iff dist(i, j) = k.
-
-    Stored sparsely, one frozen column set per row. The k = 0 matrix is
-    the identity; the matrix is zero for k above the diameter.
-    """
-
-    k: int
-    rows: tuple[frozenset[int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return 1 if j in self.rows[i] else 0
-
-    def row_sum(self, v: int) -> int:
-        return len(self.rows[v])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
-
 def _bfs(adjacency, source: int) -> list[int]:
     """Distances from source; unreachable vertices get -1."""
     dist = [-1] * len(adjacency)
@@ -238,18 +212,17 @@ def _bfs(adjacency, source: int) -> list[int]:
     return dist
 
 
-def _component_of_zero(pairs) -> tuple[int, ...]:
-    """The sorted component of vertex 0, in memory linear in len(pairs)."""
-    nbrs = defaultdict(list)
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+def _component_of_zero(nbrs) -> tuple[int, ...]:
+    """The sorted component of vertex 0, where nbrs[v] lists v's neighbours.
+
+    Searched level by level in set operations, in memory linear in the
+    number of edges whatever the vertex count.
+    """
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = set().union(*[nbrs[v] for v in frontier])
+        frontier -= seen
+        seen |= frontier
     return tuple(sorted(seen))
 
 
@@ -273,7 +246,11 @@ def graph_from_edges(edges, vertex_count: int | None = None) -> Graph:
             raise GraphError("vertex_count smaller than largest edge index + 1")
         n = vertex_count
     if n > len(pairs) + 1:  # cannot be connected; refused before allocating n sets
-        raise NotConnectedError(_component_of_zero(pairs))
+        lists = defaultdict(list)
+        for u, v in pairs:
+            lists[u].append(v)
+            lists[v].append(u)
+        raise NotConnectedError(_component_of_zero(lists))
     nbrs = [set() for _ in range(n)]
     for u, v in pairs:
         nbrs[u].add(v)
@@ -406,12 +383,14 @@ def diameter(g: Graph) -> int:
     return int(g.distances.max())
 
 
-def distance_k_matrix(g: Graph, k: int) -> DistanceKMatrix:
-    """The 0/1 matrix of vertex pairs at distance exactly k."""
+def distance_k_matrix(g: Graph, k: int) -> np.ndarray:
+    """A_k: the symmetric boolean n x n array, True where dist(i, j) = k.
+
+    A_0 is the identity, and A_k is all False for k above the diameter.
+    """
     if k < 0:
         raise GraphError("k must be nonnegative")
-    rows = (frozenset(np.flatnonzero(row == k).tolist()) for row in g.distances)
-    return DistanceKMatrix(k, tuple(rows))
+    return g.distances == k
 
 
 def degree_k(g: Graph, v: int, k: int) -> int:

@@ -11,7 +11,7 @@ certificates must not inherit float drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -37,21 +37,22 @@ class NonIntegralCountError(SequenceError):
         super().__init__(f"distance-{k} isoscycle count {numerator}/2 is not an integer")
 
 
-class TooSmallError(SequenceError):
-    """Certification needs at least two vertices."""
-
-
 @dataclass(frozen=True)
 class IntersectionSequence:
     """The pairs {(a_k, b_k)}, k = 1..d, of a distance-regular graph.
 
-    a[0] is a_1 (always 1), b[0] is b_1 (the degree). The diagonal
-    values alpha_k = degree - (a_k + b_{k+1}) are nonnegative, with
-    alpha_0 = 0 and the top value defined as degree - a_d.
+    a[0] is a_1 (always 1), b[0] is b_1 (the degree). Validation derives,
+    once, the diagonal values alpha_k = degree - (a_k + b_{k+1}), which
+    must be nonnegative, with alpha_0 = 0 and the top value defined as
+    degree - a_d; and the distance-k degrees, which must be integers
+    (``degree_sequence``). Both are stored on the sequence, outside its
+    equality and repr.
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
+    alphas: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.a) != len(self.b) or not self.a:
@@ -62,12 +63,20 @@ class IntersectionSequence:
                     raise SequenceError(f"{name} entries must be positive integers")
         if self.a[0] != 1:
             raise SequenceError("a_1 must equal 1")
-        for k in range(1, self.d):
-            if self.degree - (self.a[k - 1] + self.b[k]) < 0:
+        inner = [self.degree - (self.a[k - 1] + self.b[k]) for k in range(1, self.d)]
+        for k, alpha in enumerate(inner, 1):
+            if alpha < 0:
                 raise SequenceError(f"alpha_{k} is negative")
         if self.tau_star < 0:
             raise SequenceError("degree - a_d is negative")
-        degree_sequence(self)  # raises NonIntegralDegreeError on bad input
+        object.__setattr__(self, "alphas", (0, *inner, self.tau_star))
+        degrees, acc = [1], Fraction(1)
+        for k, (a_k, b_k) in enumerate(zip(self.a, self.b), 1):
+            acc *= Fraction(b_k, a_k)
+            if acc.denominator != 1:
+                raise NonIntegralDegreeError(k, acc)
+            degrees.append(int(acc))
+        object.__setattr__(self, "_degrees", tuple(degrees))
 
     @property
     def d(self) -> int:
@@ -83,14 +92,6 @@ class IntersectionSequence:
         """The boundary value degree - a_d."""
         return self.degree - self.a[-1]
 
-    @property
-    def alphas(self) -> tuple[int, ...]:
-        """Diagonal values alpha_0 .. alpha_d (alpha_d := degree - a_d)."""
-        inner = tuple(
-            self.degree - (self.a[k - 1] + self.b[k]) for k in range(1, self.d)
-        )
-        return (0,) + inner + (self.tau_star,)
-
     def to_json(self) -> dict:
         return {
             "d": self.d,
@@ -98,7 +99,7 @@ class IntersectionSequence:
             "b": list(self.b),
             "degree": self.degree,
             "alpha": list(self.alphas),
-            "deg_k": degree_sequence(self),
+            "deg_k": list(self._degrees),
         }
 
 
@@ -159,9 +160,6 @@ def certify_distance_regular(g: Graph):
     reference's.
     """
     n = g.vertex_count
-    if n < 2:
-        raise TooSmallError("need at least two vertices")
-
     degree = g.degree(0)
     for v in range(1, n):
         if g.degree(v) != degree:
@@ -203,26 +201,18 @@ def certify_distance_regular(g: Graph):
 def degree_sequence(seq: IntersectionSequence) -> list[int]:
     """Common distance-k degrees deg(A_k) = prod_{m<=k} b_m/a_m, k = 0..d.
 
-    Computed in exact rational arithmetic; a non-integer value raises
-    NonIntegralDegreeError, signalling an invalid sequence.
+    Computed once, in exact rational arithmetic, when seq is validated: a
+    non-integer value raises NonIntegralDegreeError there, so every
+    sequence has integral degrees.
     """
-    values = [1]
-    acc = Fraction(1)
-    for k, (a_k, b_k) in enumerate(zip(seq.a, seq.b), 1):
-        acc *= Fraction(b_k, a_k)
-        if acc.denominator != 1:
-            raise NonIntegralDegreeError(k, acc)
-        values.append(int(acc))
-    return values
+    return list(seq._degrees)
 
 
 def isoscycle_numbers(seq: IntersectionSequence) -> list[int]:
     """Common isoscycle counts (alpha_k / 2) * deg(A_k), k = 0..d."""
-    degrees = degree_sequence(seq)
-    alphas = seq.alphas
     values = []
-    for k in range(seq.d + 1):
-        doubled = alphas[k] * degrees[k]
+    for k, (alpha, degree) in enumerate(zip(seq.alphas, seq._degrees)):
+        doubled = alpha * degree
         if doubled % 2:
             raise NonIntegralCountError(k, doubled)
         values.append(doubled // 2)

@@ -53,11 +53,11 @@ def _check_size(n: int):
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
-    """The 0/1 adjacency matrix (int64), built from g.csr."""
+    """The 0/1 adjacency matrix as float64, the dtype every solver reads, built from g.csr."""
     _check_size(g.vertex_count)
     n = g.vertex_count
     indptr, indices = g.csr
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n))
     adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
     return adj
 
@@ -150,7 +150,7 @@ def matrix_poly_firstkind(
     diam = int(dist.max())
     if diam != seq.d:
         raise OracleError(f"sequence diameter {seq.d} does not match graph diameter {diam}")
-    adj = dense_adjacency(g).astype(float)
+    adj = dense_adjacency(g)
     off = [math.sqrt(a * b) for a, b in zip(seq.a, seq.b)]
     degrees = degree_sequence(seq)
     alphas = seq.alphas

@@ -47,6 +47,20 @@ def test_certify_prism_witness_exit_code(capsys, tmp_path):
     assert doc["payload"]["kind"] == "NotDistanceRegular"
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_every_graph_command_renders_the_same_witness(capsys, tmp_path, pretty):
+    path = tmp_path / "prism.edges"
+    path.write_text(PRISM_TEXT)
+    code, expected = run(capsys, pretty + ["certify", str(path)])
+    assert code == 2
+    # interlace certifies before it checks its --tau count
+    for argv in (["spectrum"], ["measure"], ["interlace"], ["interlace", "--tau", "1"], ["jacobi"]):
+        assert run(capsys, pretty + argv + [str(path)]) == (2, expected)
+    if not pretty:
+        doc = json.loads(expected)
+        assert doc["status"] == "witness" and doc["diagnostics"] == ["not distance-regular"]
+
+
 def test_spectrum_complete6(capsys):
     code, doc = run_json(capsys, ["spectrum", "complete:6", "--canonical"])
     assert code == 0

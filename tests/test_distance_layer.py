@@ -228,8 +228,8 @@ def test_verify_fills_each_table_once(monkeypatch, capsys):
     monkeypatch.setattr(csgraph, "shortest_path", counting_shortest_path)
     assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
     capsys.readouterr()
-    # per input: the connectivity check, then each row of the table once,
-    # by Python BFS below the crossover and by scipy above it; the oracle
-    # fills no table of its own
-    assert bfs_rows == {10: 1 + 10, 30: 1, 32: 1}
+    # per input: each row of the table once, by Python BFS below the
+    # crossover and by scipy above it; the connectivity check uses no BFS
+    # and the oracle fills no table of its own
+    assert bfs_rows == {10: 10}
     assert compiled_rows == {30: 30, 32: 32}

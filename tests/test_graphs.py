@@ -72,6 +72,41 @@ def test_parse_kneser_petersen():
     assert diameter(g) == 2
 
 
+def reference_component_of_zero(adjacency):
+    """Vertex 0's component by a plain queue BFS, sorted."""
+    seen, queue = {0}, [0]
+    for u in queue:
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return tuple(sorted(seen))
+
+
+def test_not_connected_component_matches_reference_bfs():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 40)
+        p = rng.choice([0.02, 0.05, 0.1, 0.2])
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+        expected = reference_component_of_zero(adjacency)
+        if len(expected) == n:
+            continue
+        # both callers: Graph itself, and graph_from_edges, which refuses
+        # sparse edge lists before building the adjacency
+        for build in (lambda: Graph(adjacency), lambda: graph_from_edges(edges, vertex_count=n)):
+            with pytest.raises(NotConnectedError) as err:
+                build()
+            assert err.value.component == expected
+        checked += 1
+
+
 def test_graph_from_edges_isolated_vertex_rejected():
     with pytest.raises(NotConnectedError):
         graph_from_edges([(0, 1)], vertex_count=3)
@@ -134,42 +169,42 @@ def test_bfs_vertex_out_of_range():
 def test_distance_matrix_zero_is_identity(corpus_entry):
     _, g, _ = corpus_entry
     m = distance_k_matrix(g, 0)
-    assert all(m.rows[v] == frozenset({v}) for v in range(g.vertex_count))
+    assert m.dtype == bool
+    assert np.array_equal(m, np.eye(g.vertex_count, dtype=bool))
 
 
 def test_distance_matrix_c6_antipodes():
     m = distance_k_matrix(graph_from_name("cycle:6"), 3)
-    assert all(m.rows[v] == frozenset({(v + 3) % 6}) for v in range(6))
+    assert all(np.flatnonzero(m[v]).tolist() == [(v + 3) % 6] for v in range(6))
 
 
 def test_distance_matrix_petersen_k2_row_sums():
     m = distance_k_matrix(graph_from_name("petersen"), 2)
-    assert all(m.row_sum(v) == 6 for v in range(10))
+    assert m.sum(axis=1).tolist() == [6] * 10
 
 
 def test_distance_matrix_beyond_diameter_is_zero(corpus_entry):
     _, g, _ = corpus_entry
-    assert distance_k_matrix(g, diameter(g) + 1).is_zero
+    m = distance_k_matrix(g, diameter(g) + 1)
+    assert m.shape == (g.vertex_count, g.vertex_count) and not m.any()
 
 
 def test_distance_matrices_partition_all_pairs(corpus_entry):
     _, g, _ = corpus_entry
     n = g.vertex_count
-    cover = [distance_k_matrix(g, k) for k in range(diameter(g) + 1)]
-    for i in range(n):
-        hit = [m.entry(i, j) for m in cover for j in range(n)]
-        assert sum(hit) == n  # each (i, j) in exactly one class
-        for m in cover:
-            for j in m.rows[i]:
-                assert m.entry(j, i) == 1  # symmetry
+    cover = np.stack([distance_k_matrix(g, k) for k in range(diameter(g) + 1)])
+    assert cover.shape[1:] == (n, n)
+    assert (cover.sum(axis=0) == 1).all()  # each (i, j) in exactly one class
+    for m in cover:
+        assert np.array_equal(m, m.T)  # symmetry
 
 
 def test_row_sums_equal_degree_k(corpus_entry):
     _, g, _ = corpus_entry
     for k in range(diameter(g) + 2):
-        m = distance_k_matrix(g, k)
+        row_sums = distance_k_matrix(g, k).sum(axis=1)
         for v in range(g.vertex_count):
-            assert m.row_sum(v) == degree_k(g, v, k)
+            assert row_sums[v] == degree_k(g, v, k)
 
 
 def test_degree_k_sums_to_vertex_count(corpus_entry):
@@ -261,6 +296,12 @@ def test_validation_reports_the_first_offending_entry():
         else:
             assert expected is None
     assert raised > 1000
+
+
+def test_repr_counts_edges():
+    assert repr(graph_from_name("petersen")) == "Graph(vertices=10, edges=15)"
+    assert repr(graph_from_name("complete:6")) == "Graph(vertices=6, edges=15)"
+    assert repr(graph_from_name("cycle:4")) == "Graph(vertices=4, edges=4)"
 
 
 def test_csr_matches_adjacency():

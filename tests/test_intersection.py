@@ -125,6 +125,49 @@ def test_sequence_invariants_enforced():
         IntersectionSequence((1,), (2, 1))
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ((1, 1), (3,), "a and b must be equal-length nonempty lists"),
+        ((), (), "a and b must be equal-length nonempty lists"),
+        ((2, 0), (3, 2), "a entries must be positive integers"),  # before a_1
+        ((1, 1.0), (3, 2), "a entries must be positive integers"),
+        ((1, 1), (3, 0), "b entries must be positive integers"),
+        ((2, 5), (3, 3), "a_1 must equal 1"),  # before alpha_1 < 0
+        ((1, 5), (3, 3), "alpha_1 is negative"),  # before degree - a_d < 0
+        ((1, 1, 1), (3, 2, 3), "alpha_2 is negative"),  # names the first failing k
+        ((1, 4), (3, 2), "degree - a_d is negative"),  # before the non-integral 3 * 2/4
+    ],
+)
+def test_sequence_refusals_keep_type_message_and_order(a, b, message):
+    with pytest.raises(SequenceError) as err:
+        IntersectionSequence(a, b)
+    assert type(err.value) is SequenceError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "a, b, k, value",
+    [((1, 3), (4, 2), 2, Fraction(8, 3)), ((1, 1, 3), (4, 2, 1), 3, Fraction(8, 3))],
+)
+def test_non_integral_degree_names_k(a, b, k, value):
+    with pytest.raises(NonIntegralDegreeError) as err:
+        IntersectionSequence(a, b)
+    assert (err.value.k, err.value.value) == (k, value)
+    assert str(err.value) == f"distance-{k} degree {value} is not an integer"
+
+
+def test_derived_values_stay_out_of_equality_and_repr():
+    seq = sequence_from_pairs([(1, 3), (1, 2)])
+    twin = IntersectionSequence((1, 1), (3, 2))
+    assert seq == twin and hash(seq) == hash(twin)
+    assert repr(seq) == "IntersectionSequence(a=(1, 1), b=(3, 2))"
+    degrees = degree_sequence(seq)
+    degrees.append(0)  # a fresh list each call
+    assert degree_sequence(seq) == [1, 3, 6]
+    assert isinstance(seq.alphas, tuple) and isinstance(seq.tau_star, int)
+
+
 def test_degree_sequence_examples():
     petersen = sequence_from_pairs([(1, 3), (1, 2)])
     assert degree_sequence(petersen) == [1, 3, 6]

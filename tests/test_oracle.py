@@ -63,6 +63,13 @@ def test_dense_eigen_identity():
     assert np.allclose(dec.basis @ dec.basis.T, np.eye(3), atol=1e-12)
 
 
+def test_dense_adjacency_is_float64():
+    g = graph_from_name("petersen")
+    adj = dense_adjacency(g)
+    assert adj.dtype == np.float64
+    assert np.array_equal(adj, checked_distances(g) == 1)
+
+
 def test_dense_eigen_petersen():
     dec = dense_symmetric_eigen(dense_adjacency(graph_from_name("petersen")).astype(float))
     assert [m for _, m in dec.clusters] == [4, 5, 1]
