@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,9 @@ from .intersection import (
 from .jacobi import JacobiError
 
 EXIT_CODES = {"ok": 0, "witness": 2, "error": 1}
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+)
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,17 @@ def parse_array(text: str) -> IntersectionSequence:
 def _resolve_sequence(args) -> tuple[IntersectionSequence, int | None]:
     """Sequence plus vertex count (when a graph is the source).
 
+    Both sources or neither is a CliUsageError, raised before any load.
     A graph that fails certification raises _NotDistanceRegular.
     """
-    if getattr(args, "array", None):
-        return parse_array(args.array), None
-    if getattr(args, "input", None) is None:
+    array, source = getattr(args, "array", None), args.input
+    if array is not None and source is not None:
+        raise CliUsageError("give a graph source or --array, not both")
+    if array is not None:
+        return parse_array(array), None
+    if source is None:
         raise CliUsageError("give a graph source or --array")
-    g = load_graph(args.input)
+    g = load_graph(source)
     outcome = certify_distance_regular(g)
     if isinstance(outcome, NonRegularityWitness):
         raise _NotDistanceRegular(outcome)
@@ -229,7 +237,9 @@ def cmd_interlace(args) -> CommandResult:
 
 
 def cmd_jacobi(args) -> CommandResult:
-    if args.family:
+    if args.family is not None:
+        if args.canonical or any(v is not None for v in (args.input, args.array, args.tau)):
+            raise CliUsageError("--family takes no graph source, --array, --tau or --canonical")
         gen = families.family_from_name(args.family)
         op = families.truncated_jacobi(gen, args.size)
         return CommandResult("ok", op.to_json())
@@ -281,6 +291,11 @@ def _flat(value) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" and "-inf" as options; take "-" and any float literal as a value
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # argparse would exit(2); keep 2 for witnesses
         raise CliUsageError(message)
 
@@ -353,9 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args leaves the parser as it was, so every call shares it
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except CliUsageError as exc:
         result = CommandResult("error", {"error": "usage", "message": str(exc)})
         print(json.dumps(result.to_json(), indent=2))

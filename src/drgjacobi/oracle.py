@@ -156,12 +156,14 @@ def matrix_poly_firstkind(
     alphas = seq.alphas
 
     def check_basis(k: int, poly_of_a: np.ndarray):
-        rescaled = poly_of_a * math.sqrt(degrees[k])
-        expected = dist == k
-        delta = np.abs(rescaled - expected)
+        scale = math.sqrt(degrees[k])
+        delta = poly_of_a * scale  # the one n x n float temporary per k
+        np.subtract(delta, dist == k, out=delta)
+        np.abs(delta, out=delta)
         if delta.max() > 1e-10:
             i, j = map(int, np.unravel_index(int(delta.argmax()), delta.shape))
-            raise BasisMismatchError(k, i, j, float(rescaled[i, j]), float(expected[i, j]))
+            got = float(poly_of_a[i, j] * scale)
+            raise BasisMismatchError(k, i, j, got, float(dist[i, j] == k))
 
     p_prev = np.eye(g.vertex_count)
     check_basis(0, p_prev)

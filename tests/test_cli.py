@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -298,6 +299,36 @@ def test_missing_source_is_usage_error(capsys):
     assert code == 1 and doc["payload"]["error"] == "usage"
 
 
+def usage_envelope(message):
+    return (
+        '{\n  "status": "error",\n  "payload": {\n    "error": "usage",\n'
+        f'    "message": "{message}"\n  }},\n  "diagnostics": []\n}}\n'
+    )
+
+
+BOTH_SOURCES = "give a graph source or --array, not both"
+FAMILY_ALONE = "--family takes no graph source, --array, --tau or --canonical"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # "nosuch" is never opened: the conflict is refused first
+        (["spectrum", "nosuch", "--array", "1,3"], BOTH_SOURCES),
+        (["spectrum", "petersen", "--array", "1,3"], BOTH_SOURCES),
+        (["interlace", "petersen", "--array", "1,3", "--tau", "0", "--tau", "1"], BOTH_SOURCES),
+        (["jacobi", "petersen", "--array", "1,3"], BOTH_SOURCES),
+        (["jacobi", "--family", "tree:3", "--array", "1,3", "--tau", "0.5"], FAMILY_ALONE),
+        (["jacobi", "--family", "tree:3", "petersen"], FAMILY_ALONE),
+        (["jacobi", "--family", "tree:3", "--array", "1,3"], FAMILY_ALONE),
+        (["jacobi", "--family", "tree:3", "--tau", "0.5"], FAMILY_ALONE),
+        (["jacobi", "--family", "tree:3", "--canonical"], FAMILY_ALONE),
+    ],
+)
+def test_conflicting_sources_are_usage_errors(capsys, argv, message):
+    assert run(capsys, argv) == (1, usage_envelope(message))
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, ["measure", "petersen"])
     second = run(capsys, ["measure", "petersen"])
@@ -390,6 +421,35 @@ def test_non_finite_tau_is_an_error_envelope(capsys, argv, tau):
         "error": "JacobiError",
         "message": "diagonal and off-diagonal entries must be finite",
     }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum", "--array", "1,3;1,2"], ["jacobi", "petersen"], ["interlace", "petersen"]],
+)
+def test_negative_tau_in_every_float_form_is_a_value(capsys, command):
+    def call(*tau):
+        second = ["--tau", "1"] if command[0] == "interlace" else []
+        return run(capsys, command + list(tau) + second)
+
+    code, expected = call("--tau", "-0.001")
+    assert code == 0
+    for tau in ("-1e-3", "-1E-3", "-.1e-2", "-1.e-3"):
+        assert call("--tau", tau) == (0, expected)
+    code, out = call("--tau", "-inf")
+    assert (code, out) == call("--tau=-inf")
+    assert code == 1 and json.loads(out)["payload"]["error"] == "JacobiError"
+
+
+def test_argparse_still_has_the_negative_number_matcher_cli_replaces():
+    # cli sets this private argparse attribute; if a new Python renames it,
+    # "--tau -1e-3" quietly reads as an option again on the Pythons that need the fix
+    from drgjacobi import cli
+
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    (subparsers,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    for parser in [cli._PARSER, *subparsers.choices.values()]:
+        assert parser._negative_number_matcher is cli._NEGATIVE_NUMBER
 
 
 @pytest.mark.parametrize("n", [151, 200, 1000])
@@ -509,3 +569,75 @@ def test_import_leaves_quadrature_and_graph_search_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, ["certify", "petersen"])[0] == 0
+    assert run(capsys, ["spectrum", "--array", "1,3;1,2", "--tau", "-0.5"])[0] == 0
+    assert run(capsys, ["spectrum"])[0] == 1
+    assert run(capsys, ["nosuch"])[0] == 1
+    assert built == []
+
+
+def test_no_state_leaks_across_calls(capsys):
+    two_taus = ["interlace", "petersen", "--tau", "0"]
+    assert run(capsys, two_taus) == (1, usage_envelope("interlace needs exactly two --tau values"))
+    assert run(capsys, two_taus + ["--tau", "1"])[0] == 0
+    assert run(capsys, two_taus) == (1, usage_envelope("interlace needs exactly two --tau values"))
+
+    corner = ["jacobi", "--family", "tree:3"]
+    assert len(run_json(capsys, corner + ["--size", "4000"])[1]["payload"]["diag"]) == 4000
+    assert len(run_json(capsys, corner)[1]["payload"]["diag"]) == 8
+
+    close = ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001"]
+    plain = run(capsys, close)
+    assert run(capsys, close + ["--tol", "1e-14"]) != plain  # interlaced at this tol only
+    assert run(capsys, close) == plain
+    assert run(capsys, ["--pretty"] + close) != plain
+    assert run(capsys, close) == plain
+
+
+MIXED_CALLS = [
+    ["certify", "petersen"],
+    ["--pretty", "measure", "complete:4"],
+    ["interlace", "--array", "1,3;1,2", "--tau", "-1e-3", "--tau", "1"],
+    ["interlace", "petersen", "--tau", "0"],
+    ["jacobi", "--family", "tree:3", "--size", "16"],
+    ["jacobi", "--family", "tree:3"],
+    ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001", "--tol", "1e-14"],
+    ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001"],
+    ["spectrum", "petersen", "--array", "1,3"],
+    ["moments", "--family", "tree:2", "--order", "6"],
+    ["verify", "complete:3"],
+]
+
+
+def test_repeated_call_sequence_gives_the_same_bytes(capsys):
+    first = [run(capsys, argv) for argv in MIXED_CALLS]
+    assert [run(capsys, argv) for argv in MIXED_CALLS] == first
+    assert {code for code, _ in first} == {0, 1}
+
+
+def test_in_process_calls_match_a_fresh_interpreter(capsys):
+    import os
+    import subprocess
+    import sys
+
+    import drgjacobi
+
+    src = str(Path(drgjacobi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run(capsys, MIXED_CALLS[0])  # the calls below are not the process's first
+    for argv in (MIXED_CALLS[2], MIXED_CALLS[8]):
+        fresh = subprocess.run([sys.executable, "-m", "drgjacobi.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert fresh.stderr == ""
+        assert run(capsys, argv) == (fresh.returncode, fresh.stdout)

@@ -153,10 +153,15 @@ def test_matrix_poly_k2_square():
 
 
 def test_matrix_poly_basis_mismatch():
-    g = graph_from_name("petersen")
-    tampered = sequence_from_pairs([(1, 3), (2, 2)])
-    with pytest.raises(BasisMismatchError):
-        matrix_poly_firstkind(g, tampered, (1.0,))
+    # the first failing k and its largest |P_k(A) sqrt(deg_k) - A_k| entry, to the last bit
+    for name, pairs, entry in [
+        ("petersen", [(1, 3), (2, 2)], "(0, 2) is 0.5, expected 1.0"),
+        ("petersen", [(1, 3), (1, 1)], "(0, 1) is -1.0, expected 0.0"),
+        ("hypercube:3", [(1, 3), (1, 2), (3, 1)], "(0, 3) is 1.9999999999999998, expected 1.0"),
+    ]:
+        with pytest.raises(BasisMismatchError) as info:
+            matrix_poly_firstkind(graph_from_name(name), sequence_from_pairs(pairs), (1.0,))
+        assert str(info.value) == f"P_2(A) * sqrt(deg_2) entry {entry}"
 
 
 def test_operator_norm_examples():
