@@ -35,6 +35,9 @@ from .intersection import (
 from .jacobi import JacobiError
 
 EXIT_CODES = {"ok": 0, "witness": 2, "error": 1}
+# Longer --array lists are refused after parsing, before the sequence is built.
+# The tree prefix m = 8000 fits; interlace takes about 3 s on it and grows near m^2.
+MAX_ARRAY_PAIRS = 8192
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
 )
@@ -83,6 +86,8 @@ def parse_array(text: str) -> IntersectionSequence:
         raise CliUsageError(str(exc)) from None
     if not pairs:
         raise CliUsageError("--array needs at least one pair")
+    if len(pairs) > MAX_ARRAY_PAIRS:
+        raise CliUsageError(f"--array has {len(pairs)} pairs, at most {MAX_ARRAY_PAIRS}")
     return sequence_from_pairs(pairs)
 
 
@@ -241,8 +246,10 @@ def cmd_jacobi(args) -> CommandResult:
         if args.canonical or any(v is not None for v in (args.input, args.array, args.tau)):
             raise CliUsageError("--family takes no graph source, --array, --tau or --canonical")
         gen = families.family_from_name(args.family)
-        op = families.truncated_jacobi(gen, args.size)
+        op = families.truncated_jacobi(gen, 8 if args.size is None else args.size)
         return CommandResult("ok", op.to_json())
+    if args.size is not None:
+        raise CliUsageError("--size needs --family")
     seq, _ = _resolve_sequence(args)
     tau = _resolve_tau(args, seq)
     return CommandResult("ok", jacobi.build_jacobi(seq, tau).to_json())
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="graph source")
     p.add_argument("--array", help="explicit sequence a1,b1;a2,b2;...")
     p.add_argument("--family", help="tree:n or custom:... (corner truncation)")
-    p.add_argument("--size", type=int, default=8,
+    p.add_argument("--size", type=int, default=None,
                    help=f"truncation size with --family, at most {families.MAX_TRUNCATION_SIZE}")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tau", type=float, default=None)

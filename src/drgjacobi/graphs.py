@@ -69,9 +69,9 @@ BLOCK_ENTRIES = 1 << 16
 COMPILED_FILL_MIN_VERTICES = 24
 
 # Builtin graphs with more vertices or more edges are refused from their
-# parameter, before any allocation: construction holds every edge in
-# Python objects, about 200 bytes per edge at its tracemalloc peak
-# (complete:1024 peaks near 92 MB). hypercube:12, cycle:4096,
+# parameter, before any allocation: construction holds each edge twice as a
+# Python int, then in int64 validation arrays, about 140 bytes per edge at its
+# tracemalloc peak (complete:1024 near 71 MB). hypercube:12, cycle:4096,
 # complete:1024 and complete_bipartite:724 are the largest admitted.
 MAX_BUILTIN_VERTICES = 4096
 MAX_BUILTIN_EDGES = 1 << 19
@@ -285,33 +285,32 @@ def parse_edge_list(text: str) -> Graph:
     return graph_from_edges(edges)
 
 
+def _closed_form(n: int, nbrs) -> Graph:
+    """The graph on vertices 0..n-1 in which v has the neighbours nbrs(v)."""
+    return Graph(tuple(tuple(sorted(nbrs(v))) for v in range(n)))
+
+
 def _complete(n: int) -> Graph:
-    return graph_from_edges((i, j) for i in range(n) for j in range(i + 1, n))
+    return _closed_form(n, lambda v: chain(range(v), range(v + 1, n)))
 
 
 def _cycle(n: int) -> Graph:
-    return graph_from_edges((i, (i + 1) % n) for i in range(n))
+    return _closed_form(n, lambda v: ((v - 1) % n, (v + 1) % n))
 
 
 def _petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return graph_from_edges(outer + spokes + inner)
+    # outer 5-cycle 0..4, spokes v ~ v + 5, inner pentagram 5..9
+    return _closed_form(10, lambda v: (
+        ((v - 1) % 5, (v + 1) % 5, v + 5) if v < 5 else (v - 5, 5 + (v - 7) % 5, 5 + (v - 3) % 5)
+    ))
 
 
 def _hypercube(d: int) -> Graph:
-    edges = []
-    for v in range(1 << d):
-        for bit in range(d):
-            u = v ^ (1 << bit)
-            if u > v:
-                edges.append((v, u))
-    return graph_from_edges(edges)
+    return _closed_form(1 << d, lambda v: (v ^ (1 << bit) for bit in range(d)))
 
 
 def _complete_bipartite(n: int) -> Graph:
-    return graph_from_edges((i, n + j) for i in range(n) for j in range(n))
+    return _closed_form(2 * n, lambda v: range(n, 2 * n) if v < n else range(n))
 
 
 # Builtin generators: name -> (builder, smallest parameter, largest

@@ -4,9 +4,9 @@ A graph is distance-regular when, for every ordered pair (i, j) at
 distance k, the number of neighbors of j one step closer to i and one
 step farther from i depend only on k. Those counts form the
 intersection sequence {(a_k, b_k)}, k = 1..d, with b_1 the common
-degree. All counting here is exact integer arithmetic; derived degree
-values use exact rationals with an integrality assertion, because
-certificates must not inherit float drift.
+degree. All counting here is exact integer arithmetic, the derived
+degree values included, because certificates must not inherit float
+drift.
 """
 
 from __future__ import annotations
@@ -70,12 +70,12 @@ class IntersectionSequence:
         if self.tau_star < 0:
             raise SequenceError("degree - a_d is negative")
         object.__setattr__(self, "alphas", (0, *inner, self.tau_star))
-        degrees, acc = [1], Fraction(1)
+        degrees = [1]
         for k, (a_k, b_k) in enumerate(zip(self.a, self.b), 1):
-            acc *= Fraction(b_k, a_k)
-            if acc.denominator != 1:
-                raise NonIntegralDegreeError(k, acc)
-            degrees.append(int(acc))
+            deg_k, rem = divmod(degrees[-1] * b_k, a_k)
+            if rem:
+                raise NonIntegralDegreeError(k, Fraction(degrees[-1] * b_k, a_k))
+            degrees.append(deg_k)
         object.__setattr__(self, "_degrees", tuple(degrees))
 
     @property
@@ -201,7 +201,7 @@ def certify_distance_regular(g: Graph):
 def degree_sequence(seq: IntersectionSequence) -> list[int]:
     """Common distance-k degrees deg(A_k) = prod_{m<=k} b_m/a_m, k = 0..d.
 
-    Computed once, in exact rational arithmetic, when seq is validated: a
+    Computed once, in exact integer arithmetic, when seq is validated: a
     non-integer value raises NonIntegralDegreeError there, so every
     sequence has integral degrees.
     """

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import islice, pairwise
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .intersection import IntersectionSequence
 
@@ -244,6 +243,9 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     ToleranceTooSmallError is raised. tol defaults to 1e-12 relative to
     the Gershgorin enclosure width.
     """
+    # Imported here: scipy.linalg nearly triples the command line's import time.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     n = J.size
     if tol is None:
         lo, hi = gershgorin_interval(J)
@@ -289,15 +291,15 @@ def _inverse_weights(J: JacobiOperator, xs: np.ndarray) -> tuple[np.ndarray, np.
     return direct, p * dp_next
 
 
-def _checked_weights(J: JacobiOperator, roots: np.ndarray, rtol: float) -> np.ndarray:
+def _checked_weights(J: JacobiOperator, roots: np.ndarray) -> np.ndarray:
     """1 / sum_k P_k^2 at every root; WeightMismatchError at the first
-    root where the derivative identity disagrees beyond rtol, or where
-    either side overflowed to inf or nan."""
+    root where the derivative identity disagrees beyond a relative 1e-8,
+    or where either side overflowed to inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         direct, via_derivative = _inverse_weights(J, roots)
         gap = direct - via_derivative
         bad = ~np.isfinite(gap) | (
-            np.abs(gap) > rtol * np.maximum(np.abs(direct), np.abs(via_derivative))
+            np.abs(gap) > 1e-8 * np.maximum(np.abs(direct), np.abs(via_derivative))
         )
     if bad.any():
         i = int(np.argmax(bad))
@@ -312,18 +314,6 @@ def weight_formulas(seq: IntersectionSequence, tau: float, lam: float) -> tuple[
     """Both inverse-weight values at lam: sum_k P_k^2 and P_n * (P_{n+1}^(tau))'."""
     direct, via_derivative = _inverse_weights(build_jacobi(seq, tau), np.array([float(lam)]))
     return float(direct[0]), float(via_derivative[0])
-
-
-def atom_weight(
-    seq: IntersectionSequence, tau: float, lam: float, rtol: float = 1e-8
-) -> float:
-    """Spectral-measure weight at eigenvalue lam: 1 / sum_k P_k(lam)^2.
-
-    The sum is recomputed through the derivative identity
-    sum_k P_k^2 = P_n * (P_{n+1}^(tau))' valid at roots; disagreement
-    beyond rtol raises WeightMismatchError.
-    """
-    return float(_checked_weights(build_jacobi(seq, tau), np.array([float(lam)]), rtol)[0])
 
 
 def spectral_measure(
@@ -343,7 +333,7 @@ def spectral_measure(
     """
     J = build_jacobi(seq, canonical_tau(seq) if tau is None else tau)
     lams = eigenvalues(J, tol)
-    weights = _checked_weights(J, np.array(lams), 1e-8).tolist()
+    weights = _checked_weights(J, np.array(lams)).tolist()
     mults: list[int | None] = [None] * len(lams)
     if vertex_count is not None:
         mults = [round(vertex_count * w) for w in weights]

@@ -308,6 +308,7 @@ def usage_envelope(message):
 
 BOTH_SOURCES = "give a graph source or --array, not both"
 FAMILY_ALONE = "--family takes no graph source, --array, --tau or --canonical"
+SIZE_NEEDS_FAMILY = "--size needs --family"
 
 
 @pytest.mark.parametrize(
@@ -323,10 +324,53 @@ FAMILY_ALONE = "--family takes no graph source, --array, --tau or --canonical"
         (["jacobi", "--family", "tree:3", "--array", "1,3"], FAMILY_ALONE),
         (["jacobi", "--family", "tree:3", "--tau", "0.5"], FAMILY_ALONE),
         (["jacobi", "--family", "tree:3", "--canonical"], FAMILY_ALONE),
+        (["jacobi", "petersen", "--size", "4"], SIZE_NEEDS_FAMILY),
+        (["jacobi", "nosuch", "--size", "4"], SIZE_NEEDS_FAMILY),
+        (["jacobi", "--array", "1,3;1,2", "--size", "4"], SIZE_NEEDS_FAMILY),
     ],
 )
 def test_conflicting_sources_are_usage_errors(capsys, argv, message):
     assert run(capsys, argv) == (1, usage_envelope(message))
+
+
+def test_family_size_defaults_to_eight(capsys):
+    code, doc = run_json(capsys, ["jacobi", "--family", "tree:3"])
+    assert code == 0 and doc["payload"]["size"] == 8
+
+
+def tree_prefix_array(m):
+    return ";".join(["1,3"] + ["1,2"] * (m - 1))
+
+
+@pytest.mark.parametrize(
+    "command", [["spectrum"], ["interlace", "--tau", "0", "--tau", "1"], ["jacobi"]]
+)
+def test_array_beyond_the_cap_is_a_usage_error(capsys, command):
+    from drgjacobi.cli import MAX_ARRAY_PAIRS
+
+    argv = command + ["--array", tree_prefix_array(MAX_ARRAY_PAIRS + 1)]
+    message = f"--array has {MAX_ARRAY_PAIRS + 1} pairs, at most {MAX_ARRAY_PAIRS}"
+    assert run(capsys, argv) == (1, usage_envelope(message))
+
+
+def test_array_cap_admits_the_tree_ladder_and_refuses_fast():
+    import time
+    import tracemalloc
+
+    from drgjacobi.cli import MAX_ARRAY_PAIRS, CliUsageError, parse_array
+
+    assert parse_array(tree_prefix_array(MAX_ARRAY_PAIRS)).d == MAX_ARRAY_PAIRS >= 8000
+    text = tree_prefix_array(65536)  # uncapped, interlace ran past 200 s on it
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CliUsageError, match="at most"):
+            parse_array(text)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0 and peak < 32 * 2**20, (elapsed, peak)
 
 
 def test_deterministic_output(capsys):
@@ -564,7 +608,8 @@ def test_import_leaves_quadrature_and_graph_search_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import sys, drgjacobi.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.sparse.csgraph') if m in sys.modules])"
+        "print([m for m in ('scipy.integrate', 'scipy.sparse.csgraph', 'scipy.linalg') "
+        "if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -141,6 +141,37 @@ def test_builtin_petersen_matches_kneser_construction():
         assert profile == [0] + [1] * 3 + [2] * 6
 
 
+# Edge rules for the builtins: a reference, built through graph_from_edges,
+# for the closed-form neighbour rules that graph_from_name uses.
+EDGE_RULES = {
+    "complete": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    "cycle": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "hypercube": lambda d: [
+        (v, v ^ (1 << bit)) for v in range(1 << d) for bit in range(d) if v ^ (1 << bit) > v
+    ],
+    "complete_bipartite": lambda n: [(i, n + j) for i in range(n) for j in range(n)],
+}
+PETERSEN_EDGES = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+
+def test_builtins_match_their_edge_rules():
+    ranges = {
+        "cycle": range(3, 65),
+        "complete": range(2, 65),
+        "hypercube": range(1, 11),
+        "complete_bipartite": range(1, 33),
+    }
+    for base, params in ranges.items():
+        for k in params:
+            expected = graph_from_edges(EDGE_RULES[base](k)).adjacency
+            assert graph_from_name(f"{base}:{k}").adjacency == expected, (base, k)
+    assert graph_from_name("petersen").adjacency == graph_from_edges(PETERSEN_EDGES).adjacency
+
+
 @pytest.mark.parametrize(
     "name", ["complete:1", "cycle:2", "hypercube:0", "unknown:3", "petersen:5", "complete", "cycle:x"]
 )

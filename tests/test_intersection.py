@@ -157,6 +157,52 @@ def test_non_integral_degree_names_k(a, b, k, value):
     assert str(err.value) == f"distance-{k} degree {value} is not an integer"
 
 
+def fraction_degrees(a, b):
+    """deg(A_k) by a Fraction accumulator: the list, or (k, value) at the first non-integer."""
+    degrees, acc = [1], Fraction(1)
+    for k, (a_k, b_k) in enumerate(zip(a, b), 1):
+        acc *= Fraction(b_k, a_k)
+        if acc.denominator != 1:
+            return k, acc
+        degrees.append(int(acc))
+    return degrees
+
+
+def random_valid_pairs(rng):
+    """A pair list that passes every check before the degrees; a_k divides
+    the running product about half the time, so both outcomes occur."""
+    degree = int(rng.integers(1, 13))
+    a, b, deg = [1], [degree], degree
+    while len(a) < 8 and a[-1] < degree:
+        b.append(int(rng.integers(1, degree - a[-1] + 1)))
+        divisors = [x for x in range(1, degree + 1) if deg * b[-1] % x == 0]
+        a.append(int(rng.choice(divisors) if rng.random() < 0.5 else rng.integers(1, degree + 1)))
+        deg = deg * b[-1] // a[-1]
+        if rng.random() < 0.2:
+            break
+    return tuple(a), tuple(b)
+
+
+def test_integer_degrees_match_a_fraction_reference():
+    rng = np.random.default_rng(20261018)
+    outcomes = {"integral": 0, "refused": 0}
+    for _ in range(400):
+        a, b = random_valid_pairs(rng)
+        expected = fraction_degrees(a, b)
+        if isinstance(expected, list):
+            assert degree_sequence(IntersectionSequence(a, b)) == expected
+            outcomes["integral"] += 1
+        else:
+            with pytest.raises(NonIntegralDegreeError) as err:
+                IntersectionSequence(a, b)
+            k, value = expected
+            assert type(err.value) is NonIntegralDegreeError and type(err.value.value) is Fraction
+            assert (err.value.k, err.value.value) == (k, value)
+            assert str(err.value) == f"distance-{k} degree {value} is not an integer"
+            outcomes["refused"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_derived_values_stay_out_of_equality_and_repr():
     seq = sequence_from_pairs([(1, 3), (1, 2)])
     twin = IntersectionSequence((1, 1), (3, 2))

@@ -13,7 +13,6 @@ from drgjacobi import (
     SpectralAtom,
     ToleranceTooSmallError,
     WeightMismatchError,
-    atom_weight,
     build_jacobi,
     canonical_tau,
     cd_kernel,
@@ -150,12 +149,12 @@ def test_eigenvalues_tolerance_too_small():
 
 @pytest.mark.parametrize("tamper", ["shift", "swap"])
 def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
-    from drgjacobi import jacobi
+    import scipy.linalg  # eigenvalues imports its solver from here at each call
 
     tol = 1e-9
     J = build_jacobi(PETERSEN, 2.0)
     assert eigenvalues(J, tol) == pytest.approx([-2.0, 1.0, 3.0], abs=tol)
-    original = jacobi.eigvalsh_tridiagonal
+    original = scipy.linalg.eigvalsh_tridiagonal
 
     def tampered(diag, off):
         roots = original(diag, off)
@@ -163,7 +162,7 @@ def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
             return roots + 10 * tol
         return roots[[1, 0, 2]]
 
-    monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", tampered)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", tampered)
     with pytest.raises(ToleranceTooSmallError):
         eigenvalues(J, tol)
 
@@ -210,22 +209,26 @@ def test_eigenfunction_coeffs_rejects_non_eigenvalue():
         eigenfunction_coeffs(PETERSEN, 2.0, 2.5)
 
 
-def test_atom_weight_examples():
+def measure_atoms(seq, tau):
+    """(eigenvalue, weight, eigenvalue, weight, ...) of the measure of J_tau."""
+    return [x for a in spectral_measure(seq, tau=tau).atoms for x in (a.eigenvalue, a.weight)]
+
+
+def test_measure_weight_examples():
     for n in (2, 4, 7):
-        seq = complete_seq(n)
-        assert atom_weight(seq, n - 2.0, -1.0) == pytest.approx((n - 1) / n, abs=1e-12)
-        assert atom_weight(seq, n - 2.0, n - 1.0) == pytest.approx(1 / n, abs=1e-12)
-    assert atom_weight(PETERSEN, 2.0, -2.0) == pytest.approx(2 / 5, abs=1e-12)
-    assert atom_weight(PETERSEN, 2.0, 1.0) == pytest.approx(1 / 2, abs=1e-12)
-    assert atom_weight(PETERSEN, 2.0, 3.0) == pytest.approx(1 / 10, abs=1e-12)
+        expected = [-1.0, (n - 1) / n, n - 1.0, 1 / n]
+        assert measure_atoms(complete_seq(n), n - 2.0) == pytest.approx(expected, abs=1e-12)
+    expected = [-2.0, 2 / 5, 1.0, 1 / 2, 3.0, 1 / 10]
+    assert measure_atoms(PETERSEN, 2.0) == pytest.approx(expected, abs=1e-12)
     edge = sequence_from_pairs([(1, 1)])
-    assert atom_weight(edge, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert atom_weight(edge, 0.0, -1.0) == pytest.approx(0.5, abs=1e-12)
+    assert measure_atoms(edge, 0.0) == pytest.approx([-1.0, 0.5, 1.0, 0.5], abs=1e-12)
 
 
-def test_atom_weight_mismatch_off_spectrum():
-    with pytest.raises(WeightMismatchError):
-        atom_weight(PETERSEN, 2.0, 2.5)
+def test_weight_gate_rejects_off_spectrum_point():
+    from drgjacobi import jacobi
+
+    with pytest.raises(WeightMismatchError, match=r"at 2\.5$"):
+        jacobi._checked_weights(build_jacobi(PETERSEN, 2.0), np.array([2.5]))
 
 
 def test_weight_formulas_agree_at_roots(corpus_entry):

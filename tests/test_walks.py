@@ -187,7 +187,7 @@ def test_weight_gate_flags_either_side_non_finite(direct, via_derivative, monkey
     )
     J = build_jacobi(tree_prefix(2), 0.0)
     with pytest.raises(WeightMismatchError, match=r"at 0\.5$"):
-        jacobi._checked_weights(J, np.array([0.25, 0.5, 0.75]), 1e-8)
+        jacobi._checked_weights(J, np.array([0.25, 0.5, 0.75]))
 
 
 # ------------------------------------------------- pivot counts
