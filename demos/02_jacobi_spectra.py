@@ -36,7 +36,7 @@ for tau in (-2.0, 0.0, float(tau_star), 4.0):
 
 print("\nSpectra at distinct tau interlace and never collide:")
 for tau1, tau2 in ((2.0, 0.0), (-1.5, 3.25), (0.1, 0.2)):
-    print(f"  tau = {tau1} vs {tau2}: interlaced = {check_interlacing(seq, tau1, tau2, 1e-9)}")
+    print(f"  tau = {tau1} vs {tau2}: interlaced = {check_interlacing(seq, tau1, tau2)}")
 
 print("\nEigenvector coordinates in the normalized distance-matrix basis")
 print("(first-kind polynomial values at each eigenvalue):")

@@ -26,6 +26,9 @@ from .jacobi import JacobiOperator
 MAX_TRUNCATION_SIZE = 1 << 16
 MAX_MOMENT_ORDER = 2000
 
+# Quadrature tolerance of density_moment, relative to radius**k.
+QUAD_TOL = 1e-8
+
 
 class QuadratureNotConvergedError(Exception):
     def __init__(self, estimate: float, error: float, tol: float):
@@ -54,6 +57,9 @@ class FamilyGenerator:
                 raise SequenceError("pairs must be positive integers")
         if self.prefix[0][0] != 1:
             raise SequenceError("a_1 must equal 1")
+        # alpha_k for k past the prefix repeats one of these, by periodicity
+        for k in range(1, len(self.prefix) + 1):
+            self.alpha(k)
 
     @property
     def degree(self) -> int:
@@ -133,15 +139,12 @@ def truncated_jacobi(gen: FamilyGenerator, m: int) -> JacobiOperator:
     return JacobiOperator(diag, off, tau=None)
 
 
-def moment_sequence(
-    gen: FamilyGenerator, order: int, truncation: int | None = None
-) -> list[int]:
+def moment_sequence(gen: FamilyGenerator, order: int) -> list[int]:
     """Exact moments (J^k)_{0,0} for k = 0..order of the family's Jacobi matrix.
 
     Computed on the size ceil(order/2)+1 corner, which a longer
-    truncation cannot change (pass a larger ``truncation`` to
-    double-check), by one integer walk recursion read off after every
-    step: stepping up from level j-1 to j carries weight a_j b_j,
+    truncation cannot change, by one integer walk recursion read off
+    after every step: stepping up from level j-1 to j carries weight a_j b_j,
     stepping down weight 1, staying at level j weight alpha_j (a
     diagonal rescaling of the matrix that leaves the (0, 0) corner of
     every power unchanged).
@@ -151,10 +154,6 @@ def moment_sequence(
     if order > MAX_MOMENT_ORDER:
         raise SequenceError(f"moment order must be at most {MAX_MOMENT_ORDER}")
     size = (order + 1) // 2 + 1
-    if truncation is not None:
-        if truncation < size:
-            raise SequenceError(f"truncation must be at least {size} for order {order}")
-        size = truncation
     alphas = [gen.alpha(j) for j in range(size)]
     down = [0] + [a * b for a, b in (gen.pair(j) for j in range(1, size))]
     vec = [1] + [0] * (size - 1)
@@ -173,9 +172,9 @@ def moment_sequence(
     return moments
 
 
-def moment(gen: FamilyGenerator, k: int, truncation: int | None = None) -> int:
+def moment(gen: FamilyGenerator, k: int) -> int:
     """Exact k-th moment (J^k)_{0,0}; see moment_sequence."""
-    return moment_sequence(gen, k, truncation)[-1]
+    return moment_sequence(gen, k)[-1]
 
 
 def kesten_mckay_density(n: int, x: float) -> float:
@@ -196,18 +195,16 @@ def kesten_mckay_density(n: int, x: float) -> float:
     return n * math.sqrt(s) / (2.0 * math.pi * (shift + s))
 
 
-def density_moment(n: int, k: int, quad_tol: float = 1e-8) -> float:
+def density_moment(n: int, k: int) -> float:
     """k-th moment of the Kesten-McKay density by adaptive quadrature.
 
     The substitution x = 2 sqrt(n-1) sin(theta) removes the square-root
     edge singularity before integrating. The tolerance is relative to
     radius**k, the bound on |moment| with radius = 2 sqrt(n-1): raises
     QuadratureNotConvergedError if the error estimate exceeds
-    quad_tol * radius**k, and SequenceError for an order whose integrand
+    QUAD_TOL * radius**k, and SequenceError for an order whose integrand
     would near the float64 range.
     """
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
     if n < 2:
         raise SequenceError("tree degree must be at least 2")
     # The integrand's intermediate x^k n c^2 reaches n radius^(k+2); quad's error
@@ -224,7 +221,7 @@ def density_moment(n: int, k: int, quad_tol: float = 1e-8) -> float:
         c = radius * math.cos(theta)
         return (x ** k) * n * c * c / (2.0 * math.pi * (shift + c * c))
 
-    tol = quad_tol * radius**k
+    tol = QUAD_TOL * radius**k
     value, err = quad(integrand, -math.pi / 2, math.pi / 2, epsabs=0.5 * tol, epsrel=1e-12)
     if err > tol:
         raise QuadratureNotConvergedError(value, err, tol)

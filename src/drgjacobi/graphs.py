@@ -19,6 +19,7 @@ Bellman-identity check. The distance-k matrix A_k is the boolean array
 from __future__ import annotations
 
 import math
+import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -155,7 +156,11 @@ def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
     n = len(adjacency)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, adjacency), dtype=np.int64, count=n), out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+    try:  # struct reads each entry by its __index__, so floats and strings are refused
+        packed = struct.pack(f"{indptr[-1]}q", *chain.from_iterable(adjacency))
+    except struct.error:  # an entry that is not an integer, or is outside int64
+        _raise_first_offence(adjacency)
+    indices = np.frombuffer(packed, dtype=np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
     codes = rows * n
     codes += indices
@@ -182,10 +187,12 @@ def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
 def _raise_first_offence(adjacency):
     """Raise for the first offending entry of invalid lists, in row-major order."""
     n = len(adjacency)
-    entries = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs}
+    entries = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if hasattr(j, "__index__")}
     for i, nbrs in enumerate(adjacency):
         prev = -1
         for j in nbrs:
+            if not hasattr(j, "__index__"):  # what struct.pack refuses; bools pass
+                raise GraphError(f"neighbor {j!r} of {i} is not an integer")
             if j == i:
                 raise SelfLoopError(i)
             if not 0 <= j < n:
@@ -226,11 +233,10 @@ def _component_of_zero(nbrs) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def graph_from_edges(edges, vertex_count: int | None = None) -> Graph:
+def graph_from_edges(edges) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
-    Duplicate edges are merged. The vertex set is 0..max_index unless a
-    larger ``vertex_count`` is given.
+    Duplicate edges are merged. The vertex set is 0..max_index.
     """
     n = 0
     pairs = []
@@ -241,10 +247,6 @@ def graph_from_edges(edges, vertex_count: int | None = None) -> Graph:
             raise GraphError(f"negative vertex index in edge ({u}, {v})")
         pairs.append((u, v))
         n = max(n, u + 1, v + 1)
-    if vertex_count is not None:
-        if vertex_count < n:
-            raise GraphError("vertex_count smaller than largest edge index + 1")
-        n = vertex_count
     if n > len(pairs) + 1:  # cannot be connected; refused before allocating n sets
         lists = defaultdict(list)
         for u, v in pairs:

@@ -99,14 +99,14 @@ class JacobiOperator:
 class FirstKindEvaluation:
     """Values P_0(x), ..., P_n(x), P_{n+1}^(tau)(x) at one point.
 
-    derivatives, when present, holds the x-derivatives of the same
-    entries, propagated analytically through the recurrence.
+    derivatives holds the x-derivatives of the same entries, propagated
+    analytically through the recurrence.
     """
 
     values: tuple[float, ...]
     point: float
     tau: float
-    derivatives: tuple[float, ...] | None = None
+    derivatives: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -192,18 +192,16 @@ def _first_kind_rows(J: JacobiOperator, xs: np.ndarray):
         yield p, dp
 
 
-def eval_first_kind(
-    seq: IntersectionSequence, tau: float, x: float, derivatives: bool = False
-) -> FirstKindEvaluation:
-    """Evaluate the first-kind polynomials of J_tau at x.
+def eval_first_kind(seq: IntersectionSequence, tau: float, x: float) -> FirstKindEvaluation:
+    """Evaluate the first-kind polynomials of J_tau and their derivatives at x.
 
     The returned values are (P_0, ..., P_n, P_{n+1}^(tau)) where n = d.
-    With derivatives=True the recurrence is differentiated alongside, so
-    derivative values carry no finite-difference noise.
+    The recurrence is differentiated alongside, so derivative values
+    carry no finite-difference noise.
     """
     rows = list(_first_kind_rows(build_jacobi(seq, tau), np.array([float(x)])))
     values = tuple(float(p[0]) for p, _ in rows)
-    derivs = tuple(float(dp[0]) for _, dp in rows) if derivatives else None
+    derivs = tuple(float(dp[0]) for _, dp in rows)
     return FirstKindEvaluation(values, float(x), float(tau), derivs)
 
 
@@ -261,21 +259,18 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     return [float(r) for r in roots]
 
 
-def eigenfunction_coeffs(
-    seq: IntersectionSequence, tau: float, lam: float, atol: float | None = None
-) -> list[float]:
+def eigenfunction_coeffs(seq: IntersectionSequence, tau: float, lam: float) -> list[float]:
     """Coefficients (P_0(lam), ..., P_n(lam)) of the eigenvector of J_tau.
 
     lam must be an eigenvalue: the residual P_{n+1}^(tau)(lam) is
-    checked against atol (default scales with the coefficient sizes and
-    the spectral enclosure).
+    checked against a tolerance that scales with the coefficient sizes
+    and the spectral enclosure.
     """
     ev = eval_first_kind(seq, tau, lam)
     coeffs = list(ev.values[:-1])
     residual = abs(ev.values[-1])
-    if atol is None:
-        lo, hi = gershgorin_interval(build_jacobi(seq, tau))
-        atol = 1e-7 * max(1.0, max(abs(c) for c in coeffs)) * max(1.0, hi - lo)
+    lo, hi = gershgorin_interval(build_jacobi(seq, tau))
+    atol = 1e-7 * max(1.0, max(abs(c) for c in coeffs)) * max(1.0, hi - lo)
     if residual > atol:
         raise NotAnEigenvalueError(
             f"P_(n+1)({lam}) = {ev.values[-1]:.3e} exceeds tolerance {atol:.3e}"
@@ -364,9 +359,7 @@ def spectra_interlace(
     return bool(min_gap > tol and alternates.all()), min_gap
 
 
-def check_interlacing(
-    seq: IntersectionSequence, tau1: float, tau2: float, tol: float = 1e-9
-) -> bool:
+def check_interlacing(seq: IntersectionSequence, tau1: float, tau2: float) -> bool:
     """True iff the spectra of J_tau1 and J_tau2 are disjoint and interlaced.
 
     See spectra_interlace for the test applied to the two spectra.
@@ -375,17 +368,15 @@ def check_interlacing(
         raise ValueError("tau values must differ")
     e1 = eigenvalues(build_jacobi(seq, tau1))
     e2 = eigenvalues(build_jacobi(seq, tau2))
-    return spectra_interlace(e1, e2, tol)[0]
+    return spectra_interlace(e1, e2)[0]
 
 
-def cd_kernel(
-    seq: IntersectionSequence, k: int, x: float, y: float, rtol: float = 1e-8
-) -> float:
+def cd_kernel(seq: IntersectionSequence, k: int, x: float, y: float) -> float:
     """Reproducing (Christoffel-Darboux) kernel K_k(x, y) for degree <= k.
 
     Returns sum_{j<=k} P_j(x) P_j(y). For x != y the ratio form
     sqrt(a_{k+1} b_{k+1}) (P_k(y) P_{k+1}(x) - P_k(x) P_{k+1}(y)) / (x - y)
-    is evaluated as well and must agree within rtol
+    is evaluated as well and must agree within a relative 1e-8
     (KernelMismatchError otherwise). The confluent case x = y returns
     the sum directly.
     """
@@ -397,7 +388,7 @@ def cd_kernel(
     total = float(sum(px[:-1] * py[:-1]))
     if x != y:
         ratio = float(J.offdiag[k] * (py[k] * px[k + 1] - px[k] * py[k + 1]) / (x - y))
-        if abs(total - ratio) > rtol * max(1.0, abs(total), abs(ratio)):
+        if abs(total - ratio) > 1e-8 * max(1.0, abs(total), abs(ratio)):
             raise KernelMismatchError(
                 f"sum form {total!r} vs ratio form {ratio!r} at ({x!r}, {y!r})"
             )

@@ -26,6 +26,8 @@ from .graphs import Graph, _row_blocks
 from .intersection import IntersectionSequence, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
+# Largest accepted max|M - Q L Q^T| of a dense eigendecomposition.
+RECONSTRUCTION_TOL = 1e-9
 
 
 class OracleError(Exception):
@@ -114,18 +116,18 @@ class EigenDecomposition:
     basis: np.ndarray
 
 
-def dense_symmetric_eigen(M: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
+def dense_symmetric_eigen(M: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
     The reconstruction residual max|M - Q L Q^T| must come out below
-    tol (OracleError otherwise). Multiplicities are assigned by
+    RECONSTRUCTION_TOL (OracleError otherwise). Multiplicities are assigned by
     clustering the sorted eigenvalues with gap 1e-6 * max|eigenvalue|.
     """
     a = _symmetric(M)
     values, q = np.linalg.eigh(a)
     residual = float(np.abs(a - (q * values) @ q.T).max())
-    if residual >= tol:
-        raise OracleError(f"reconstruction residual {residual:.3e} >= {tol:.3e}")
+    if residual >= RECONSTRUCTION_TOL:
+        raise OracleError(f"reconstruction residual {residual:.3e} >= {RECONSTRUCTION_TOL:.3e}")
 
     gap = 1e-6 * max(1.0, float(np.abs(values).max()))
     blocks = np.split(values, np.flatnonzero(np.diff(values) > gap) + 1)

@@ -135,7 +135,7 @@ def test_criterion_7_interlacing(corpus):
                 tau1, tau2 = (float(t) for t in rng.uniform(-5.0, 5.0, size=2))
                 if tau1 == tau2:
                     continue
-                assert check_interlacing(seq, tau1, tau2, 1e-9), (name, tau1, tau2)
+                assert check_interlacing(seq, tau1, tau2), (name, tau1, tau2)
                 done += 1
 
 

@@ -299,11 +299,33 @@ def test_missing_source_is_usage_error(capsys):
     assert code == 1 and doc["payload"]["error"] == "usage"
 
 
-def usage_envelope(message):
+def error_envelope(error, message):
     return (
-        '{\n  "status": "error",\n  "payload": {\n    "error": "usage",\n'
+        f'{{\n  "status": "error",\n  "payload": {{\n    "error": "{error}",\n'
         f'    "message": "{message}"\n  }},\n  "diagnostics": []\n}}\n'
     )
+
+
+def usage_envelope(message):
+    return error_envelope("usage", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each stops before the bad alpha; the family is refused when parsed
+        (["moments", "--family", "custom:1,3;1,3;period=1", "--order", "0"],
+         "alpha_1 = -1 is negative"),
+        (["jacobi", "--family", "custom:1,3;1,3;period=1", "--size", "1"],
+         "alpha_1 = -1 is negative"),
+        (["moments", "--family", "custom:1,3;1,2;1,9;period=1", "--order", "2"],
+         "alpha_2 = -7 is negative"),
+        (["moments", "--family", "custom:1,3;1,2;1,9;period=1", "--order", "6"],
+         "alpha_2 = -7 is negative"),
+    ],
+)
+def test_invalid_family_is_refused_at_every_order_and_size(capsys, argv, message):
+    assert run(capsys, argv) == (1, error_envelope("SequenceError", message))
 
 
 BOTH_SOURCES = "give a graph source or --array, not both"
@@ -483,6 +505,10 @@ def test_negative_tau_in_every_float_form_is_a_value(capsys, command):
     code, out = call("--tau", "-inf")
     assert (code, out) == call("--tau=-inf")
     assert code == 1 and json.loads(out)["payload"]["error"] == "JacobiError"
+    # float() is the one grammar: digit separators read, a dangling exponent does not
+    code, out = call("--tau", "-1_0")
+    assert code == 0 and (code, out) == call("--tau=-1_0") == call("--tau", "-10")
+    assert call("--tau", "-1e") == (1, usage_envelope("argument --tau: expected one argument"))
 
 
 def test_argparse_still_has_the_negative_number_matcher_cli_replaces():

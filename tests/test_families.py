@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from drgjacobi import (
@@ -16,6 +17,7 @@ from drgjacobi import (
     tree_sequence,
     truncated_jacobi,
 )
+from drgjacobi import families
 from drgjacobi.families import MAX_MOMENT_ORDER, MAX_TRUNCATION_SIZE
 
 
@@ -35,10 +37,11 @@ def test_family_from_name():
     gen = family_from_name("custom:1,3;1,2;period=1")
     assert gen.pair(1) == (1, 3)
     assert gen.pair(2) == gen.pair(9) == (1, 2)
-    two = family_from_name("custom:1,4;1,3;2,2;period=2")
+    two = family_from_name("custom:1,5;1,3;2,2;period=2")
     assert [two.pair(k) for k in range(1, 7)] == [
-        (1, 4), (1, 3), (2, 2), (1, 3), (2, 2), (1, 3),
+        (1, 5), (1, 3), (2, 2), (1, 3), (2, 2), (1, 3),
     ]
+    assert [two.alpha(k) for k in range(1, 7)] == [1, 2, 0, 2, 0, 2]
 
 
 @pytest.mark.parametrize(
@@ -49,12 +52,18 @@ def test_family_from_name_rejects(text):
         family_from_name(text)
 
 
-def test_family_alpha_validation_per_term():
-    gen = family_from_name("custom:1,3;1,3;period=1")  # alpha_1 = -1
-    with pytest.raises(SequenceError):
-        gen.alpha(1)
-    with pytest.raises(SequenceError):
-        truncated_jacobi(gen, 2)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("custom:1,3;1,3;period=1", "alpha_1 = -1 is negative"),
+        ("custom:1,3;1,2;1,9;period=1", "alpha_2 = -7 is negative"),
+        # alpha_3 reads b_4, the first repeated pair: 4 - (2 + 3)
+        ("custom:1,4;1,3;2,2;period=2", "alpha_3 = -1 is negative"),
+    ],
+)
+def test_family_alpha_validation_per_term(text, message):
+    with pytest.raises(SequenceError, match=f"^{message}$"):
+        family_from_name(text)
 
 
 def test_truncated_jacobi_examples():
@@ -82,8 +91,6 @@ def test_moment_examples():
 
 
 def test_moment_matches_dense_matrix_power():
-    import numpy as np
-
     # a family with nonzero diagonal: degree 4, alpha_k = 1 for k >= 1
     gen = family_from_name("custom:1,4;1,2;period=1")
     dense = truncated_jacobi(gen, 10).to_dense()
@@ -94,19 +101,16 @@ def test_moment_matches_dense_matrix_power():
 
 
 def test_moment_truncation_stability():
+    # a longer corner cannot change the (0, 0) entry: compared by float matrix powers
     for n in (2, 3, 4):
         gen = tree_sequence(n)
         for k in range(13):
-            minimal = (k + 1) // 2 + 1
-            assert moment(gen, k) == moment(gen, k, truncation=minimal + 4)
-    with pytest.raises(SequenceError):
-        moment(tree_sequence(3), 10, truncation=2)
+            longer = truncated_jacobi(gen, (k + 1) // 2 + 5).to_dense()
+            assert moment(gen, k) == round(np.linalg.matrix_power(longer, k)[0, 0])
 
 
 def _integer_power_moments(gen, order):
     """(T^k)_{0,0} by dense exact integer matrix powers of the rescaled corner."""
-    import numpy as np
-
     size = order // 2 + 2
     t = np.zeros((size, size), dtype=object)
     for j in range(size):
@@ -205,9 +209,10 @@ def test_density_moment_refuses_degrees_beyond_float64():
         density_moment(10**200, 0)  # (n - 2)**2 alone leaves float64 here
 
 
-def test_density_moment_unreachable_tolerance():
+def test_density_moment_unreachable_tolerance(monkeypatch):
+    monkeypatch.setattr(families, "QUAD_TOL", 1e-20)
     with pytest.raises(QuadratureNotConvergedError):
-        density_moment(3, 8, quad_tol=1e-20)
+        density_moment(3, 8)
 
 
 def test_spectral_radius_values():

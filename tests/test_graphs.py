@@ -99,22 +99,52 @@ def test_not_connected_component_matches_reference_bfs():
         if len(expected) == n:
             continue
         # both callers: Graph itself, and graph_from_edges, which refuses
-        # sparse edge lists before building the adjacency
-        for build in (lambda: Graph(adjacency), lambda: graph_from_edges(edges, vertex_count=n)):
+        # sparse edge lists before building the adjacency; it reads the
+        # vertex count off the edges, so it gets only lists that reach n - 1
+        builds = [lambda: Graph(adjacency)]
+        if any(n - 1 in edge for edge in edges):
+            builds.append(lambda: graph_from_edges(edges))
+        for build in builds:
             with pytest.raises(NotConnectedError) as err:
                 build()
             assert err.value.component == expected
         checked += 1
 
 
-def test_graph_from_edges_isolated_vertex_rejected():
+def test_isolated_vertex_rejected():
     with pytest.raises(NotConnectedError):
-        graph_from_edges([(0, 1)], vertex_count=3)
+        Graph(((1,), (0,), ()))
+    with pytest.raises(NotConnectedError):
+        graph_from_edges([(0, 2)])  # vertex 1 is never named
+
+
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        (((10**30,), (0,)), f"neighbor {10**30} of 0 out of range"),
+        (((1.0,), (0,)), "neighbor 1.0 of 0 is not an integer"),
+        (((1.5,), (0,)), "neighbor 1.5 of 0 is not an integer"),
+        ((("1",), (0,)), "neighbor '1' of 0 is not an integer"),
+        # row-major: the asymmetry in row 0 comes before the float in row 2
+        (((1, 2), (0,), (0.5,)), "asymmetric edge (0, 2)"),
+        (((1,), (0, 2.0), (1,)), "neighbor 2.0 of 1 is not an integer"),
+    ],
+)
+def test_non_integer_or_overflowing_entries_are_graph_errors(adjacency, message):
+    with pytest.raises(GraphError) as err:
+        Graph(adjacency)
+    assert type(err.value) is GraphError and str(err.value) == message
+
+
+def test_bool_and_numpy_integer_entries_are_accepted():
+    path = Graph(((1,), (0,)))
+    assert Graph(((True,), (False,))) == path
+    assert Graph(((np.int64(1),), (np.int32(0),))) == path
 
 
 def test_single_vertex_rejected():
     with pytest.raises(GraphError):
-        graph_from_edges([], vertex_count=1)
+        graph_from_edges([])
 
 
 def test_builtin_generators():
@@ -361,7 +391,7 @@ def test_csr_matches_adjacency():
 def test_oversized_input_fails_before_allocating(kind, arg):
     build = {
         "text": parse_edge_list,
-        "edges": lambda count: graph_from_edges([(0, 1)], vertex_count=count),
+        "edges": lambda count: graph_from_edges([(0, 1), (1, count - 1)]),
         "name": graph_from_name,
     }[kind]
     tracemalloc.start()
@@ -372,8 +402,8 @@ def test_oversized_input_fails_before_allocating(kind, arg):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    if kind != "name":  # a path on 3 (or 2) of the vertices
-        assert err.value.component == ((0, 1, 99999999) if kind == "text" else (0, 1))
+    if kind != "name":  # a path on 3 of the vertices
+        assert err.value.component == ((0, 1, 99999999) if kind == "text" else (0, 1, arg - 1))
 
 
 def test_builtin_cap_admits_the_ladder():

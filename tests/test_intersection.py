@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drgjacobi import (
+    Graph,
     IntersectionSequence,
     NonIntegralCountError,
     NonIntegralDegreeError,
@@ -12,7 +13,6 @@ from drgjacobi import (
     certify_distance_regular,
     degree_sequence,
     distance_poly_eval,
-    graph_from_edges,
     graph_from_name,
     isoscycle_numbers,
     parse_edge_list,
@@ -100,9 +100,12 @@ def test_edge_flip_perturbations_yield_checkable_witnesses(corpus):
         edges = set(g.edges())
         for i in range(n):
             for j in range(i + 1, n):
-                flipped = edges ^ {(i, j)}
+                nbrs = [[] for _ in range(n)]
+                for u, v in edges ^ {(i, j)}:  # the flip of complete:2 leaves no edges
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
                 try:
-                    h = graph_from_edges(sorted(flipped), vertex_count=n)
+                    h = Graph(tuple(tuple(sorted(s)) for s in nbrs))
                 except NotConnectedError:
                     continue
                 outcome = certify_distance_regular(h)

@@ -99,7 +99,7 @@ def test_first_kind_recurrence_residuals():
     off = [math.sqrt(a * b) for a, b in zip(seq.a, seq.b)]
     alphas = seq.alphas
     for x in rng.uniform(-4, 4, size=8):
-        ev = eval_first_kind(seq, 0.7, x, derivatives=True)
+        ev = eval_first_kind(seq, 0.7, x)
         p = ev.values
         for k in range(1, seq.d):
             residual = off[k] * p[k + 1] - ((x - alphas[k]) * p[k] - off[k - 1] * p[k - 1])
@@ -274,7 +274,7 @@ def test_spectral_measure_validation():
 
 def test_check_interlacing_k3():
     seq = complete_seq(3)
-    assert check_interlacing(seq, 0.0, 1.0, 1e-9)
+    assert check_interlacing(seq, 0.0, 1.0)
     e0 = eigenvalues(build_jacobi(seq, 0.0))
     e1 = eigenvalues(build_jacobi(seq, 1.0))
     assert e0 == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-10)
@@ -283,7 +283,7 @@ def test_check_interlacing_k3():
 
 def test_check_interlacing_requires_distinct_tau():
     with pytest.raises(ValueError):
-        check_interlacing(PETERSEN, 1.0, 1.0, 1e-9)
+        check_interlacing(PETERSEN, 1.0, 1.0)
 
 
 def test_check_interlacing_random_taus(corpus_entry):
@@ -293,7 +293,7 @@ def test_check_interlacing_random_taus(corpus_entry):
         tau1, tau2 = rng.uniform(-5, 5, size=2)
         if tau1 == tau2:
             continue
-        assert check_interlacing(seq, float(tau1), float(tau2), 1e-9)
+        assert check_interlacing(seq, float(tau1), float(tau2))
 
 
 def test_spectra_disjoint_across_tau(corpus_entry):

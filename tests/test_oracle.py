@@ -9,6 +9,7 @@ from drgjacobi import (
     sequence_from_pairs,
     spectral_measure,
 )
+from drgjacobi import oracle
 from drgjacobi.oracle import (
     BasisMismatchError,
     DenseSizeError,
@@ -425,6 +426,7 @@ def test_operator_norm_rejects_asymmetric():
         operator_norm(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_dense_eigen_residual_failure_is_oracle_error():
+def test_dense_eigen_residual_failure_is_oracle_error(monkeypatch):
+    monkeypatch.setattr(oracle, "RECONSTRUCTION_TOL", 0.0)
     with pytest.raises(OracleError, match="residual"):
-        dense_symmetric_eigen(np.diag([1.0, 2.0, 3.0]), tol=0.0)
+        dense_symmetric_eigen(np.diag([1.0, 2.0, 3.0]))
