@@ -240,7 +240,8 @@ def cmd_interlace(args) -> CommandResult:
     e1 = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau1), args.tol)
     e2 = jacobi.eigenvalues(jacobi.build_jacobi(seq, tau2), args.tol)
     # each root lies within tol/2 of its eigenvalue, so a gap above tol separates them
-    interlaced, min_gap = jacobi.spectra_interlace(e1, e2, 1e-9 if args.tol is None else args.tol)
+    gap = {} if args.tol is None else {"tol": args.tol}
+    interlaced, min_gap = jacobi.spectra_interlace(e1, e2, **gap)
     payload = {
         "tau1": tau1,
         "tau2": tau2,

@@ -5,15 +5,20 @@ simplicity (no loops, no parallel edges), symmetry of the adjacency
 relation, and connectivity, so everything downstream may assume all
 three; it also stores the adjacency once as int32 CSR arrays,
 ``Graph.csr``, which the array kernels here, in ``intersection`` and
-in ``oracle`` read. All distance data is read from one read-only
-all-pairs array, ``Graph.distances``, filled on first use by path
-search, never by matrix powers, so entries are exact by construction:
-scipy's compiled unweighted ``csgraph.shortest_path`` in row blocks, or
-one Python BFS per vertex below ``COMPILED_FILL_MIN_VERTICES`` vertices.
-The array is shared by every query here, by certification in
-``intersection`` and by ``oracle``, which accepts it only after its own
-Bellman-identity check. The distance-k matrix A_k is the boolean array
-``distances == k``.
+in ``oracle`` read. Neighbour sums, ``_neighbour_sums``, are products
+with ``Graph.adjacency_operator``, those arrays wrapped on first use in
+one integer scipy CSR array and cached like the distances; certification
+and the recurrence check in ``intersection`` take their counts from
+them. All distance data is read from one read-only all-pairs array,
+``Graph.distances``, filled on first use by path search, never by
+matrix powers, so entries are exact by construction: scipy's compiled
+unweighted ``csgraph.shortest_path`` in row blocks. Below
+``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs: the table is
+filled by one Python BFS per vertex and neighbour sums are a numpy
+gather. The array is shared by every query here, by certification and
+the recurrence check in ``intersection`` and by ``oracle``, which
+accepts it only after its own Bellman-identity check. The distance-k
+matrix A_k is the boolean array ``distances == k``.
 """
 
 from __future__ import annotations
@@ -61,13 +66,16 @@ class OddPairCountError(GraphError):
 # distance array, and every desk-scale graph fits in one block.
 BLOCK_ENTRIES = 1 << 16
 
-# Graphs with fewer vertices fill their distance table by one Python BFS
-# per row: scipy's fixed cost per fill, about 0.1 ms for building and
-# validating the sparse matrix, exceeds the whole Python fill there.
-# Measured crossovers (numpy 2.4, scipy 1.17, 2-core x86 VM): near 24
-# vertices on cycles and cubes, near 18 on complete graphs; at 40
-# vertices scipy is 2.4x (cycle) to 6x (complete) faster.
-COMPILED_FILL_MIN_VERTICES = 24
+# Graphs with fewer vertices call no scipy sparse code: they fill their
+# distance table by one Python BFS per row and take neighbour sums by a
+# numpy gather, as scipy's fixed cost per sparse matrix, tens of
+# microseconds for building and validating it, exceeds the whole work
+# there. Measured crossovers (numpy 2.4, scipy 1.17, 2-core x86 VM): for
+# the fill near 24 vertices on cycles and cubes and near 18 on complete
+# graphs, where at 40 vertices scipy is 2.4x (cycle) to 6x (complete)
+# faster; for certification's sums near 24 on complete graphs and 32-48
+# on cubes and cycles.
+SCIPY_MIN_VERTICES = 24
 
 # Builtin graphs with more vertices or more edges are refused from their
 # parameter, before any allocation: construction holds each edge twice as a
@@ -123,7 +131,7 @@ class Graph:
         n = self.vertex_count
         dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n)
         dist = np.empty((n, n), dtype=dtype)
-        if n < COMPILED_FILL_MIN_VERTICES:
+        if n < SCIPY_MIN_VERTICES:
             for v in range(n):
                 dist[v] = _bfs(self.adjacency, v)
         else:
@@ -140,6 +148,22 @@ class Graph:
         dist.flags.writeable = False
         return dist
 
+    @cached_property
+    def adjacency_operator(self):
+        """The adjacency matrix as an int32 scipy CSR array, built on first use.
+
+        It shares ``csr``'s index arrays. A product with rows of
+        ``distances`` holds every neighbour-distance sum exactly: the sum
+        over u ~ j of d(i, u) is at most deg(j) ecc(i) <= ((n + 2) / 2)^2,
+        as at most 3 neighbours of j lie on a geodesic from i, so int32
+        holds it below 92680 vertices, whose table alone takes 34 GB.
+        """
+        from scipy.sparse import csr_array  # imported here, as in the fill
+
+        indptr, indices = self.csr
+        n = self.vertex_count
+        return csr_array((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
+
     def edges(self):
         """Yield each undirected edge once, as (u, v) with u < v."""
         for u, nbrs in enumerate(self.adjacency):
@@ -149,6 +173,18 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(vertices={self.vertex_count}, edges={len(self.csr[1]) // 2})"
+
+
+def _neighbour_sums(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """The int32 array whose entry [c, j] sums rows[c, u] over the neighbours u of j.
+
+    One product with ``g.adjacency_operator``, or, below
+    SCIPY_MIN_VERTICES vertices, a numpy gather of the columns of rows.
+    """
+    if g.vertex_count < SCIPY_MIN_VERTICES:
+        indptr, indices = g.csr  # every row is nonempty, as g is connected
+        return np.add.reduceat(rows[:, indices], indptr[:-1], axis=1, dtype=np.int32)
+    return (g.adjacency_operator @ rows.T).T
 
 
 def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +272,15 @@ def _component_of_zero(nbrs) -> tuple[int, ...]:
 def graph_from_edges(edges) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
-    Duplicate edges are merged. The vertex set is 0..max_index.
+    Duplicate edges are merged. The vertex set is 0..max_index. A label
+    that is not an integer raises GraphError, as in Graph.
     """
     n = 0
     pairs = []
     for u, v in edges:
+        if not (hasattr(u, "__index__") and hasattr(v, "__index__")):  # floats, strings
+            label = v if hasattr(u, "__index__") else u
+            raise GraphError(f"vertex label {label!r} is not an integer")
         if u == v:
             raise SelfLoopError(u)
         if u < 0 or v < 0:

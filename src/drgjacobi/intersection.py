@@ -6,7 +6,11 @@ step farther from i depend only on k. Those counts form the
 intersection sequence {(a_k, b_k)}, k = 1..d, with b_1 the common
 degree. All counting here is exact integer arithmetic, the derived
 degree values included, because certificates must not inherit float
-drift.
+drift. Certification and the recurrence check read the same per-pair
+neighbour counts from one helper, ``_neighbour_counts``: products of
+the graph's one cached ``Graph.adjacency_operator`` with row blocks of
+``Graph.distances`` (a numpy gather below ``SCIPY_MIN_VERTICES``
+vertices).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .graphs import Graph, _row_blocks
+from .graphs import Graph, _neighbour_sums, _row_blocks
 
 
 class SequenceError(Exception):
@@ -148,6 +152,31 @@ def _pair_count(g: Graph, pair: tuple[int, int], k: int, count_type: str) -> int
     return sum(1 for u in g.adjacency[j] if dist[u] == target)
 
 
+def _neighbour_counts(g: Graph):
+    """Yield (start, stop, closer, level, farther) over row blocks of g.distances.
+
+    For i in start..stop - 1 and every j, entry [i - start, j] of each
+    array counts the neighbours u of j with d(i, u) = d(i, j) - 1,
+    d(i, j) and d(i, j) + 1. One neighbour sum of the block's distance
+    and parity rows (graphs._neighbour_sums, a product with
+    g.adjacency_operator) gives them: sum_u d(i, u) = deg(j) d(i, j) +
+    farther - closer, and the number of odd d(i, u), as level neighbours
+    share d(i, j)'s parity. Blocks hold BLOCK_ENTRIES / 8 pairs, as each
+    pair takes several int32 temporaries.
+    """
+    n, dist, indptr = g.vertex_count, g.distances, g.csr[0]
+    degrees = indptr[1:] - indptr[:-1]  # deg(j) at column j
+    for start, stop in _row_blocks(n, 8 * n):
+        m = dist[start:stop]
+        odd_m = m & 1
+        both = _neighbour_sums(g, np.concatenate((m, odd_m)))
+        sums, odd = both[: stop - start], both[stop - start :]
+        net = sums - degrees * m  # farther - closer
+        level = np.where(odd_m, odd, degrees - odd)
+        farther = (degrees - level + net) >> 1
+        yield start, stop, farther - net, level, farther
+
+
 def certify_distance_regular(g: Graph):
     """Certify distance-regularity of g.
 
@@ -161,23 +190,17 @@ def certify_distance_regular(g: Graph):
     """
     n = g.vertex_count
     degree = g.degree(0)
-    for v in range(1, n):
-        if g.degree(v) != degree:
-            return NonRegularityWitness(
-                "NotRegular", 0, "b", (0, 0), degree, (v, v), g.degree(v)
-            )
+    for v, nbrs in enumerate(g.adjacency):
+        if len(nbrs) != degree:
+            return NonRegularityWitness("NotRegular", 0, "b", (0, 0), degree, (v, v), len(nbrs))
 
     dist = g.distances
-    nbrs = g.csr[1].reshape(n, degree)  # as g is regular
-    # A pair's code is a + (degree + 1) b: each neighbour of j one step
-    # closer to i adds 1, each one step farther degree + 1.
-    weight = np.array([1, 0, degree + 1])
     ref = np.full(n + 1, -1)  # code of the first pair at distance k
     ref_at = np.zeros(n + 1, dtype=np.int64)  # and its row-major index
-    for start, stop in _row_blocks(n, n * degree):
-        rows = dist[start:stop]
-        code = weight[rows[:, nbrs] - rows[:, :, None] + 1].sum(axis=2).ravel()
-        k = rows.ravel()
+    for start, stop, closer, _, farther in _neighbour_counts(g):
+        # A pair's code is a + (degree + 1) b, from its counts a = closer and b = farther.
+        code = (closer + (degree + 1) * farther).ravel()
+        k = dist[start:stop].ravel()
         ks, first = np.unique(k, return_index=True)
         fresh = ref[ks] < 0
         ref[ks[fresh]] = code[first[fresh]]
@@ -242,19 +265,11 @@ def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
     (A*A_k)_{ij} counts the neighbours u of i with d(u, j) = k. For a
     pair at distance m, d(u, j) is m - 1, m or m + 1, so one pass checks
     every k: the three counts must equal a_m, alpha_m and b_{m+1}, and a
-    k outside 0..d is not checked. Two sparse products over the
-    neighbours of i give the counts: sum_u d(u, j) = deg(i) m + farther -
-    closer, and the number of odd d(u, j), as level neighbours share m's
-    parity.
+    k outside 0..d is not checked. The counts are certify's, read at
+    (j, i): _neighbour_counts counts the neighbours of its column vertex.
     """
-    from scipy.sparse import csr_array  # here, as in Graph.distances: import stays light
-
     n, d, dist = g.vertex_count, seq.d, g.distances
-    indptr, indices = g.csr
-    degrees, top = np.diff(indptr), int(dist.max())
-    small = np.min_scalar_type(-1 - int(degrees.max()) * top)  # holds any sum of distances
-    adj = csr_array((np.ones(len(indices), dtype=small), indices, indptr), shape=(n, n))
-    parity = dist & 1
+    top = int(dist.max())
     # rhs[s, m]: the count with d(u, j) = m + s - 1 that equation k = m + s - 1
     # demands of a pair at distance m; -1 where k is outside 0..d.
     rhs = np.full((3, max(top, d) + 2), -1)
@@ -262,19 +277,16 @@ def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
     rhs[1, : d + 1] = seq.alphas
     rhs[2, :d] = seq.b  # b_{m+1}
     mismatch = None
-    for start, stop in _row_blocks(n, n):
-        m, deg, rows = dist[start:stop], degrees[start:stop, None], adj[start:stop]
-        net, odd = rows @ dist - deg * m, rows @ parity  # net: farther - closer
-        level = np.where(m & 1, odd, deg - odd)
-        farther = (deg - level + net) // 2
-        lhs, expected = np.stack((farther - net, level, farther)), np.take(rhs, m, axis=1)
+    for start, stop, *counts in _neighbour_counts(g):
+        m = dist[start:stop]  # [j - start, i]
+        lhs, expected = np.stack(counts), np.take(rhs, m, axis=1)
         bad = (lhs != expected) & (expected >= 0)
         if bad.any():
             k = np.where(bad, m + np.arange(-1, 2)[:, None, None], n + 1).min(axis=0)
-            if mismatch is None or k.min() < mismatch[0]:  # the first failing k, then (i, j)
-                i, j = map(int, np.argwhere(k == k.min())[0])
-                s = k[i, j] - m[i, j] + 1
-                mismatch = (int(k[i, j]), start + i, j, int(lhs[s, i, j]), int(expected[s, i, j]))
+            i, j = map(int, np.argwhere(k.T == k.min())[0])  # the first failing k, then (i, j)
+            s = k[j, i] - m[j, i] + 1
+            found = (int(k[j, i]), i, start + j, int(lhs[s, j, i]), int(expected[s, j, i]))
+            mismatch = found if mismatch is None else min(mismatch, found)
     return RecurrenceCheck(mismatch is None, mismatch)
 
 

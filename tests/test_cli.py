@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from drgjacobi import jacobi
 from drgjacobi.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -225,6 +226,13 @@ def test_interlace_tol_sets_the_gap(capsys):
     assert doc["payload"]["interlaced"] is False
     _, doc = run_json(capsys, argv + ["--tol", "1e-10"])
     assert doc["payload"]["interlaced"] is False
+
+
+def test_interlace_gap_default_lives_in_spectra_interlace(capsys, monkeypatch):
+    argv = ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001"]
+    monkeypatch.setattr(jacobi.spectra_interlace, "__defaults__", (1e-12,))
+    _, doc = run_json(capsys, argv)  # the gap of 6.7e-11 now exceeds the default
+    assert doc["payload"]["interlaced"] is True
 
 
 def test_interlace_needs_two_taus(capsys):

@@ -162,6 +162,28 @@ def test_recurrence_matches_dense_reference(block_entries, monkeypatch):
     assert tried >= 50
 
 
+@pytest.mark.parametrize("block_entries", [graphs.BLOCK_ENTRIES, 40])
+def test_sparse_product_path_matches_references(block_entries, monkeypatch):
+    # the corpus graphs are below SCIPY_MIN_VERTICES, so the two tests above
+    # take neighbour sums by the numpy gather; crossover 2 sends them through scipy
+    monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", 2)
+    monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+    tried = 0
+    for g in RANDOM_GRAPHS[::5]:
+        outcome = certify_distance_regular(g)
+        assert outcome.to_json() == reference_certify(g)
+        if isinstance(outcome, intersection.IntersectionSequence):
+            pairs = list(zip(outcome.a, outcome.b))
+            for variant in (pairs, pairs + [(pairs[-1][0], 1)]):
+                try:
+                    seq = sequence_from_pairs(variant)
+                except intersection.SequenceError:
+                    continue
+                tried += 1
+                assert verify_recurrence(g, seq).mismatch == reference_recurrence(g, seq)
+    assert tried >= 50
+
+
 def test_distances_are_read_only_and_computed_once():
     g = graph_from_name("petersen")
     dist = g.distances
@@ -182,12 +204,12 @@ def test_distance_dtype_holds_n_plus_one(n, dtype):
 
 @pytest.mark.parametrize(
     "crossover, block_entries",
-    [(graphs.COMPILED_FILL_MIN_VERTICES, graphs.BLOCK_ENTRIES), (2, graphs.BLOCK_ENTRIES), (2, 40)],
+    [(graphs.SCIPY_MIN_VERTICES, graphs.BLOCK_ENTRIES), (2, graphs.BLOCK_ENTRIES), (2, 40)],
 )
 def test_both_fill_paths_match_reference_bfs(crossover, block_entries, monkeypatch):
     # every corpus graph has at most 16 vertices, so only crossover 2
     # sends them through scipy; 40 entries split them into row blocks
-    monkeypatch.setattr(graphs, "COMPILED_FILL_MIN_VERTICES", crossover)
+    monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     for g in RANDOM_GRAPHS:
         fresh = graphs.Graph(g.adjacency)  # the shared graphs may hold a table already
@@ -205,8 +227,8 @@ def prism_edges(n):
 def test_both_fill_paths_match_reference_bfs_on_ladder(name, monkeypatch):
     g = graph_from_edges(prism_edges(400)) if name == "prism:400" else graph_from_name(name)
     expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
-    for crossover in (g.vertex_count + 1, graphs.COMPILED_FILL_MIN_VERTICES):
-        monkeypatch.setattr(graphs, "COMPILED_FILL_MIN_VERTICES", crossover)
+    for crossover in (g.vertex_count + 1, graphs.SCIPY_MIN_VERTICES):
+        monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
         assert graphs.Graph(g.adjacency).distances.tolist() == expected
 
 

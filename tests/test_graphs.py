@@ -142,6 +142,20 @@ def test_bool_and_numpy_integer_entries_are_accepted():
     assert Graph(((np.int64(1),), (np.int32(0),))) == path
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1.0)], "vertex label 1.0 is not an integer"),
+        ([(0, 1.5), (1.5, 2)], "vertex label 1.5 is not an integer"),
+        ([("0", "1")], "vertex label '0' is not an integer"),
+    ],
+)
+def test_non_integer_vertex_labels_are_graph_errors(edges, message):
+    with pytest.raises(GraphError) as err:
+        graph_from_edges(edges)
+    assert type(err.value) is GraphError and str(err.value) == message
+
+
 def test_single_vertex_rejected():
     with pytest.raises(GraphError):
         graph_from_edges([])
