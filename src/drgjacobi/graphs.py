@@ -11,14 +11,22 @@ one integer scipy CSR array and cached like the distances; certification
 and the recurrence check in ``intersection`` take their counts from
 them. All distance data is read from one read-only all-pairs array,
 ``Graph.distances``, filled on first use by path search, never by
-matrix powers, so entries are exact by construction: scipy's compiled
-unweighted ``csgraph.shortest_path`` in row blocks. Below
-``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs: the table is
-filled by one Python BFS per vertex and neighbour sums are a numpy
-gather. The array is shared by every query here, by certification and
-the recurrence check in ``intersection`` and by ``oracle``, which
-accepts it only after its own Bellman-identity check. The distance-k
-matrix A_k is the boolean array ``distances == k``.
+matrix powers, so entries are exact by construction. It has three fills.
+The bitset fill, ``_bitset_distances``, is one level-synchronous BFS
+from every source at once on rows packed 64 columns to a machine word.
+The two others search once per source: scipy's compiled
+``csgraph.shortest_path`` in row blocks, a Dijkstra search from each
+source (given ``indices``, its default method never switches to
+Floyd-Warshall), or, below ``SCIPY_MIN_VERTICES`` vertices, one Python
+BFS per vertex. ``_bitset_fill_pays`` takes the bitset fill when its
+worst-case cost, at twice the eccentricity of vertex 0 in levels, is
+below that of the search per source: graphs of small diameter take it,
+long thin ones such as cycles and prisms keep their search. Below
+``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs, and neighbour
+sums are a numpy gather. The array is shared by every query here, by
+certification and the recurrence check in ``intersection`` and by
+``oracle``, which accepts it only after its own Bellman-identity check.
+The distance-k matrix A_k is the boolean array ``distances == k``.
 """
 
 from __future__ import annotations
@@ -66,16 +74,35 @@ class OddPairCountError(GraphError):
 # distance array, and every desk-scale graph fits in one block.
 BLOCK_ENTRIES = 1 << 16
 
-# Graphs with fewer vertices call no scipy sparse code: they fill their
-# distance table by one Python BFS per row and take neighbour sums by a
-# numpy gather, as scipy's fixed cost per sparse matrix, tens of
-# microseconds for building and validating it, exceeds the whole work
-# there. Measured crossovers (numpy 2.4, scipy 1.17, 2-core x86 VM): for
-# the fill near 24 vertices on cycles and cubes and near 18 on complete
+# Graphs with fewer vertices call no scipy sparse code: a table that the
+# bitset fill does not take is filled by one Python BFS per row, not by
+# scipy's Dijkstra search per source, and neighbour sums are a numpy
+# gather, as scipy's fixed cost per sparse matrix, tens of microseconds for
+# building and validating it, exceeds the whole work there. Measured
+# crossovers (numpy 2.4, scipy 1.17, 2-core x86 VM): for the search per
+# source near 24 vertices on cycles and cubes and near 18 on complete
 # graphs, where at 40 vertices scipy is 2.4x (cycle) to 6x (complete)
-# faster; for certification's sums near 24 on complete graphs and 32-48
-# on cubes and cycles.
+# faster; for certification's sums near 24 on complete graphs and 32-48 on
+# cubes and cycles.
 SCIPY_MIN_VERTICES = 24
+
+# Cost model of the three distance fills, in nanoseconds, that decides
+# between the bitset fill and the search per source. Fitted by nonnegative
+# least squares on relative error to the minimum of 25 timings of each
+# fill (7 from 100 vertices, 3 from 600) on 213 graphs of 2 to 1024
+# vertices: cycles, paths, prisms, grids and tori, binary trees, stars,
+# complete and complete bipartite graphs, cubes, random regular and
+# G(n, p) graphs, cliques with a path attached (numpy 2.4, scipy 1.17,
+# 2-core x86 VM). With words = ceil(n / 64) and arcs the ordered adjacent
+# pairs:
+#   bitset: fixed + levels * (level + word * words * arcs + entry * n^2)
+#   scipy and Python: fixed + n * (vertex * n + arc * arcs)
+# The median error of each fit is 10-17%. With twice the eccentricity of
+# vertex 0 for the levels, no graph of that set takes a fill more than 10%
+# slower than its search per source.
+BITSET_FILL_NS = (24_000, 11_600, 1.6, 0.55)  # fixed, level, word, entry
+SCIPY_FILL_NS = (148_000, 37.5, 2.3)  # fixed, vertex, arc
+PYTHON_FILL_NS = (8_500, 212, 30)
 
 # Builtin graphs with more vertices or more edges are refused from their
 # parameter, before any allocation: construction holds each edge twice as a
@@ -100,20 +127,24 @@ class Graph:
     ``adjacency[i]`` is the strictly increasing tuple of neighbors of
     vertex ``i``. ``csr`` holds the same lists as read-only int32 arrays
     ``(indptr, indices)``: the neighbors of ``i`` are
-    ``indices[indptr[i]:indptr[i + 1]]``.
+    ``indices[indptr[i]:indptr[i + 1]]``. The connectivity check at
+    construction searches from vertex 0 level by level and records its
+    eccentricity, which bounds the diameter for the choice of fill.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
     csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _ecc0: int = field(init=False, repr=False, compare=False)  # eccentricity of vertex 0
 
     def __post_init__(self):
         n = len(self.adjacency)
         if n < 2:
             raise GraphError("a graph needs at least two vertices")
         object.__setattr__(self, "csr", _checked_csr(self.adjacency))
-        component = _component_of_zero(self.adjacency)
+        component, ecc0 = _component_of_zero(self.adjacency)
         if len(component) < n:
             raise NotConnectedError(component)
+        object.__setattr__(self, "_ecc0", ecc0)
 
     @property
     def vertex_count(self) -> int:
@@ -127,11 +158,16 @@ class Graph:
         """Read-only n x n array of graph distances, filled on first use.
 
         Its dtype is the smallest signed integer type that holds n + 1.
+        The bitset fill or a search per source fills it, as
+        ``_bitset_fill_pays`` decides.
         """
         n = self.vertex_count
-        dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n)
-        dist = np.empty((n, n), dtype=dtype)
-        if n < SCIPY_MIN_VERTICES:
+        dtype = np.int8 if n < 127 else np.int16 if n < 32767 else np.int32
+        indptr, indices = self.csr
+        if _bitset_fill_pays(n, len(indices), self._ecc0):
+            dist = _bitset_distances(indptr, indices, dtype)
+        elif n < SCIPY_MIN_VERTICES:
+            dist = np.empty((n, n), dtype=dtype)
             for v in range(n):
                 dist[v] = _bfs(self.adjacency, v)
         else:
@@ -139,7 +175,7 @@ class Graph:
             from scipy.sparse import csr_matrix
             from scipy.sparse.csgraph import shortest_path
 
-            indptr, indices = self.csr
+            dist = np.empty((n, n), dtype=dtype)
             # float64 data with directed=True (exact, as the adjacency is
             # symmetric) is the form scipy validates without converting.
             adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
@@ -255,18 +291,81 @@ def _bfs(adjacency, source: int) -> list[int]:
     return dist
 
 
-def _component_of_zero(nbrs) -> tuple[int, ...]:
-    """The sorted component of vertex 0, where nbrs[v] lists v's neighbours.
+def _bitset_fill_pays(n: int, arcs: int, ecc0: int) -> bool:
+    """True iff the bitset fill's worst-case cost is below one search per source.
+
+    The bitset fill runs at most 2 ecc0 levels, as no distance exceeds
+    d(i, 0) + d(0, j); the search per source is scipy's or, below
+    SCIPY_MIN_VERTICES vertices, the Python BFS. Costs are those of the
+    model above.
+    """
+    fixed, level, word, entry = BITSET_FILL_NS
+    bitset = fixed + 2 * ecc0 * (level + word * ((n + 63) >> 6) * arcs + entry * n * n)
+    fixed, vertex, arc = SCIPY_FILL_NS if n >= SCIPY_MIN_VERTICES else PYTHON_FILL_NS
+    return bitset < fixed + n * (vertex * n + arc * arcs)
+
+
+def _bitset_distances(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
+    """All-pairs distances by one level-synchronous BFS from every source at once.
+
+    Row i of ``ball`` is the ball of radius k about i as a bitset: column j
+    is bit j % 64 of little-endian uint64 word j // 64, the layout of
+    ``np.packbits(..., bitorder="little")``, and the padding columns from n
+    up are set from the start. ball_{k+1}(i) is ball_k(i) or'd with
+    ball_k(u) over the neighbours u of i, one ``bitwise_or.reduceat`` over
+    the CSR lists per row block. d(i, j) counts the radii k whose ball
+    misses j, so each level adds its unreached bits to the table, and the
+    search stops at the first level whose balls are full.
+    """
+    n = len(indptr) - 1
+    ball = _unit_balls(n)
+    grown = np.empty_like(ball)
+    dist = np.ones((n, n), dtype=dtype)
+    np.fill_diagonal(dist, 0)
+    width = max(ball.shape[1] * int((indptr[1:] - indptr[:-1]).max()), n)
+    blocks = [
+        (start, stop, indices[indptr[start] : indptr[stop]], indptr[start:stop] - indptr[start])
+        for start, stop in _row_blocks(n, width)
+    ]
+    while True:
+        done = True
+        for start, stop, nbrs, offsets in blocks:
+            block = grown[start:stop]
+            np.bitwise_or.reduceat(np.take(ball, nbrs, axis=0), offsets, axis=0, out=block)
+            block |= ball[start:stop]
+            unreached = ~block
+            if np.count_nonzero(unreached):
+                done = False
+                bits = np.unpackbits(unreached.view(np.uint8), axis=1, count=n, bitorder="little")
+                dist[start:stop] += bits.view(np.int8)
+        if done:
+            return dist
+        ball, grown = grown, ball
+
+
+def _unit_balls(n: int) -> np.ndarray:
+    """The n x ceil(n / 64) bitsets of the balls {i}, padding columns set."""
+    v = np.arange(n)
+    ball = np.empty((n, (n + 63) >> 6), dtype="<u8")
+    ball[:] = np.packbits(np.arange(64 * ball.shape[1]) >= n, bitorder="little").view("<u8")
+    ball.view(np.uint8)[v, v >> 3] |= (1 << (v & 7)).astype(np.uint8)
+    return ball
+
+
+def _component_of_zero(nbrs) -> tuple[tuple[int, ...], int]:
+    """The sorted component of vertex 0, where nbrs[v] lists v's neighbours,
+    and the eccentricity of vertex 0 in it.
 
     Searched level by level in set operations, in memory linear in the
     number of edges whatever the vertex count.
     """
-    seen, frontier = {0}, {0}
+    seen, frontier, ecc = {0}, {0}, -1
     while frontier:
         frontier = set().union(*[nbrs[v] for v in frontier])
         frontier -= seen
         seen |= frontier
-    return tuple(sorted(seen))
+        ecc += 1
+    return tuple(sorted(seen)), ecc
 
 
 def graph_from_edges(edges) -> Graph:
@@ -292,7 +391,7 @@ def graph_from_edges(edges) -> Graph:
         for u, v in pairs:
             lists[u].append(v)
             lists[v].append(u)
-        raise NotConnectedError(_component_of_zero(lists))
+        raise NotConnectedError(_component_of_zero(lists)[0])
     nbrs = [set() for _ in range(n)]
     for u, v in pairs:
         nbrs[u].add(v)

@@ -101,7 +101,7 @@ def _symmetric(M: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise OracleError("matrix must be square")
-    if not np.allclose(a, a.T, atol=0.0):
+    if not np.array_equal(a, a.T):  # exact: eigh reads one triangle only
         raise OracleError("matrix must be symmetric")
     _check_size(n)
     return a

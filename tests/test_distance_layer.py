@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -208,7 +209,9 @@ def test_distance_dtype_holds_n_plus_one(n, dtype):
 )
 def test_both_fill_paths_match_reference_bfs(crossover, block_entries, monkeypatch):
     # every corpus graph has at most 16 vertices, so only crossover 2
-    # sends them through scipy; 40 entries split them into row blocks
+    # sends them through scipy; 40 entries split them into row blocks;
+    # the bitset fill is off, so every table is searched per source
+    monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: False)
     monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     for g in RANDOM_GRAPHS:
@@ -224,10 +227,12 @@ def prism_edges(n):
 
 
 @pytest.mark.parametrize("name", ["hypercube:9", "cycle:400", "complete:200", "prism:400"])
-def test_both_fill_paths_match_reference_bfs_on_ladder(name, monkeypatch):
+def test_every_fill_route_matches_reference_bfs_on_ladder(name, monkeypatch):
     g = graph_from_edges(prism_edges(400)) if name == "prism:400" else graph_from_name(name)
     expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
-    for crossover in (g.vertex_count + 1, graphs.SCIPY_MIN_VERTICES):
+    routes = ((False, g.vertex_count + 1), (False, graphs.SCIPY_MIN_VERTICES), (True, graphs.SCIPY_MIN_VERTICES))
+    for bitset, crossover in routes:  # Python BFS, scipy, the bitset fill
+        monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: bitset)
         monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
         assert graphs.Graph(g.adjacency).distances.tolist() == expected
 
@@ -235,8 +240,9 @@ def test_both_fill_paths_match_reference_bfs_on_ladder(name, monkeypatch):
 def test_verify_fills_each_table_once(monkeypatch, capsys):
     from scipy.sparse import csgraph
 
-    bfs_rows, compiled_rows = Counter(), Counter()
+    bfs_rows, compiled_rows, bitset_rows = Counter(), Counter(), Counter()
     original_bfs, original_shortest_path = graphs._bfs, csgraph.shortest_path
+    original_bitset = graphs._bitset_distances
 
     def counting_bfs(adjacency, source):
         bfs_rows[len(adjacency)] += 1
@@ -246,12 +252,109 @@ def test_verify_fills_each_table_once(monkeypatch, capsys):
         compiled_rows[adj.shape[0]] += len(indices)
         return original_shortest_path(adj, *args, indices=indices, **kwargs)
 
+    def counting_bitset(indptr, indices, dtype):
+        dist = original_bitset(indptr, indices, dtype)
+        bitset_rows[len(dist)] += len(dist)
+        return dist
+
     monkeypatch.setattr(graphs, "_bfs", counting_bfs)
     monkeypatch.setattr(csgraph, "shortest_path", counting_shortest_path)
+    monkeypatch.setattr(graphs, "_bitset_distances", counting_bitset)
     assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
     capsys.readouterr()
-    # per input: each row of the table once, by Python BFS below the
-    # crossover and by scipy above it; the connectivity check uses no BFS
-    # and the oracle fills no table of its own
+    # per input: each row of the table once, by the route the rule picks:
+    # Python BFS for petersen, scipy for the 30-cycle (eccentricity 15)
+    # and the bitset fill for the 5-cube; the connectivity check uses no
+    # BFS and the oracle fills no table of its own
     assert bfs_rows == {10: 10}
-    assert compiled_rows == {30: 30, 32: 32}
+    assert compiled_rows == {30: 30}
+    assert bitset_rows == {32: 32}
+
+
+def force_bitset_fill(monkeypatch):
+    monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: True)
+
+
+@pytest.mark.parametrize("block_entries", [graphs.BLOCK_ENTRIES, 40])
+def test_bitset_fill_matches_reference_bfs(block_entries, monkeypatch):
+    # 40 entries give blocks of one or two rows on every corpus graph
+    force_bitset_fill(monkeypatch)
+    monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+    for g in RANDOM_GRAPHS:
+        fresh = graphs.Graph(g.adjacency)
+        expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
+        assert fresh.distances.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 126, 127, 128, 129])
+def test_bitset_fill_at_word_and_dtype_edges(n, monkeypatch):
+    # one word per row up to 64 vertices, and an int8 table up to 126
+    force_bitset_fill(monkeypatch)
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    sparse = list(zip(perm, perm[1:])) + [tuple(rng.sample(range(n), 2)) for _ in range(n // 4)]
+    for g in (graph_from_name(f"cycle:{n}"), graph_from_edges(sparse)):
+        dist = g.distances
+        assert dist.dtype == (np.int8 if n < 127 else np.int16)
+        assert dist.tolist() == [reference_bfs(g.adjacency, v) for v in range(n)]
+
+
+def test_bitset_layout_is_little_endian_words():
+    # column j is bit j % 64 of word j // 64; columns from n up are set
+    n = 130
+    ball = graphs._unit_balls(n)
+    expected = np.zeros((n, 3), dtype=np.uint64)
+    for i in range(n):
+        expected[i, i // 64] |= np.uint64(1) << np.uint64(i % 64)
+    expected[:, 2] |= ~((np.uint64(1) << np.uint64(n - 128)) - np.uint64(1))
+    assert ball.dtype == np.dtype("<u8")
+    assert np.array_equal(ball, expected)
+    assert ball[64, 0] == 0 and ball[64, 1] == np.uint64(1)
+    bits = np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
+    assert np.array_equal(bits, np.eye(n, dtype=np.uint8))
+
+
+def fill_peak(g) -> int:
+    tracemalloc.start()
+    try:
+        g.distances
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["hypercube:10", "complete:1024"])
+def test_bitset_fill_memory_is_a_few_tables(name):
+    g = graph_from_name(name)
+    n, indptr, indices = g.vertex_count, *g.csr
+    assert graphs._bitset_fill_pays(n, len(indices), g._ecc0)
+    peak = fill_peak(g)
+    dist = g.distances
+    assert peak < 2 * dist.nbytes  # the int16 table is 2 MB
+    v = np.arange(n)
+    if name.startswith("hypercube"):
+        xor = v[:, None] ^ v[None, :]
+        expected = sum((xor >> bit) & 1 for bit in range(10))
+    else:
+        expected = 1 - np.eye(n, dtype=int)
+    assert np.array_equal(dist, expected)
+
+
+@pytest.mark.parametrize("at_clique", [True, False])
+def test_clique_with_a_long_path_keeps_the_search_per_source(at_clique, monkeypatch):
+    from scipy.sparse import csgraph
+
+    # K_30 with a 300-edge path from vertex 29: the bitset fill would
+    # take 301 levels of or-ing 6 words per arc and unpacking the table
+    clique = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+    edges = clique + [(29 + i, 30 + i) for i in range(300)]
+    if not at_clique:  # vertex 0 at the far end of the path
+        edges = [(329 - u, 329 - v) for u, v in edges]
+    g = graph_from_edges(edges)
+    assert g._ecc0 == 301
+    assert not graphs._bitset_fill_pays(g.vertex_count, len(g.csr[1]), g._ecc0)
+    searched = []
+    original = csgraph.shortest_path
+    monkeypatch.setattr(csgraph, "shortest_path", lambda *a, **k: searched.append(1) or original(*a, **k))
+    assert g.distances.tolist() == [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
+    assert searched

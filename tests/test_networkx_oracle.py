@@ -83,3 +83,28 @@ def test_witness_exactly_when_networkx_says_not_distance_regular(G):
         assert outcome.recount(g) == (outcome.first_count, outcome.second_count)
     else:
         assert nx_array(outcome) == nx.intersection_array(G)
+
+
+def random_regular_graphs():
+    for seed, (degree, n) in enumerate((d, n) for d in (3, 4, 8) for n in (16, 24, 32, 48, 64, 96)):
+        G = nx.random_regular_graph(degree, n, seed=seed)
+        if nx.is_connected(G):
+            yield G
+
+
+def test_distances_match_networkx_on_both_sides_of_the_fill_rule(monkeypatch):
+    from drgjacobi import graphs
+
+    rule = graphs._bitset_fill_pays
+    sides = set()
+    for G in random_regular_graphs():
+        n = G.number_of_nodes()
+        expected = [[d for _, d in sorted(row.items())] for _, row in sorted(nx.all_pairs_shortest_path_length(G))]
+        g = graph_from_edges(G.edges())
+        sides.add(rule(n, len(g.csr[1]), g._ecc0))
+        assert g.distances.tolist() == expected
+        for taken in (True, False):  # and each graph by the other route too
+            monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: taken)
+            assert graphs.Graph(g.adjacency).distances.tolist() == expected
+        monkeypatch.setattr(graphs, "_bitset_fill_pays", rule)
+    assert sides == {True, False}

@@ -98,6 +98,13 @@ def test_dense_eigen_rejects_asymmetric():
         dense_symmetric_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("skew", [1e-10, 1e-7])
+def test_dense_eigen_rejects_any_asymmetry(skew):
+    # within numpy's default rtol of 1e-5, and eigh would read the lower triangle alone
+    with pytest.raises(OracleError, match="matrix must be symmetric"):
+        dense_symmetric_eigen(np.array([[0.0, 1.0], [1.0 + skew, 0.0]]))
+
+
 def test_dense_size_cap():
     with pytest.raises(DenseSizeError):
         dense_symmetric_eigen(np.zeros((2001, 2001)))
