@@ -111,6 +111,10 @@ PYTHON_FILL_NS = (8_500, 212, 30)
 # complete:1024 and complete_bipartite:724 are the largest admitted.
 MAX_BUILTIN_VERTICES = 4096
 MAX_BUILTIN_EDGES = 1 << 19
+# Edge lists are admitted under the same two caps. An edge line of two
+# labels below MAX_BUILTIN_VERTICES takes at most 11 bytes with its line
+# end; the rest of this bound is room for comments and spacing.
+MAX_EDGE_LIST_BYTES = 32 * MAX_BUILTIN_EDGES
 
 
 def _row_blocks(n: int, width: int):
@@ -372,11 +376,17 @@ def graph_from_edges(edges) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
     Duplicate edges are merged. The vertex set is 0..max_index. A label
-    that is not an integer raises GraphError, as in Graph.
+    that is not an integer raises GraphError, as in Graph. So do more
+    than MAX_BUILTIN_EDGES pairs (duplicates counted), at the first pair
+    past the cap, and more than MAX_BUILTIN_VERTICES vertices, after the
+    refusal of a list too sparse to be connected and before anything is
+    allocated per vertex.
     """
     n = 0
     pairs = []
     for u, v in edges:
+        if len(pairs) == MAX_BUILTIN_EDGES:
+            raise GraphError(f"an edge list may hold at most {MAX_BUILTIN_EDGES} edges")
         if not (hasattr(u, "__index__") and hasattr(v, "__index__")):  # floats, strings
             label = v if hasattr(u, "__index__") else u
             raise GraphError(f"vertex label {label!r} is not an integer")
@@ -392,6 +402,8 @@ def graph_from_edges(edges) -> Graph:
             lists[u].append(v)
             lists[v].append(u)
         raise NotConnectedError(_component_of_zero(lists)[0])
+    if n > MAX_BUILTIN_VERTICES:
+        raise GraphError(f"an edge list may name at most {MAX_BUILTIN_VERTICES} vertices, got {n}")
     nbrs = [set() for _ in range(n)]
     for u, v in pairs:
         nbrs[u].add(v)
@@ -406,7 +418,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines are ignored and lines starting with '#' are comments.
     Raises MalformedLineError (with the 1-based line number), SelfLoopError,
-    or NotConnectedError.
+    NotConnectedError, or GraphError past graph_from_edges' caps; parsing
+    stops at the first edge past MAX_BUILTIN_EDGES.
     """
     edges = []
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -423,6 +436,8 @@ def parse_edge_list(text: str) -> Graph:
         if u < 0 or v < 0:
             raise MalformedLineError(line_no, raw)
         edges.append((u, v))
+        if len(edges) > MAX_BUILTIN_EDGES:
+            break  # one edge past the cap, which graph_from_edges refuses
     return graph_from_edges(edges)
 
 

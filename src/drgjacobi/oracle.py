@@ -28,6 +28,8 @@ from .intersection import IntersectionSequence, degree_sequence
 MAX_DENSE_VERTICES = 2000
 # Largest accepted max|M - Q L Q^T| of a dense eigendecomposition.
 RECONSTRUCTION_TOL = 1e-9
+# Largest accepted |P_k(A) sqrt(deg_k) - A_k| entry of the first-kind walk.
+BASIS_TOL = 1e-10
 
 
 class OracleError(Exception):
@@ -67,11 +69,14 @@ def dense_adjacency(g: Graph) -> np.ndarray:
 def checked_distances(g: Graph) -> np.ndarray:
     """g.distances, after the size check and a check that it is g's distance matrix.
 
-    Checks, for every column j, D_jj = 0, |D_uj - D_ij| <= 1 for every
-    u ~ i, and min_{u ~ i} D_uj = D_ij - 1 for every i != j, by a gather
-    of the rows of dist at the neighbors of i. On a connected graph the
-    three conditions (the Bellman identity) fix D. OracleError names the
-    first failing (i, j) in row-major order.
+    Checks D_jj = 0 and, for i != j, min_{u ~ i} D_uj = D_ij - 1 (the
+    Bellman identity) by one minimum over the rows of dist at the
+    neighbors of i, with D_ij - 1 in int64 so that no entry wraps. On a
+    connected graph these fix D: by induction on d(i, j), a neighbor on
+    a geodesic gives D_ij <= d(i, j); and stepping to a minimising
+    neighbor lowers D by exactly one, so, as D is bounded, the steps
+    reach j after D_ij of them, and d(i, j) <= D_ij. OracleError names
+    the first failing (i, j) in row-major order.
     """
     _check_size(g.vertex_count)
     dist = g.distances
@@ -80,15 +85,10 @@ def checked_distances(g: Graph) -> np.ndarray:
     for start, stop in _row_blocks(n, n * max(map(len, g.adjacency))):
         rows = dist[start:stop]
         lo = indptr[start]
-        gathered = dist[indices[lo : indptr[stop]]]
-        offsets = indptr[start:stop] - lo
-        nearest = np.minimum.reduceat(gathered, offsets)
-        farthest = np.maximum.reduceat(gathered, offsets)
-        lipschitz = (nearest >= rows - 1) & (farthest <= rows + 1)
-        closer = nearest == rows - 1  # at i != j; D_jj = 0 takes its place at i = j
+        nearest = np.minimum.reduceat(dist[indices[lo : indptr[stop]]], indptr[start:stop] - lo)
+        ok = nearest == np.subtract(rows, 1, dtype=np.int64)  # at i != j
         diagonal = (np.arange(stop - start), np.arange(start, stop))
-        closer[diagonal] = rows[diagonal] == 0
-        ok = lipschitz & closer
+        ok[diagonal] = rows[diagonal] == 0
         if not ok.all():
             i, j = map(int, np.argwhere(~ok)[0])
             raise OracleError(f"distance table fails the Bellman identity at ({start + i}, {j})")
@@ -142,10 +142,11 @@ def matrix_poly_firstkind(
     One walk of the recurrence serves every tau: only its last step
     reads tau, so each result is bitwise what a walk for that tau alone
     gives. En route the walk asserts P_k(A) * sqrt(deg_k) = A_k
-    entrywise, with A_k read as dist == k from checked_distances(g)
-    (within 1e-10, BasisMismatchError otherwise); A itself is built
-    from g.csr, so at k = 1 two sources are compared. A result is the
-    zero matrix exactly when tau = degree - a_d; otherwise it is
+    entrywise from k = 2, with A_k read as dist == k from
+    checked_distances(g) (within BASIS_TOL, BasisMismatchError
+    otherwise): a checked table is the identity at k = 0 and, at k = 1,
+    the adjacency of g.csr, which A is built from. A result is the zero
+    matrix exactly when tau = degree - a_d; otherwise it is
     (degree - a_d - tau) times the normalized top distance matrix.
     """
     dist = checked_distances(g)
@@ -162,15 +163,13 @@ def matrix_poly_firstkind(
         delta = poly_of_a * scale  # the one n x n float temporary per k
         np.subtract(delta, dist == k, out=delta)
         np.abs(delta, out=delta)
-        if delta.max() > 1e-10:
+        if delta.max() > BASIS_TOL:
             i, j = map(int, np.unravel_index(int(delta.argmax()), delta.shape))
             got = float(poly_of_a[i, j] * scale)
             raise BasisMismatchError(k, i, j, got, float(dist[i, j] == k))
 
     p_prev = np.eye(g.vertex_count)
-    check_basis(0, p_prev)
     p_cur = adj / off[0]
-    check_basis(1, p_cur)
     for k in range(1, seq.d):
         p_next = (adj @ p_cur - alphas[k] * p_cur - off[k - 1] * p_prev) / off[k]
         p_prev, p_cur = p_cur, p_next

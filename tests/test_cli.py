@@ -275,6 +275,7 @@ def test_malformed_file_reports_line(capsys, tmp_path):
     "source, error",
     [
         ("far.edges", "NotConnectedError"),
+        ("path4097.edges", "GraphError"),
         ("complete:100000", "GraphError"),
         ("hypercube:40", "GraphError"),
         ("complete:1025", "GraphError"),
@@ -284,8 +285,34 @@ def test_malformed_file_reports_line(capsys, tmp_path):
 def test_oversized_sources_are_error_envelopes(capsys, tmp_path, monkeypatch, source, error):
     monkeypatch.chdir(tmp_path)
     Path("far.edges").write_text("0 1\n1 99999999\n")
+    Path("path4097.edges").write_text("".join(f"{v} {v + 1}\n" for v in range(4096)))
     code, doc = run_json(capsys, ["certify", source])
     assert code == 1 and doc["payload"]["error"] == error
+
+
+def test_edge_list_files_past_the_byte_bound_are_refused_unread(capsys, tmp_path, monkeypatch):
+    from drgjacobi import graphs
+
+    path = tmp_path / "large.edges"
+    with path.open("w") as f:
+        f.truncate(graphs.MAX_EDGE_LIST_BYTES + 1)  # sparse: no data is written
+
+    def unread(self, *args, **kwargs):
+        raise AssertionError("read")
+
+    monkeypatch.setattr(Path, "read_text", unread)
+    code, doc = run_json(capsys, ["certify", str(path)])
+    assert code == 1 and doc["payload"] == {
+        "error": "GraphError",
+        "message": f"edge-list file has {graphs.MAX_EDGE_LIST_BYTES + 1} bytes, "
+                   f"at most {graphs.MAX_EDGE_LIST_BYTES}",
+    }
+    monkeypatch.undo()
+    path.write_text("0 1\n")
+    monkeypatch.setattr(graphs, "MAX_EDGE_LIST_BYTES", 4)
+    assert run_json(capsys, ["certify", str(path)])[0] == 0
+    monkeypatch.setattr(graphs, "MAX_EDGE_LIST_BYTES", 3)
+    assert run_json(capsys, ["certify", str(path)])[0] == 1
 
 
 @pytest.mark.parametrize(

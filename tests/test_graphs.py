@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -418,6 +418,57 @@ def test_oversized_input_fails_before_allocating(kind, arg):
     assert peak < 1 << 16
     if kind != "name":  # a path on 3 of the vertices
         assert err.value.component == ((0, 1, 99999999) if kind == "text" else (0, 1, arg - 1))
+
+
+def path_text(n):
+    return "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+
+
+def parse_peak(text):
+    """tracemalloc peak of parse_edge_list(text), and the GraphError it raised, if any."""
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        error = None
+    except GraphError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+def test_edge_lists_take_the_builtin_vertex_cap_before_allocating_per_vertex():
+    admitted, error = parse_peak(path_text(MAX_BUILTIN_VERTICES))
+    assert error is None
+    refused, error = parse_peak(path_text(MAX_BUILTIN_VERTICES + 1))
+    cap = MAX_BUILTIN_VERTICES
+    assert str(error) == f"an edge list may name at most {cap} vertices, got {cap + 1}"
+    # no n sets, adjacency tuples or validation arrays: those take most of the admitted peak
+    assert refused < admitted / 2
+    # 50,000 vertices would ask for a 10 GB int32 table
+    assert str(parse_peak(path_text(50_000))[1]).endswith("got 50000")
+
+
+def test_edge_lists_stop_at_the_first_edge_past_the_cap(monkeypatch):
+    from drgjacobi import graphs
+
+    monkeypatch.setattr(graphs, "MAX_BUILTIN_EDGES", 8)
+    assert parse_edge_list(path_text(9)).vertex_count == 9
+    message = "an edge list may hold at most 8 edges"
+    # the malformed tenth line is never parsed
+    with pytest.raises(GraphError, match=message):
+        parse_edge_list(path_text(10) + "oops\n")
+    consumed = []
+
+    def endless_path():
+        for v in count():
+            consumed.append(v)
+            yield v, v + 1
+
+    with pytest.raises(GraphError, match=message):
+        graph_from_edges(endless_path())
+    assert len(consumed) == 9
 
 
 def test_builtin_cap_admits_the_ladder():

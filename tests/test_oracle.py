@@ -261,6 +261,45 @@ def test_bellman_check_rejects_tampered_tables(corpus_entry, monkeypatch):
     assert count == 2 * n * n + n * (n - 1) // 2
 
 
+def fuzzed_tables(dist, rng):
+    """Tables with up to five entries set to arbitrary values, and with shifted columns.
+
+    The values include the dtype's extremes, where D_ij - 1 would wrap,
+    values near the true distances, and random ones. A column shifted by
+    a constant keeps every Bellman minimum, so only D_jj = 0 rejects it.
+    """
+    n = len(dist)
+    low, high = np.iinfo(dist.dtype).min, np.iinfo(dist.dtype).max
+    for _ in range(400):
+        table = dist.copy()
+        count = int(rng.integers(1, min(5, n * n) + 1))
+        pool = [low, high, low + 1, high - 1, -1, *range(int(dist.max()) + 3)]
+        pool += rng.integers(low, high, size=4, endpoint=True).tolist()
+        table.flat[rng.choice(n * n, size=count, replace=False)] = rng.choice(pool, size=count)
+        yield table
+    for j in range(n):
+        for shift in (-2, -1, 1, 2):
+            table = dist.copy()
+            table[:, j] += shift
+            yield table
+
+
+def test_bellman_check_rejects_multi_entry_tampering(corpus_entry, monkeypatch):
+    _, g, _ = corpus_entry
+    genuine = np.array(g.distances)
+    rejected = 0
+    for table in fuzzed_tables(genuine, np.random.default_rng(15)):
+        if np.array_equal(table, genuine):
+            continue
+        monkeypatch.setitem(g.__dict__, "distances", table)
+        with pytest.raises(OracleError, match="Bellman identity at"):
+            checked_distances(g)
+        rejected += 1
+    assert rejected >= 300 + 4 * g.vertex_count
+    monkeypatch.setitem(g.__dict__, "distances", genuine)
+    assert checked_distances(g) is genuine
+
+
 def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
     import json
 
