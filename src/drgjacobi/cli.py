@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except CliUsageError as exc:
         result = CommandResult("error", {"error": "usage", "message": str(exc)})
-        print(json.dumps(result.to_json(), indent=2))
+        _emit(json.dumps(result.to_json(), indent=2))
         return EXIT_CODES["error"]
     try:
         result = args.handler(args)
@@ -424,11 +425,20 @@ def main(argv=None) -> int:
     ) as exc:
         name = "usage" if isinstance(exc, CliUsageError) else type(exc).__name__
         result = CommandResult("error", {"error": name, "message": str(exc)})
-    if getattr(args, "pretty", False):
-        print(_pretty(result))
-    else:
-        print(json.dumps(result.to_json(), indent=2))
+    _emit(_pretty(result) if getattr(args, "pretty", False) else json.dumps(result.to_json(), indent=2))
     return EXIT_CODES[result.status]
+
+
+def _emit(text: str) -> None:
+    """Print text and flush it; a reader that has closed the pipe ends it quietly."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is flushed again at exit: point it at os.devnull, so that flush succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ The distance-k matrix A_k is the boolean array ``distances == k``.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -59,10 +60,10 @@ class MalformedLineError(GraphError):
 
 
 class NotConnectedError(GraphError):
-    def __init__(self, component: tuple[int, ...]):
-        self.component = component
+    def __init__(self, component):
+        self.component = tuple(sorted(component))
         super().__init__(
-            f"graph is not connected; one component is {list(component)}"
+            f"graph is not connected; one component is {list(self.component)}"
         )
 
 
@@ -115,6 +116,12 @@ MAX_BUILTIN_EDGES = 1 << 19
 # labels below MAX_BUILTIN_VERTICES takes at most 11 bytes with its line
 # end; the rest of this bound is room for comments and spacing.
 MAX_EDGE_LIST_BYTES = 32 * MAX_BUILTIN_EDGES
+# An edge list is split into lines a chunk of about this many characters at a
+# time: a list of a whole file's lines takes about 8 bytes per line end.
+LINE_CHUNK_CHARS = 1 << 16
+# The line ends of str.splitlines, "\r\n" being one, as a pattern compiled on
+# the first text longer than a chunk: compiling it takes about 0.7 ms.
+LINE_END_PATTERN = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
 
 
 def _row_blocks(n: int, width: int):
@@ -132,23 +139,42 @@ class Graph:
     vertex ``i``. ``csr`` holds the same lists as read-only int32 arrays
     ``(indptr, indices)``: the neighbors of ``i`` are
     ``indices[indptr[i]:indptr[i + 1]]``. The connectivity check at
-    construction searches from vertex 0 level by level and records its
-    eccentricity, which bounds the diameter for the choice of fill.
+    construction searches from vertex 0 level by level and keeps its
+    level sets, ``_levels[k]`` the set of vertices at distance k from 0.
+    Their count less one is the eccentricity of vertex 0, which bounds
+    the diameter for the choice of fill, and they give row 0 of the
+    distances without the table (``_row0``).
     """
 
     adjacency: tuple[tuple[int, ...], ...]
     csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _ecc0: int = field(init=False, repr=False, compare=False)  # eccentricity of vertex 0
+    _levels: tuple[set[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.adjacency)
         if n < 2:
             raise GraphError("a graph needs at least two vertices")
         object.__setattr__(self, "csr", _checked_csr(self.adjacency))
-        component, ecc0 = _component_of_zero(self.adjacency)
-        if len(component) < n:
-            raise NotConnectedError(component)
-        object.__setattr__(self, "_ecc0", ecc0)
+        levels = _levels_of_zero(self.adjacency)
+        if sum(map(len, levels)) < n:
+            raise NotConnectedError(chain.from_iterable(levels))
+        object.__setattr__(self, "_levels", levels)
+
+    @property
+    def _ecc0(self) -> int:
+        """The eccentricity of vertex 0."""
+        return len(self._levels) - 1
+
+    def _row0(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row 0 of the distances, and the least vertex at each distance from 0.
+
+        Both come from the level sets, so the table is not filled.
+        """
+        sizes = np.fromiter(map(len, self._levels), dtype=np.intp, count=len(self._levels))
+        order = np.fromiter(chain.from_iterable(self._levels), dtype=np.intp, count=self.vertex_count)
+        row0 = np.empty_like(order)
+        row0[order] = np.repeat(np.arange(len(sizes)), sizes)
+        return row0, np.minimum.reduceat(order, np.cumsum(sizes) - sizes)
 
     @property
     def vertex_count(self) -> int:
@@ -356,20 +382,20 @@ def _unit_balls(n: int) -> np.ndarray:
     return ball
 
 
-def _component_of_zero(nbrs) -> tuple[tuple[int, ...], int]:
-    """The sorted component of vertex 0, where nbrs[v] lists v's neighbours,
-    and the eccentricity of vertex 0 in it.
+def _levels_of_zero(nbrs) -> tuple[set[int], ...]:
+    """The sets of vertices at distance 0, 1, ... from vertex 0, where
+    nbrs[v] lists v's neighbours; their union is the component of 0.
 
     Searched level by level in set operations, in memory linear in the
     number of edges whatever the vertex count.
     """
-    seen, frontier, ecc = {0}, {0}, -1
+    seen, frontier, levels = {0}, {0}, []
     while frontier:
+        levels.append(frontier)
         frontier = set().union(*[nbrs[v] for v in frontier])
         frontier -= seen
         seen |= frontier
-        ecc += 1
-    return tuple(sorted(seen)), ecc
+    return tuple(levels)
 
 
 def graph_from_edges(edges) -> Graph:
@@ -401,7 +427,7 @@ def graph_from_edges(edges) -> Graph:
         for u, v in pairs:
             lists[u].append(v)
             lists[v].append(u)
-        raise NotConnectedError(_component_of_zero(lists)[0])
+        raise NotConnectedError(chain.from_iterable(_levels_of_zero(lists)))
     if n > MAX_BUILTIN_VERTICES:
         raise GraphError(f"an edge list may name at most {MAX_BUILTIN_VERTICES} vertices, got {n}")
     nbrs = [set() for _ in range(n)]
@@ -422,7 +448,7 @@ def parse_edge_list(text: str) -> Graph:
     stops at the first edge past MAX_BUILTIN_EDGES.
     """
     edges = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -439,6 +465,23 @@ def parse_edge_list(text: str) -> Graph:
         if len(edges) > MAX_BUILTIN_EDGES:
             break  # one edge past the cap, which graph_from_edges refuses
     return graph_from_edges(edges)
+
+
+def _lines(text: str):
+    """Yield the lines of text.splitlines(), splitting a chunk at a time.
+
+    Each chunk ends just after the first line end at least LINE_CHUNK_CHARS
+    characters past its start, and never between "\r" and "\n".
+    """
+    start = 0
+    while start < len(text):
+        bound = start + LINE_CHUNK_CHARS
+        match = bound < len(text) and re.compile(LINE_END_PATTERN).search(text, bound)
+        stop = match.end() if match else len(text)
+        if text.startswith("\r\n", stop - 1):
+            stop += 1
+        yield from text[start:stop].splitlines()
+        start = stop
 
 
 def _closed_form(n: int, nbrs) -> Graph:

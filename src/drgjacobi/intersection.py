@@ -10,7 +10,8 @@ drift. Certification and the recurrence check read the same per-pair
 neighbour counts from one helper, ``_neighbour_counts``: products of
 the graph's one cached ``Graph.adjacency_operator`` with row blocks of
 ``Graph.distances`` (a numpy gather below ``SCIPY_MIN_VERTICES``
-vertices).
+vertices). Certification first checks the pairs (0, j) from row 0 alone,
+which vertex 0's level sets give without the table.
 """
 
 from __future__ import annotations
@@ -187,6 +188,17 @@ def certify_distance_regular(g: Graph):
     row-major order of the distance array; the witness is the first pair
     in that order whose a count, then b count, differs from the
     reference's.
+
+    The counts of the pairs (0, j) read only row 0 of the distances,
+    which the level sets kept at construction give (``Graph._row0``), so
+    row 0 is checked first and the table is filled only when row 0 holds
+    no witness. Every distance that occurs first occurs in row 0, so the
+    reference pairs of row 0's distances lie in row 0, and row 0's first
+    mismatch is the whole loop's witness. Vertex-transitive graphs that
+    are not distance-regular, such as prisms, tori and circulants, always
+    have it there. Otherwise the loop over the table's row blocks starts
+    from row 0's reference pairs, and looks for first occurrences only in
+    a block that meets a distance beyond the eccentricity of vertex 0.
     """
     n = g.vertex_count
     degree = g.degree(0)
@@ -194,31 +206,48 @@ def certify_distance_regular(g: Graph):
         if len(nbrs) != degree:
             return NonRegularityWitness("NotRegular", 0, "b", (0, 0), degree, (v, v), len(nbrs))
 
+    # A pair's code is a + (degree + 1) b, from its counts a = closer and b = farther.
+    row0, firsts = g._row0()
+    step = row0[g.csr[1]].reshape(n, degree) - row0[:, None]  # d(0, u) - d(0, j) at [j, u]
+    code = np.array([0, degree + 1, 1])[step].sum(axis=1)  # indexed by -1, 0 and 1
+    ref = code[firsts]  # of the first pair at each distance from 0
+    bad = np.flatnonzero(code != ref[row0])
+    if bad.size:
+        j = int(bad[0])
+        k = int(row0[j])
+        return _witness(degree, k, (0, int(firsts[k])), ref[k], (0, j), code[j])
+
+    # Row 0 holds the reference pairs of distances 0..ecc(0); those of the
+    # larger distances are the first occurrences in the block that meets them.
+    d = len(firsts) - 1
     dist = g.distances
-    ref = np.full(n + 1, -1)  # code of the first pair at distance k
-    ref_at = np.zeros(n + 1, dtype=np.int64)  # and its row-major index
+    ref = np.concatenate((ref, np.full(n - d, -1)))  # code of the first pair at distance k
+    ref_at = np.concatenate((firsts, np.zeros(n - d, dtype=firsts.dtype)))  # and its row-major index
     for start, stop, closer, _, farther in _neighbour_counts(g):
-        # A pair's code is a + (degree + 1) b, from its counts a = closer and b = farther.
         code = (closer + (degree + 1) * farther).ravel()
         k = dist[start:stop].ravel()
-        ks, first = np.unique(k, return_index=True)
-        fresh = ref[ks] < 0
-        ref[ks[fresh]] = code[first[fresh]]
-        ref_at[ks[fresh]] = first[fresh] + start * n
         bad = np.flatnonzero(code != ref[k])
+        if bad.size and ref[k[bad[0]]] < 0:  # a distance first met in this block
+            ks, first = np.unique(k, return_index=True)
+            fresh = ref[ks] < 0
+            ref[ks[fresh]] = code[first[fresh]]
+            ref_at[ks[fresh]] = first[fresh] + start * n
+            d = int(ks[-1])
+            bad = np.flatnonzero(code != ref[k])
         if bad.size:
             x = int(bad[0])
             kx = int(k[x])
-            (b1, a1), (b2, a2) = (divmod(int(c), degree + 1) for c in (ref[kx], code[x]))
-            col, c1, c2 = ("a", a1, a2) if a1 != a2 else ("b", b1, b2)
-            return NonRegularityWitness(
-                "NotDistanceRegular", kx, col,
-                divmod(int(ref_at[kx]), n), c1, divmod(start * n + x, n), c2,
-            )
+            return _witness(degree, kx, divmod(int(ref_at[kx]), n), ref[kx], divmod(start * n + x, n), code[x])
 
-    d = int(dist.max())
     b, a = np.divmod(ref[1 : d + 1], degree + 1)
     return IntersectionSequence(tuple(a.tolist()), (degree,) + tuple(b[:-1].tolist()))
+
+
+def _witness(degree, k, first_pair, first_code, second_pair, second_code) -> NonRegularityWitness:
+    """The witness of two pairs at distance k whose codes differ, from the codes."""
+    (b1, a1), (b2, a2) = (divmod(int(c), degree + 1) for c in (first_code, second_code))
+    col, c1, c2 = ("a", a1, a2) if a1 != a2 else ("b", b1, b2)
+    return NonRegularityWitness("NotDistanceRegular", k, col, first_pair, c1, second_pair, c2)
 
 
 def degree_sequence(seq: IntersectionSequence) -> list[int]:

@@ -747,3 +747,30 @@ def test_in_process_calls_match_a_fresh_interpreter(capsys):
                                env=env, capture_output=True, text=True)
         assert fresh.stderr == ""
         assert run(capsys, argv) == (fresh.returncode, fresh.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "cycle:12"], 0),
+        (["jacobi", "--family", "tree:3", "--size", "4000"], 0),  # 148 kB, beyond a pipe's buffer
+        (["certify", "petersen", "--pretty"], 1),  # a usage error
+    ],
+)
+def test_a_reader_that_closes_the_pipe_ends_the_output_quietly(argv, code):
+    import os
+    import subprocess
+    import sys
+
+    import drgjacobi
+
+    src = str(Path(drgjacobi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "drgjacobi.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == code
+    assert stderr == b""

@@ -126,6 +126,27 @@ def random_graphs(count, seed):
 RANDOM_GRAPHS = random_graphs(1050, seed=20261017)
 
 
+def cubic_graphs(count, seed):
+    """Connected simple 3-regular graphs on 10 vertices, by the pairing model."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        points = [v for v in range(10) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(pair)) for pair in zip(points[::2], points[1::2])}
+        if len(edges) < 15:  # a repeated pair
+            continue
+        try:
+            out.append(graph_from_edges(sorted(edges)))
+        except GraphError:  # a loop, or a disconnected pairing
+            continue
+    return out
+
+
+# Witnesses of the random corpus all lie in row 0; some of these lie beyond it.
+CUBIC_GRAPHS = cubic_graphs(300, seed=20261019)
+
+
 def test_random_corpus_covers_every_outcome():
     kinds = [reference_certify(g).get("kind", "certificate") for g in RANDOM_GRAPHS]
     for kind in ("NotRegular", "NotDistanceRegular", "certificate"):
@@ -136,9 +157,14 @@ def test_random_corpus_covers_every_outcome():
 def test_certify_matches_reference_loop(block_entries, monkeypatch):
     # 1 and 40 split every graph into many row blocks
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
-    sample = RANDOM_GRAPHS if block_entries == graphs.BLOCK_ENTRIES else RANDOM_GRAPHS[::7]
-    for g in sample:
-        assert certify_distance_regular(g).to_json() == reference_certify(g)
+    beyond_row_0 = Counter()
+    for g in RANDOM_GRAPHS + CUBIC_GRAPHS:
+        outcome = certify_distance_regular(g).to_json()
+        assert outcome == reference_certify(g)
+        if outcome.get("kind") == "NotDistanceRegular":
+            beyond_row_0[outcome["second_pair"][0] > 0] += 1
+    # witnesses from the row-0 pass, and from the block loop over the table
+    assert beyond_row_0[False] >= 100 and beyond_row_0[True] >= 1
 
 
 @pytest.mark.parametrize("block_entries", [graphs.BLOCK_ENTRIES, 1, 40])
@@ -170,7 +196,7 @@ def test_sparse_product_path_matches_references(block_entries, monkeypatch):
     monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", 2)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     tried = 0
-    for g in RANDOM_GRAPHS[::5]:
+    for g in (RANDOM_GRAPHS + CUBIC_GRAPHS)[::5]:
         outcome = certify_distance_regular(g)
         assert outcome.to_json() == reference_certify(g)
         if isinstance(outcome, intersection.IntersectionSequence):
@@ -235,6 +261,37 @@ def test_every_fill_route_matches_reference_bfs_on_ladder(name, monkeypatch):
         monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: bitset)
         monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
         assert graphs.Graph(g.adjacency).distances.tolist() == expected
+
+
+def test_row_0_witness_leaves_the_table_unfilled():
+    perm = random.Random(400).sample(range(800), 800)
+    prism = [(perm[u], perm[v]) for u, v in prism_edges(400)]
+    # the Möbius–Kantor graph, LCF [5, -5]^8
+    mobius_kantor = [(i, (i + 1) % 16) for i in range(16)] + [(i, (i + 5) % 16) for i in range(0, 16, 2)]
+    for edges in (prism, mobius_kantor):
+        g = graph_from_edges(edges)
+        witness = certify_distance_regular(g)
+        assert witness.kind == "NotDistanceRegular"
+        assert witness.first_pair[0] == witness.second_pair[0] == 0
+        assert "distances" not in g.__dict__
+        assert witness.recount(g) == (witness.first_count, witness.second_count)
+
+
+def test_networkx_cubic_witness_beyond_row_0_fills_the_table():
+    nx = pytest.importorskip("networkx")
+    for seed in range(500):
+        edges = list(nx.random_regular_graph(3, 10, seed=seed).edges())
+        try:
+            expected = reference_certify(graph_from_edges(edges))
+        except GraphError:  # disconnected
+            continue
+        if expected.get("second_pair", [0])[0] > 0:
+            break
+    else:
+        pytest.fail("no seeded cubic graph has its witness beyond row 0")
+    g = graph_from_edges(edges)
+    assert certify_distance_regular(g).to_json() == expected
+    assert "distances" in g.__dict__
 
 
 def test_verify_fills_each_table_once(monkeypatch, capsys):

@@ -65,6 +65,14 @@ def test_parse_not_connected():
     assert err.value.component == (0, 1)
 
 
+def test_not_connected_message_lists_the_sorted_component():
+    for build in (lambda: Graph(((2,), (3,), (0,), (1,))), lambda: graph_from_edges([(0, 2), (3, 1)])):
+        with pytest.raises(NotConnectedError) as err:
+            build()
+        assert err.value.component == (0, 2)
+        assert str(err.value) == "graph is not connected; one component is [0, 2]"
+
+
 def test_parse_kneser_petersen():
     g = parse_edge_list(kneser_petersen_text())
     assert g.vertex_count == 10
@@ -469,6 +477,54 @@ def test_edge_lists_stop_at_the_first_edge_past_the_cap(monkeypatch):
     with pytest.raises(GraphError, match=message):
         graph_from_edges(endless_path())
     assert len(consumed) == 9
+
+
+# The line ends of str.splitlines, and "\r\n".
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", LINE_ENDS, ids=repr)
+def test_blank_edge_lists_are_split_in_bounded_memory(end):
+    from drgjacobi import graphs
+
+    text = end * ((2 << 20) // len(end))  # 2 Mi characters
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in graphs._lines(text)) == len(text) // len(end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # a list of all 2 Mi lines takes 16 MB
+    if end == "\n":  # and the whole parse, which is 30x slower under tracemalloc
+        peak, error = parse_peak(text)
+        assert str(error) == "a graph needs at least two vertices"
+        assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_chunked_lines_match_splitlines(chunk, monkeypatch):
+    from drgjacobi import graphs
+
+    monkeypatch.setattr(graphs, "LINE_CHUNK_CHARS", chunk)
+    rng = random.Random(chunk)
+    for _ in range(500):
+        # each line is one of these, so only "x" is malformed
+        contents = (rng.choice(["0 1", "# 2 3", " ", "", "x"]) for _ in range(rng.randint(0, 20)))
+        text = "".join(line + rng.choice(LINE_ENDS) for line in contents)
+        if rng.random() < 0.5:  # no line end after the last line
+            text = text.rstrip("".join(LINE_ENDS))
+        lines = text.splitlines()
+        assert list(graphs._lines(text)) == lines
+        bad = next((i for i, line in enumerate(lines, 1) if line == "x"), None)
+        if bad is not None:
+            with pytest.raises(MalformedLineError) as err:
+                parse_edge_list(text)
+            assert (err.value.line_no, err.value.line) == (bad, "x")
+    # the first chunk's search meets the "\r" of a "\r\n", whose "\n" ends the chunk
+    text = "0 1\r\n1 2\r\nx\r\n"
+    assert list(graphs._lines(text)) == ["0 1", "1 2", "x"]
+    with pytest.raises(MalformedLineError, match="line 3"):
+        parse_edge_list(text)
 
 
 def test_builtin_cap_admits_the_ladder():
