@@ -1,17 +1,15 @@
 """Brute-force dense reference implementations used for cross-checking.
 
-Everything here is deliberately independent of the tridiagonal Sturm
-machinery: LAPACK's dense symmetric solvers (numpy.linalg.eigh and
-eigvalsh) run on the adjacency matrix built from Graph.csr. Distances
-come from one table, Graph.distances, returned by checked_distances only
-after a check that shares no code with the BFS that filled it: the
-Bellman identity, which on a connected graph holds for the distance
-matrix alone. Each A_k is read off it as dist == k, one k at a time.
-Agreement with the main code paths is therefore evidence, not
-tautology. verify solves A once: when the walk here has shown
-A_k = p_k(A), each norm(A_k) is max |p_k| over that spectrum, and
-operator_norm stays the per-matrix reference of the tests. Dense paths
-are desk-scale only and refuse graphs beyond 2000 vertices.
+Everything here is deliberately independent of the tridiagonal Sturm machinery.
+LAPACK (numpy.linalg.eigvalsh) finds the eigenvalues alone of the adjacency
+matrix built from Graph.csr, held to two trace identities. Distances come from
+one table, Graph.distances, returned by checked_distances only after a check
+that shares no code with the BFS that filled it: the Bellman identity, which on
+a connected graph holds for the distance matrix alone. Each A_k is read off it
+as dist == k, one k at a time. Agreement with the main code paths is therefore
+evidence, not tautology. verify solves A once: given the walk's A_k = p_k(A),
+each norm(A_k) is max |p_k| over that spectrum; operator_norm is the tests'
+per-matrix reference. Dense paths are desk-scale only (<= 2000 vertices).
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from .graphs import Graph, _row_blocks
 from .intersection import IntersectionSequence, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
-# Largest accepted max|M - Q L Q^T| of a dense eigendecomposition.
-RECONSTRUCTION_TOL = 1e-9
 # Largest accepted |P_k(A) sqrt(deg_k) - A_k| entry of the first-kind walk.
 BASIS_TOL = 1e-10
 
@@ -96,12 +92,14 @@ def checked_distances(g: Graph) -> np.ndarray:
 
 
 def _symmetric(M: np.ndarray) -> np.ndarray:
-    """Float copy of M after the squareness, symmetry and size checks."""
+    """Float copy of M after the squareness, finiteness, symmetry and size checks."""
     a = np.array(M, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise OracleError("matrix must be square")
-    if not np.array_equal(a, a.T):  # exact: eigh reads one triangle only
+    if not np.isfinite(a).all():
+        raise OracleError("matrix entries must be finite")
+    if not np.array_equal(a, a.T):  # exact: eigvalsh reads one triangle only
         raise OracleError("matrix must be symmetric")
     _check_size(n)
     return a
@@ -109,29 +107,31 @@ def _symmetric(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Sorted eigenvalues, clustered multiplicities, orthonormal basis."""
+    """Sorted eigenvalues and their clustered multiplicities."""
 
     eigenvalues: np.ndarray
     clusters: tuple[tuple[float, int], ...]
-    basis: np.ndarray
 
 
 def dense_symmetric_eigen(M: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
+    """Eigenvalues of symmetric M by LAPACK (numpy.linalg.eigvalsh), checked and clustered.
 
-    The reconstruction residual max|M - Q L Q^T| must come out below
-    RECONSTRUCTION_TOL (OracleError otherwise). Multiplicities are assigned by
-    clustering the sorted eigenvalues with gap 1e-6 * max|eigenvalue|.
+    LAPACK's theta are exact for M + E, ||E||_2 <= p(n) eps ||M||_2, so sum(theta^k) misses tr M
+    (k = 1) and ||M||_F^2 (k = 2) by about k n p(n) eps r^k at most, r = max row sum |M| >= ||M||_2.
+    A miss beyond 8 n eps r^k (8 for 2 p(n); misses on the test corpus and dense ladder peak at
+    1.6 n eps r^k), or NaN, raises OracleError. Multiplicities cluster at gap 1e-6 * max|theta|.
     """
     a = _symmetric(M)
-    values, q = np.linalg.eigh(a)
-    residual = float(np.abs(a - (q * values) @ q.T).max())
-    if residual >= RECONSTRUCTION_TOL:
-        raise OracleError(f"reconstruction residual {residual:.3e} >= {RECONSTRUCTION_TOL:.3e}")
+    values = np.linalg.eigvalsh(a)
+    unit, r = 8 * len(a) * np.finfo(float).eps, float(np.abs(a).sum(axis=1).max())
+    for k, rhs, exact in ((1, "tr M", a.trace()), (2, "||M||_F^2", (a * a).sum())):
+        miss, bound = abs(float((values**k).sum() - exact)), unit * r**k
+        if not miss <= bound:  # a NaN fails too
+            raise OracleError(f"sum(theta^{k}) = {rhs} misses by {miss:.3e} > {bound:.3e}")
 
     gap = 1e-6 * max(1.0, float(np.abs(values).max()))
     blocks = np.split(values, np.flatnonzero(np.diff(values) > gap) + 1)
-    return EigenDecomposition(values, tuple((float(b.mean()), len(b)) for b in blocks), q)
+    return EigenDecomposition(values, tuple((float(b.mean()), len(b)) for b in blocks))
 
 
 def matrix_poly_firstkind(

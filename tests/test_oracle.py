@@ -58,10 +58,20 @@ def test_distance_rows_orthogonal(corpus_entry):
             assert int((mk * mats[r]).sum()) == 0  # <A_k e_i, A_r e_i> = 0
 
 
+def trace_bound(m):
+    """dense_symmetric_eigen's bound on sum(theta) = tr M: 8 n eps max_i sum_j |M_ij|."""
+    return 8 * len(m) * np.finfo(float).eps * np.abs(m).sum(axis=1).max()
+
+
+def assert_matches_eigh(m):
+    dec = dense_symmetric_eigen(m)
+    assert np.abs(dec.eigenvalues - np.linalg.eigh(m)[0]).max() <= trace_bound(m)
+    return dec
+
+
 def test_dense_eigen_identity():
-    dec = dense_symmetric_eigen(np.eye(3))
+    dec = assert_matches_eigh(np.eye(3))
     assert dec.clusters == ((1.0, 3),)
-    assert np.allclose(dec.basis @ dec.basis.T, np.eye(3), atol=1e-12)
 
 
 def test_dense_adjacency_is_float64():
@@ -85,12 +95,41 @@ def test_dense_eigen_complete4():
     assert dec.clusters[1][1] == 1
 
 
-def test_dense_eigen_reconstruction(corpus_entry):
+def test_dense_eigen_matches_eigh(corpus_entry):
     _, g, _ = corpus_entry
-    m = dense_adjacency(g).astype(float)
-    dec = dense_symmetric_eigen(m)
-    rebuilt = (dec.basis * dec.eigenvalues) @ dec.basis.T
-    assert np.abs(m - rebuilt).max() < 1e-9
+    assert_matches_eigh(dense_adjacency(g))
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+def test_dense_eigen_scales_with_the_matrix(scale):
+    # the bound scales with M, so large and small entries pass alike
+    dec = assert_matches_eigh(dense_adjacency(graph_from_name("petersen")) * scale)
+    assert [m for _, m in dec.clusters] == [4, 5, 1]
+    assert [v for v, _ in dec.clusters] == pytest.approx([-2 * scale, scale, 3 * scale], rel=1e-12)
+
+
+@pytest.mark.parametrize("name, clusters", [
+    ("cycle:2000", 1001),
+    ("hypercube:10", 11),
+    ("complete:1000", 2),
+])
+def test_dense_eigen_trace_identities_hold_on_the_ladder(name, clusters):
+    dec = dense_symmetric_eigen(dense_adjacency(graph_from_name(name)))
+    assert len(dec.clusters) == clusters
+
+
+# an infinite pair, a NaN on the diagonal, and a non-finite entry of an asymmetric matrix
+NON_FINITE = [
+    [[0.0, np.inf], [np.inf, 0.0]],
+    [[np.nan, 1.0], [1.0, 0.0]],
+    [[0.0, -np.inf], [1.0, 0.0]],
+]
+
+
+@pytest.mark.parametrize("m", NON_FINITE)
+def test_dense_eigen_rejects_non_finite(m):
+    with pytest.raises(OracleError, match="matrix entries must be finite"):
+        dense_symmetric_eigen(np.array(m))
 
 
 def test_dense_eigen_rejects_asymmetric():
@@ -394,7 +433,7 @@ def test_verify_makes_one_dense_eigensolve_per_input(monkeypatch, capsys):
     assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
     capsys.readouterr()
     # the spectrum of A serves oracle_spectrum and every norm(A_k) of norm_bound
-    assert sorted(calls) == [("eigh", 6), ("eigh", 8), ("eigh", 10)]
+    assert sorted(calls) == [("eigvalsh", 6), ("eigvalsh", 8), ("eigvalsh", 10)]
 
 
 def mapped_norms(g, seq):
@@ -472,7 +511,34 @@ def test_operator_norm_rejects_asymmetric():
         operator_norm(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_dense_eigen_residual_failure_is_oracle_error(monkeypatch):
-    monkeypatch.setattr(oracle, "RECONSTRUCTION_TOL", 0.0)
-    with pytest.raises(OracleError, match="residual"):
+@pytest.mark.parametrize("moves, identity", [
+    ({0: 1.0}, r"sum\(theta\^1\) = tr M"),
+    ({9: -1.0}, r"sum\(theta\^1\) = tr M"),
+    ({0: -1.0, 9: 1.0}, r"sum\(theta\^2\) = \|\|M\|\|_F\^2"),  # the sum still holds
+], ids=["lowest", "highest", "both"])
+def test_dense_eigen_moved_eigenvalue_is_oracle_error(monkeypatch, moves, identity):
+    m = dense_adjacency(graph_from_name("petersen"))
+    original = np.linalg.eigvalsh
+
+    def moved(a):
+        values = original(a)
+        for i, sign in moves.items():
+            values[i] += sign * 1e-6 * np.linalg.norm(m)
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(OracleError, match=identity + " misses by"):
+        dense_symmetric_eigen(m)
+
+
+def test_dense_eigen_nan_eigenvalue_is_oracle_error(monkeypatch):
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: original(a) * np.nan)
+    with pytest.raises(OracleError, match="misses by nan"):
         dense_symmetric_eigen(np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("m", NON_FINITE)
+def test_operator_norm_rejects_non_finite(m):
+    with pytest.raises(OracleError, match="matrix entries must be finite"):
+        operator_norm(np.array(m))
