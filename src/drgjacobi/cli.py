@@ -30,7 +30,6 @@ from .intersection import (
     degree_sequence,
     parse_pairs,
     sequence_from_pairs,
-    verify_recurrence,
 )
 from .jacobi import JacobiError
 
@@ -171,29 +170,25 @@ def _verify_one(source: str) -> dict:
     if witness:
         return report
 
-    # The recurrence check reads certification's counts, through the same
-    # intersection._neighbour_counts, so once certification succeeds it
-    # cannot fail; the dense walk below is the independent check of it.
-    rec = verify_recurrence(g, seq)
-    check("recurrence", rec.ok, "exact" if rec.ok else {"mismatch": list(rec.mismatch)})
-
-    tau_star = float(jacobi.canonical_tau(seq))
+    # One exact pass, apart from certification's counts: its equations below d are the
+    # basis identity, and, given that, P^tau_{d+1}(A) sqrt(deg_d) = head - tau A_d.
+    adj = oracle.dense_adjacency(g)
+    mismatch, basis_error, head = oracle.recurrence_pass(g, seq, adj)
+    check("recurrence", mismatch is None,
+          "exact" if mismatch is None else {"mismatch": list(mismatch)})
     degs = degree_sequence(seq)
-    dist = g.distances  # the walk Bellman-checks it before any read below
-    basis_ok = True
-    try:
-        at_star, shifted = oracle.matrix_poly_firstkind(g, seq, (tau_star, tau_star + 1.0))
-        residual = float(np.abs(at_star).max())
-        check("basis_identity", True, f"within {oracle.BASIS_TOL:g}")
-        check("minimal_polynomial", residual < 1e-8, {"max_entry": residual})
-        shift_residual = float(np.abs(shifted + (dist == seq.d) / np.sqrt(degs[-1])).max())
-        check("minimal_polynomial_shifted", shift_residual < 1e-8,
+    if basis_error is None:
+        check("basis_identity", True, "exact")
+        top, scale = g.distances == seq.d, math.sqrt(degs[-1])
+        residual = float(np.abs(head - seq.tau_star * top).max()) / scale
+        check("minimal_polynomial", residual == 0, {"max_entry": residual})
+        shift_residual = float(np.abs(head - (seq.tau_star + 1) * top + top).max()) / scale
+        check("minimal_polynomial_shifted", shift_residual == 0,
               {"max_entry_vs_predicted": shift_residual})
-    except oracle.BasisMismatchError as exc:
-        basis_ok = False
-        check("basis_identity", False, str(exc))
+    else:
+        check("basis_identity", False, str(basis_error))
 
-    dense = oracle.dense_symmetric_eigen(oracle.dense_adjacency(g))
+    dense = oracle.dense_symmetric_eigen(adj)
     try:
         measure = jacobi.spectral_measure(seq, vertex_count=g.vertex_count)
     except JacobiError as exc:
@@ -210,6 +205,7 @@ def _verify_one(source: str) -> dict:
 
     # Given the basis identity A_k = p_k(A), spec(A_k) is p_k of the dense spectrum.
     polys = _distance_polys(seq, dense.eigenvalues)
+    basis_ok = basis_error is None
     norm_ok = basis_ok and all(np.abs(p).max() <= deg + 1e-8 for p, deg in zip(polys, degs))
     check("norm_bound", norm_ok, "norm(A_k) <= deg(A_k)" if basis_ok else "needs basis_identity")
     return report

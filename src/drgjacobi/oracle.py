@@ -1,15 +1,14 @@
 """Brute-force dense reference implementations used for cross-checking.
 
-Everything here is deliberately independent of the tridiagonal Sturm machinery.
-LAPACK (numpy.linalg.eigvalsh) finds the eigenvalues alone of the adjacency
-matrix built from Graph.csr, held to two trace identities. Distances come from
-one table, Graph.distances, returned by checked_distances only after a check
-that shares no code with the BFS that filled it: the Bellman identity, which on
-a connected graph holds for the distance matrix alone. Each A_k is read off it
-as dist == k, one k at a time. Agreement with the main code paths is therefore
-evidence, not tautology. verify solves A once: given the walk's A_k = p_k(A),
-each norm(A_k) is max |p_k| over that spectrum; operator_norm is the tests'
-per-matrix reference. Dense paths are desk-scale only (<= 2000 vertices).
+Everything here is deliberately independent of the tridiagonal Sturm machinery and
+of certification's neighbour counts. LAPACK (numpy.linalg.eigvalsh) finds the
+eigenvalues alone of the adjacency matrix A, built from Graph.csr, held to two trace
+identities. checked_distances returns the one table, Graph.distances, only after a
+check that shares no code with the BFS that filled it: the Bellman identity, which on
+a connected graph holds for the distance matrix alone. recurrence_pass checks on it,
+exactly, the distance recurrence and so A_k = p_k(A), with A_k = (dist == k) one k at
+a time; verify then reads each norm(A_k) as max |p_k| over A's spectrum. operator_norm
+is the tests' per-matrix reference. Dense paths are desk-scale only (<= 2000 vertices).
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .graphs import Graph, _row_blocks
 from .intersection import IntersectionSequence, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
-# Largest accepted |P_k(A) sqrt(deg_k) - A_k| entry of the first-kind walk.
-BASIS_TOL = 1e-10
 
 
 class OracleError(Exception):
@@ -134,49 +131,55 @@ def dense_symmetric_eigen(M: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, tuple((float(b.mean()), len(b)) for b in blocks))
 
 
+def recurrence_pass(g: Graph, seq: IntersectionSequence, adj: np.ndarray):
+    """Check A A_k = a_{k+1} A_{k+1} + alpha_k A_k + b_k A_{k-1} exactly, k = 0..d.
+
+    verify_recurrence's equations, by code sharing nothing with it: A_k is dist == k
+    on checked_distances(g), the left side its float64 product with adj =
+    dense_adjacency(g), exact as its entries are counts below n. As a checked table
+    is I at k = 0 and A at k = 1, equations 0..k hold iff A_m = p_m(A) for m <= k + 1.
+
+    Returns (mismatch, basis_error, head): the first failing (k, i, j, lhs, rhs), by
+    k then row-major, or None; when that k is below d, the pass stops there, head is
+    None and basis_error is the identity's failure at k + 1, at the first largest
+    |lhs - rhs|, its value rounded once. Otherwise head = A A_d - b_d A_{d-1}, and
+    P^tau_{d+1}(A) sqrt(deg_d) = head - tau A_d.
+    """
+    dist = checked_distances(g)
+    n, d = len(dist), seq.d
+    lower, upper, mismatch = (0, *seq.b), (*seq.a, 0), None  # b_k and a_{k+1}, 0 beyond 1..d
+    for k in range(d + 1):
+        lhs = adj @ (dist == k) if k else adj  # A A_0 = A
+        coef = np.zeros(max(n, d + 2) + 1)  # by distance, which stays below n; b_0 goes last
+        coef[[k - 1, k, k + 1]] = lower[k], seq.alphas[k], upper[k]
+        rhs = coef[dist]
+        if (bad := lhs != rhs).any():
+            i, j = divmod(int(np.flatnonzero(bad)[0]), n)
+            mismatch = (k, i, j, int(lhs[i, j]), int(rhs[i, j]))
+            if k < d:
+                i, j = divmod(int(np.abs(lhs - rhs).argmax()), n)
+                expected = int(dist[i, j] == k + 1)
+                got = (int(lhs[i, j]) - int(rhs[i, j]) + upper[k] * expected) / upper[k]
+                return mismatch, BasisMismatchError(k + 1, i, j, got, float(expected)), None
+    return mismatch, None, lhs - lower[d] * (dist == d - 1)
+
+
 def matrix_poly_firstkind(
     g: Graph, seq: IntersectionSequence, taus: Sequence[float]
 ) -> list[np.ndarray]:
     """Evaluate P_{n+1}^(tau) at the dense adjacency matrix, for each tau.
 
-    One walk of the recurrence serves every tau: only its last step
-    reads tau, so each result is bitwise what a walk for that tau alone
-    gives. En route the walk asserts P_k(A) * sqrt(deg_k) = A_k
-    entrywise from k = 2, with A_k read as dist == k from
-    checked_distances(g) (within BASIS_TOL, BasisMismatchError
-    otherwise): a checked table is the identity at k = 0 and, at k = 1,
-    the adjacency of g.csr, which A is built from. A result is the zero
-    matrix exactly when tau = degree - a_d; otherwise it is
-    (degree - a_d - tau) times the normalized top distance matrix.
+    Each result is recurrence_pass's (head - tau A_d) / sqrt(deg_d), bitwise the
+    same whatever the other taus, and the pass's BasisMismatchError is raised.
+    When equation d holds, a result is (degree - a_d - tau) A_d / sqrt(deg_d).
     """
-    dist = checked_distances(g)
-    diam = int(dist.max())
-    if diam != seq.d:
+    _, basis_error, head = recurrence_pass(g, seq, dense_adjacency(g))
+    if (diam := int(g.distances.max())) != seq.d:
         raise OracleError(f"sequence diameter {seq.d} does not match graph diameter {diam}")
-    adj = dense_adjacency(g)
-    off = [math.sqrt(a * b) for a, b in zip(seq.a, seq.b)]
-    degrees = degree_sequence(seq)
-    alphas = seq.alphas
-
-    def check_basis(k: int, poly_of_a: np.ndarray):
-        scale = math.sqrt(degrees[k])
-        delta = poly_of_a * scale  # the one n x n float temporary per k
-        np.subtract(delta, dist == k, out=delta)
-        np.abs(delta, out=delta)
-        if delta.max() > BASIS_TOL:
-            i, j = map(int, np.unravel_index(int(delta.argmax()), delta.shape))
-            got = float(poly_of_a[i, j] * scale)
-            raise BasisMismatchError(k, i, j, got, float(dist[i, j] == k))
-
-    p_prev = np.eye(g.vertex_count)
-    p_cur = adj / off[0]
-    for k in range(1, seq.d):
-        p_next = (adj @ p_cur - alphas[k] * p_cur - off[k - 1] * p_prev) / off[k]
-        p_prev, p_cur = p_cur, p_next
-        check_basis(k + 1, p_cur)
-    head = adj @ p_cur
-    tail = off[seq.d - 1] * p_prev
-    return [head - tau * p_cur - tail for tau in taus]
+    if basis_error is not None:
+        raise basis_error
+    top = g.distances == seq.d
+    return [(head - tau * top) / math.sqrt(degree_sequence(seq)[-1]) for tau in taus]
 
 
 def operator_norm(M: np.ndarray) -> float:

@@ -211,6 +211,51 @@ def test_sparse_product_path_matches_references(block_entries, monkeypatch):
     assert tried >= 50
 
 
+def reference_basis_entry(g, seq, k):
+    """BasisMismatchError arguments when equation k fails, in exact integers.
+
+    The largest |P_{k+1}(A) sqrt(deg_{k+1}) - A_{k+1}| entry, first in row-major order.
+    """
+    dist = np.array([reference_bfs(g.adjacency, v) for v in range(g.vertex_count)])
+    mats = [(dist == m).astype(np.int64) for m in range(k + 2)]
+    rest = mats[1] @ mats[k] - seq.alphas[k] * mats[k] - (seq.b[k - 1] * mats[k - 1] if k else 0)
+    miss = rest - seq.a[k] * mats[k + 1]  # a_{k+1} (P_{k+1}(A) sqrt(deg_{k+1}) - A_{k+1})
+    i, j = map(int, np.unravel_index(int(np.abs(miss).argmax()), miss.shape))
+    return k + 1, i, j, int(rest[i, j]) / seq.a[k], float(mats[k + 1][i, j])
+
+
+def test_oracle_recurrence_pass_matches_dense_reference():
+    from drgjacobi import oracle
+
+    tried, below_d = 0, 0
+    for g in RANDOM_GRAPHS[:300] + CUBIC_GRAPHS:
+        outcome = certify_distance_regular(g)
+        if not isinstance(outcome, intersection.IntersectionSequence):
+            continue
+        pairs = list(zip(outcome.a, outcome.b))
+        # one pair moved by up to 2 each way: a move of both a and b can fail two terms of one
+        # equation by different amounts, so its first and its largest miss differ
+        moved = [pairs[:m] + [(a + da, b + db)] + pairs[m + 1:] for m, (a, b) in enumerate(pairs)
+                 for da in range(-2, 3) for db in range(-2, 3) if da or db]
+        for variant in [pairs, pairs + [(pairs[-1][0], 1)], pairs[:-1] or pairs] + moved:
+            try:
+                seq = sequence_from_pairs(variant)
+            except intersection.SequenceError:
+                continue
+            tried += 1
+            mismatch, basis_error, head = oracle.recurrence_pass(g, seq, oracle.dense_adjacency(g))
+            expected = reference_recurrence(g, seq)
+            assert mismatch == expected
+            if expected is not None and expected[0] < seq.d:
+                below_d += 1
+                reference = oracle.BasisMismatchError(*reference_basis_entry(g, seq, expected[0]))
+                assert str(basis_error) == str(reference)
+                assert head is None
+            else:
+                assert basis_error is None and head is not None
+    assert tried >= 400 and below_d >= 150
+
+
 def test_distances_are_read_only_and_computed_once():
     g = graph_from_name("petersen")
     dist = g.distances

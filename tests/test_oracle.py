@@ -200,11 +200,11 @@ def test_matrix_poly_k2_square():
 
 
 def test_matrix_poly_basis_mismatch():
-    # the first failing k and its largest |P_k(A) sqrt(deg_k) - A_k| entry, to the last bit
+    # the first failing k and its largest |P_k(A) sqrt(deg_k) - A_k| entry, exact
     for name, pairs, entry in [
         ("petersen", [(1, 3), (2, 2)], "(0, 2) is 0.5, expected 1.0"),
         ("petersen", [(1, 3), (1, 1)], "(0, 1) is -1.0, expected 0.0"),
-        ("hypercube:3", [(1, 3), (1, 2), (3, 1)], "(0, 3) is 1.9999999999999998, expected 1.0"),
+        ("hypercube:3", [(1, 3), (1, 2), (3, 1)], "(0, 3) is 2.0, expected 1.0"),
     ]:
         with pytest.raises(BasisMismatchError) as info:
             matrix_poly_firstkind(graph_from_name(name), sequence_from_pairs(pairs), (1.0,))
@@ -365,24 +365,41 @@ def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
 def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
     from drgjacobi import cli, oracle
 
-    checks, walks = [], []
-    original_check, original_walk = oracle.checked_distances, oracle.matrix_poly_firstkind
+    checks, passes = [], []
+    original_check, original_pass = oracle.checked_distances, oracle.recurrence_pass
 
     def counting_check(g):
         checks.append(g.vertex_count)
         return original_check(g)
 
-    def counting_walk(g, seq, taus):
-        walks.append((g.vertex_count, len(taus)))
-        return original_walk(g, seq, taus)
+    def counting_pass(g, seq, adj):
+        passes.append(g.vertex_count)
+        return original_pass(g, seq, adj)
 
     monkeypatch.setattr(oracle, "checked_distances", counting_check)
-    monkeypatch.setattr(oracle, "matrix_poly_firstkind", counting_walk)
+    monkeypatch.setattr(oracle, "recurrence_pass", counting_pass)
     assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
     capsys.readouterr()
-    # one Bellman-checked table and one first-kind walk, for both taus, per input
+    # one Bellman-checked table and one recurrence pass, for every check it serves, per input
     assert sorted(checks) == [6, 8, 10]
-    assert sorted(walks) == [(6, 2), (8, 2), (10, 2)]
+    assert sorted(passes) == [6, 8, 10]
+
+
+def test_verify_makes_one_neighbour_count_pass_per_input(monkeypatch, capsys):
+    from drgjacobi import cli, intersection
+
+    passes = []
+    original = intersection._neighbour_counts
+
+    def counting(g):
+        passes.append(g.vertex_count)
+        return original(g)
+
+    monkeypatch.setattr(intersection, "_neighbour_counts", counting)
+    assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
+    capsys.readouterr()
+    # certification's; the recurrence check reads the oracle's dense products instead
+    assert sorted(passes) == [10, 30, 32]
 
 
 def verify_peak(name, monkeypatch, capsys):
@@ -480,20 +497,26 @@ def test_distance_poly_walk_is_bitwise_the_scalar_evaluation(corpus_entry):
 def test_norm_bound_fails_when_the_basis_identity_does(monkeypatch, capsys):
     import json
 
-    from drgjacobi import cli, oracle
+    from drgjacobi import cli
 
-    def failing_walk(g, seq, taus):
-        raise BasisMismatchError(1, 0, 1, 0.5, 1.0)
+    from test_distance_layer import reference_recurrence
 
-    monkeypatch.setattr(oracle, "matrix_poly_firstkind", failing_walk)
+    # a feasible sequence that is not petersen's: a_2 = 2 in place of 1
+    g, seq = graph_from_name("petersen"), sequence_from_pairs([(1, 3), (2, 2)])
+    monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
     assert cli.main(["verify", "petersen"]) == 2
     report = json.loads(capsys.readouterr().out)["payload"]["reports"][0]
     checks = {c["name"]: c for c in report["checks"]}
     assert [c["name"] for c in report["checks"]] == [
         "certify", "recurrence", "basis_identity", "oracle_spectrum", "norm_bound",
     ]
-    assert not checks["basis_identity"]["pass"]
-    assert checks["oracle_spectrum"]["pass"]  # the battery goes on
+    assert checks["recurrence"]["detail"] == {"mismatch": list(reference_recurrence(g, seq))}
+    assert not checks["recurrence"]["pass"]
+    assert checks["basis_identity"] == {
+        "name": "basis_identity", "pass": False,
+        "detail": "P_2(A) * sqrt(deg_2) entry (0, 2) is 0.5, expected 1.0",
+    }
+    assert not checks["oracle_spectrum"]["pass"]  # the battery goes on
     assert checks["norm_bound"] == {
         "name": "norm_bound", "pass": False, "detail": "needs basis_identity",
     }
