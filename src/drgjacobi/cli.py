@@ -159,6 +159,8 @@ def cmd_spectrum(args) -> CommandResult:
 
 def _verify_one(source: str) -> dict:
     g = load_graph(source)
+    if g.vertex_count > oracle.MAX_DENSE_VERTICES:  # refused before certification's work
+        raise oracle.DenseSizeError(g.vertex_count)
     report = {"input": source, "checks": []}
 
     def check(name: str, passed: bool, detail):
@@ -170,8 +172,8 @@ def _verify_one(source: str) -> dict:
     if witness:
         return report
 
-    # One exact pass, apart from certification's counts: its equations below d are the
-    # basis identity, and, given that, P^tau_{d+1}(A) sqrt(deg_d) = head - tau A_d.
+    # One exact pass, apart from certification's counts, also proves the table: its equations
+    # below d are the basis identity, and, given that, P^tau_{d+1}(A) sqrt(deg_d) = head - tau A_d.
     adj = oracle.dense_adjacency(g)
     mismatch, basis_error, head = oracle.recurrence_pass(g, seq, adj)
     check("recurrence", mismatch is None,

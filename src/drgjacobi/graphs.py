@@ -25,7 +25,8 @@ long thin ones such as cycles and prisms keep their search. Below
 ``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs, and neighbour
 sums are a numpy gather. The array is shared by every query here, by
 certification and the recurrence check in ``intersection`` and by
-``oracle``, which accepts it only after its own Bellman-identity check.
+``oracle``, which checks its entries and then proves it by the exact
+distance recurrence.
 The distance-k matrix A_k is the boolean array ``distances == k``.
 """
 

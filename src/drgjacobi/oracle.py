@@ -3,12 +3,14 @@
 Everything here is deliberately independent of the tridiagonal Sturm machinery and
 of certification's neighbour counts. LAPACK (numpy.linalg.eigvalsh) finds the
 eigenvalues alone of the adjacency matrix A, built from Graph.csr, held to two trace
-identities. checked_distances returns the one table, Graph.distances, only after a
-check that shares no code with the BFS that filled it: the Bellman identity, which on
-a connected graph holds for the distance matrix alone. recurrence_pass checks on it,
-exactly, the distance recurrence and so A_k = p_k(A), with A_k = (dist == k) one k at
-a time; verify then reads each norm(A_k) as max |p_k| over A's spectrum. operator_norm
-is the tests' per-matrix reference. Dense paths are desk-scale only (<= 2000 vertices).
+identities. checked_distances checks the entries of the one table, Graph.distances:
+0 on the diagonal, 1..n-1 off it. recurrence_pass checks on it, exactly, the distance
+recurrence, with A_k = (dist == k) one k at a time, and so proves, by induction on k,
+that the table is the distance matrix: A_0 = I, equation 0 reads A_1 = A, equation k
+fixes A_{k+1} as a_{k+1} >= 1, and equation d leaves no pair beyond distance d. That
+proof shares no code with the BFS that filled the table. Its equations below d are
+A_k = p_k(A); verify then reads each norm(A_k) as max |p_k| over A's spectrum.
+operator_norm is the tests' per-matrix reference. Dense paths are desk-scale only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _row_blocks
+from .graphs import Graph
 from .intersection import IntersectionSequence, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
@@ -60,31 +62,19 @@ def dense_adjacency(g: Graph) -> np.ndarray:
 
 
 def checked_distances(g: Graph) -> np.ndarray:
-    """g.distances, after the size check and a check that it is g's distance matrix.
-
-    Checks D_jj = 0 and, for i != j, min_{u ~ i} D_uj = D_ij - 1 (the
-    Bellman identity) by one minimum over the rows of dist at the
-    neighbors of i, with D_ij - 1 in int64 so that no entry wraps. On a
-    connected graph these fix D: by induction on d(i, j), a neighbor on
-    a geodesic gives D_ij <= d(i, j); and stepping to a minimising
-    neighbor lowers D by exactly one, so, as D is bounded, the steps
-    reach j after D_ij of them, and d(i, j) <= D_ij. OracleError names
-    the first failing (i, j) in row-major order.
+    """g.distances, after the size check and an entry check: D_jj = 0 and 1 <= D_ij <= n - 1
+    for i != j, so each entry indexes recurrence_pass's coefficients; that pass proves the
+    table is g's distance matrix. OracleError names the first bad (i, j), row-major.
     """
     _check_size(g.vertex_count)
     dist = g.distances
-    n = g.vertex_count
-    indptr, indices = g.csr
-    for start, stop in _row_blocks(n, n * max(map(len, g.adjacency))):
-        rows = dist[start:stop]
-        lo = indptr[start]
-        nearest = np.minimum.reduceat(dist[indices[lo : indptr[stop]]], indptr[start:stop] - lo)
-        ok = nearest == np.subtract(rows, 1, dtype=np.int64)  # at i != j
-        diagonal = (np.arange(stop - start), np.arange(start, stop))
-        ok[diagonal] = rows[diagonal] == 0
-        if not ok.all():
-            i, j = map(int, np.argwhere(~ok)[0])
-            raise OracleError(f"distance table fails the Bellman identity at ({start + i}, {j})")
+    n = len(dist)
+    ok = (dist >= 1) & (dist < n)
+    np.fill_diagonal(ok, dist.diagonal() == 0)
+    if not ok.all():
+        i, j = map(int, np.argwhere(~ok)[0])
+        want = "0" if i == j else f"in 1..{n - 1}"
+        raise OracleError(f"distance table entry ({i}, {j}) is {dist[i, j]}, not {want}")
     return dist
 
 
@@ -134,10 +124,16 @@ def dense_symmetric_eigen(M: np.ndarray) -> EigenDecomposition:
 def recurrence_pass(g: Graph, seq: IntersectionSequence, adj: np.ndarray):
     """Check A A_k = a_{k+1} A_{k+1} + alpha_k A_k + b_k A_{k-1} exactly, k = 0..d.
 
-    verify_recurrence's equations, by code sharing nothing with it: A_k is dist == k
-    on checked_distances(g), the left side its float64 product with adj =
-    dense_adjacency(g), exact as its entries are counts below n. As a checked table
-    is I at k = 0 and A at k = 1, equations 0..k hold iff A_m = p_m(A) for m <= k + 1.
+    verify_recurrence's equations, by code sharing nothing with it: A_k is T_k =
+    (dist == k) on checked_distances(g), the left side its float64 product with adj =
+    dense_adjacency(g), exact as its entries are counts below n.
+
+    The pass proves the table. With E_m the distance-m matrix: T_0 = I by the entry
+    check; equation 0 reads A = T_1, as a_1 = 1 and alpha_0 = b_0 = 0; given T_m = E_m
+    for m <= k, equation k, as a_{k+1} >= 1, forces T_{k+1} = 1 where d(i, j) = k + 1,
+    since (A E_k)_ij >= 1 there, and 0 where d(i, j) >= k + 2, since both sides are 0
+    there. Equation d leaves no pair beyond distance d; g is connected, so the table is
+    E. Likewise, equations 0..k hold iff A_m = p_m(A) for m <= k + 1.
 
     Returns (mismatch, basis_error, head): the first failing (k, i, j, lhs, rhs), by
     k then row-major, or None; when that k is below d, the pass stops there, head is

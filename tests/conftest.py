@@ -26,3 +26,12 @@ def corpus_entry(request, corpus):
         if name == request.param:
             return name, g, seq
     raise AssertionError("unreachable")
+
+
+@pytest.fixture(params=CORPUS_NAMES + ["hypercube:4", "cycle:12", "complete_bipartite:5"])
+def tamper_entry(request):
+    """(graph, certified sequence, dense adjacency) for the corpus and three larger graphs."""
+    from drgjacobi.oracle import dense_adjacency
+
+    g = graph_from_name(request.param)
+    return g, certify_distance_regular(g), dense_adjacency(g)

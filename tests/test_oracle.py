@@ -288,13 +288,23 @@ def tampered_tables(dist):
             yield table
 
 
-def test_bellman_check_rejects_tampered_tables(corpus_entry, monkeypatch):
-    _, g, _ = corpus_entry
+def assert_rejected(entry, table, monkeypatch):
+    """The entry check refuses table, or the recurrence pass on it finds a mismatch."""
+    g, seq, adj = entry
+    monkeypatch.setitem(g.__dict__, "distances", table)
+    try:
+        checked_distances(g)
+    except OracleError as exc:
+        assert str(exc).startswith("distance table entry")
+    else:
+        assert oracle.recurrence_pass(g, seq, adj)[0] is not None
+
+
+def test_bellman_check_rejects_tampered_tables(tamper_entry, monkeypatch):
+    g = tamper_entry[0]
     count = 0
     for table in tampered_tables(np.array(g.distances)):
-        monkeypatch.setitem(g.__dict__, "distances", table)
-        with pytest.raises(OracleError, match="Bellman identity at"):
-            checked_distances(g)
+        assert_rejected(tamper_entry, table, monkeypatch)
         count += 1
     n = g.vertex_count
     assert count == 2 * n * n + n * (n - 1) // 2
@@ -303,9 +313,9 @@ def test_bellman_check_rejects_tampered_tables(corpus_entry, monkeypatch):
 def fuzzed_tables(dist, rng):
     """Tables with up to five entries set to arbitrary values, and with shifted columns.
 
-    The values include the dtype's extremes, where D_ij - 1 would wrap,
-    values near the true distances, and random ones. A column shifted by
-    a constant keeps every Bellman minimum, so only D_jj = 0 rejects it.
+    The values include the dtype's extremes, values near the true distances,
+    and random ones. A column shifted by a constant keeps each entry one above
+    its least neighbour's, so only D_jj = 0 rejects it.
     """
     n = len(dist)
     low, high = np.iinfo(dist.dtype).min, np.iinfo(dist.dtype).max
@@ -323,28 +333,47 @@ def fuzzed_tables(dist, rng):
             yield table
 
 
-def test_bellman_check_rejects_multi_entry_tampering(corpus_entry, monkeypatch):
-    _, g, _ = corpus_entry
+def test_bellman_check_rejects_multi_entry_tampering(tamper_entry, monkeypatch):
+    g, seq, adj = tamper_entry
     genuine = np.array(g.distances)
     rejected = 0
     for table in fuzzed_tables(genuine, np.random.default_rng(15)):
         if np.array_equal(table, genuine):
             continue
-        monkeypatch.setitem(g.__dict__, "distances", table)
-        with pytest.raises(OracleError, match="Bellman identity at"):
-            checked_distances(g)
+        assert_rejected(tamper_entry, table, monkeypatch)
         rejected += 1
     assert rejected >= 300 + 4 * g.vertex_count
     monkeypatch.setitem(g.__dict__, "distances", genuine)
     assert checked_distances(g) is genuine
+    assert oracle.recurrence_pass(g, seq, adj)[:2] == (None, None)
 
 
-def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
-    import json
+def test_entry_check_names_the_first_bad_entry(monkeypatch):
+    g = graph_from_name("petersen")
+    genuine, n = np.array(g.distances), g.vertex_count
+    low, high = np.iinfo(genuine.dtype).min, np.iinfo(genuine.dtype).max
+    cases = [((4, 4), v) for v in (1, -1, low, high)]
+    cases += [((2, 5), v) for v in (0, -1, n, low, high)]
+    for (i, j), value in cases:
+        table = genuine.copy()
+        table[i, j] = value
+        table[7, 1] = n  # a later bad entry, in row-major order
+        monkeypatch.setitem(g.__dict__, "distances", table)
+        want = "0" if i == j else f"in 1..{n - 1}"
+        with pytest.raises(OracleError) as info:
+            checked_distances(g)
+        assert str(info.value) == f"distance table entry ({i}, {j}) is {value}, not {want}"
+    # in range off the diagonal: the entry check passes it on to the recurrence pass
+    table = genuine.copy()
+    table[2, 5] = n - 1
+    monkeypatch.setitem(g.__dict__, "distances", table)
+    assert checked_distances(g) is table
 
+
+def tampered_petersen(monkeypatch, tamper):
+    """Certify petersen genuinely, then fill its table with tamper applied to row 3."""
     from drgjacobi import certify_distance_regular, cli, graphs
 
-    # certify gets the genuine sequence, so verify reaches the oracle
     seq = certify_distance_regular(graph_from_name("petersen"))
     monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
     original = graphs._bfs
@@ -352,14 +381,59 @@ def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
     def tampered(adjacency, source):
         dist = original(adjacency, source)
         if source == 3:
-            dist[7] += 1
+            tamper(dist)
         return dist
 
     monkeypatch.setattr(graphs, "_bfs", tampered)
+
+
+def test_verify_reports_a_tampered_table_as_oracle_error(monkeypatch, capsys):
+    import json
+
+    from drgjacobi import cli
+
+    def tamper(dist):
+        dist[3] = 1
+
+    tampered_petersen(monkeypatch, tamper)
     assert cli.main(["verify", "petersen"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["payload"]["error"] == "OracleError"
-    assert "Bellman identity at" in out["payload"]["message"]
+    assert out["payload"]["message"] == "distance table entry (3, 3) is 1, not 0"
+
+
+def test_verify_reports_an_in_range_tampered_entry_as_a_recurrence_failure(monkeypatch, capsys):
+    import json
+
+    from drgjacobi import cli
+
+    def tamper(dist):
+        dist[7] += 1
+
+    tampered_petersen(monkeypatch, tamper)
+    assert cli.main(["verify", "petersen"]) == 2
+    checks = json.loads(capsys.readouterr().out)["payload"]["reports"][0]["checks"]
+    details = {c["name"]: c["detail"] for c in checks if not c["pass"]}
+    assert details == {
+        "recurrence": {"mismatch": [1, 3, 7, 1, 0]},
+        "basis_identity": "P_2(A) * sqrt(deg_2) entry (3, 7) is 1.0, expected 0.0",
+        "norm_bound": "needs basis_identity",
+    }
+
+
+def test_verify_refuses_an_over_cap_input_before_certifying(monkeypatch, capsys):
+    import json
+
+    from drgjacobi import cli
+
+    def certify(g):
+        raise AssertionError("verify certified an input the dense oracle refuses")
+
+    monkeypatch.setattr(cli, "certify_distance_regular", certify)
+    assert cli.main(["verify", "cycle:2001"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["payload"]["error"] == "DenseSizeError"
 
 
 def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
