@@ -6,12 +6,16 @@ relation, and connectivity, so everything downstream may assume all
 three; it also stores the adjacency once as int32 CSR arrays,
 ``Graph.csr``, which the array kernels here, in ``intersection`` and
 in ``oracle`` read. Neighbour sums, ``_neighbour_sums``, are products
-with ``Graph.adjacency_operator``, those arrays wrapped on first use in
-one integer scipy CSR array and cached like the distances; certification
-and the recurrence check in ``intersection`` take their counts from
-them. All distance data is read from one read-only all-pairs array,
-``Graph.distances``, filled on first use by path search, never by
-matrix powers, so entries are exact by construction. It has three fills.
+with ``Graph.adjacency_operator``, built on first use and cached like
+the distances, in one of two forms that ``_dense_sums_pay`` picks by
+density: on graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, A_1 =
+(distances == 1) as a dense float32 array, whose BLAS products are
+exact at these sizes; on sparser ones, the CSR arrays wrapped in one
+int32 scipy CSR array. Certification and the recurrence check in
+``intersection`` take their counts from them. All distance data is
+read from one read-only all-pairs array, ``Graph.distances``, filled
+on first use by path search, never by matrix powers, so entries are
+exact by construction. It has three fills.
 The bitset fill, ``_bitset_distances``, is one level-synchronous BFS
 from every source at once on rows packed 64 columns to a machine word.
 The two others search once per source: scipy's compiled
@@ -22,8 +26,9 @@ BFS per vertex. ``_bitset_fill_pays`` takes the bitset fill when its
 worst-case cost, at twice the eccentricity of vertex 0 in levels, is
 below that of the search per source: graphs of small diameter take it,
 long thin ones such as cycles and prisms keep their search. Below
-``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs, and neighbour
-sums are a numpy gather. The array is shared by every query here, by
+``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs: the fill is
+the Python BFS, and every connected graph of at most 30 vertices takes
+the dense neighbour sums. The array is shared by every query here, by
 certification and the recurrence check in ``intersection`` and by
 ``oracle``, which checks its entries and then proves it by the exact
 distance recurrence.
@@ -76,17 +81,28 @@ class OddPairCountError(GraphError):
 # distance array, and every desk-scale graph fits in one block.
 BLOCK_ENTRIES = 1 << 16
 
-# Graphs with fewer vertices call no scipy sparse code: a table that the
-# bitset fill does not take is filled by one Python BFS per row, not by
-# scipy's Dijkstra search per source, and neighbour sums are a numpy
-# gather, as scipy's fixed cost per sparse matrix, tens of microseconds for
-# building and validating it, exceeds the whole work there. Measured
-# crossovers (numpy 2.4, scipy 1.17, 2-core x86 VM): for the search per
-# source near 24 vertices on cycles and cubes and near 18 on complete
-# graphs, where at 40 vertices scipy is 2.4x (cycle) to 6x (complete)
-# faster; for certification's sums near 24 on complete graphs and 32-48 on
-# cubes and cycles.
+# Graphs with fewer vertices call no scipy sparse code in the fill: a table
+# that the bitset fill does not take is filled by one Python BFS per row,
+# not by scipy's Dijkstra search per source, as scipy's fixed cost per
+# sparse matrix, tens of microseconds for building and validating it,
+# exceeds the whole work there. Measured crossovers (numpy 2.4, scipy 1.17,
+# 2-core x86 VM): near 24 vertices on cycles and cubes and near 18 on
+# complete graphs, where at 40 vertices scipy is 2.4x (cycle) to 6x
+# (complete) faster.
 SCIPY_MIN_VERTICES = 24
+
+# Neighbour sums are float32 BLAS products with a dense n x n operator on
+# graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, and sparse int32
+# products otherwise (``_dense_sums_pay``). Fitted to both routes' times on
+# 32 graphs of 31 to 2048 vertices and density 1/57 to 1 (numpy 2.4, scipy
+# 1.17, one BLAS thread, 2-core x86 VM): 12 to 16 give the least total time,
+# 0.1% above the faster route's on every graph, and only 16 sends every
+# connected graph of at most 30 vertices, which has at least 2 (n - 1) arcs,
+# the dense way. The crossover moves with n: the dense route wins down to
+# density 1/40 at 256 vertices, but only above about 1/13 from 1024 up.
+DENSE_SUMS_DENSITY = 16
+# The float32 sums are exact while ((n + 2) / 2)^2 <= 4095^2 < 2^24.
+DENSE_SUMS_MAX_VERTICES = 2 * 4095 - 2
 
 # Cost model of the three distance fills, in nanoseconds, that decides
 # between the bitset fill and the search per source. Fitted by nonnegative
@@ -217,18 +233,24 @@ class Graph:
 
     @cached_property
     def adjacency_operator(self):
-        """The adjacency matrix as an int32 scipy CSR array, built on first use.
+        """The adjacency matrix for neighbour sums, built on first use.
 
-        It shares ``csr``'s index arrays. A product with rows of
-        ``distances`` holds every neighbour-distance sum exactly: the sum
-        over u ~ j of d(i, u) is at most deg(j) ecc(i) <= ((n + 2) / 2)^2,
+        When ``_dense_sums_pay`` takes the dense route, A_1 read off
+        ``distances`` (so the table is filled first) as a float32 numpy
+        array, 4 n^2 bytes (64 MiB at 4096 vertices); otherwise an int32
+        scipy CSR array sharing ``csr``'s index arrays. A product with rows
+        of ``distances`` holds every neighbour-distance sum exactly: the
+        sum over u ~ j of d(i, u) is at most deg(j) ecc(i) <= ((n + 2) / 2)^2,
         as at most 3 neighbours of j lie on a geodesic from i, so int32
-        holds it below 92680 vertices, whose table alone takes 34 GB.
+        holds it below 92680 vertices, whose table alone takes 34 GB, and
+        float32, exact on integers up to 2^24, up to DENSE_SUMS_MAX_VERTICES.
         """
-        from scipy.sparse import csr_array  # imported here, as in the fill
-
         indptr, indices = self.csr
         n = self.vertex_count
+        if _dense_sums_pay(n, len(indices)):
+            return (self.distances == 1).astype(np.float32)
+        from scipy.sparse import csr_array  # imported here, as in the fill
+
         return csr_array((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
 
     def edges(self):
@@ -242,16 +264,24 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, edges={len(self.csr[1]) // 2})"
 
 
-def _neighbour_sums(g: Graph, rows: np.ndarray) -> np.ndarray:
+def _neighbour_sums(op, rows: np.ndarray) -> np.ndarray:
     """The int32 array whose entry [c, j] sums rows[c, u] over the neighbours u of j.
 
-    One product with ``g.adjacency_operator``, or, below
-    SCIPY_MIN_VERTICES vertices, a numpy gather of the columns of rows.
+    One product with ``op``, a graph's ``adjacency_operator``: a float32
+    BLAS product with the dense array, or a sparse product with the CSR one.
     """
-    if g.vertex_count < SCIPY_MIN_VERTICES:
-        indptr, indices = g.csr  # every row is nonempty, as g is connected
-        return np.add.reduceat(rows[:, indices], indptr[:-1], axis=1, dtype=np.int32)
-    return (g.adjacency_operator @ rows.T).T
+    if isinstance(op, np.ndarray):
+        return (rows.astype(np.float32) @ op).astype(np.int32)
+    return (op @ rows.T).T
+
+
+def _dense_sums_pay(n: int, arcs: int) -> bool:
+    """True iff neighbour sums take the dense float32 operator.
+
+    They do when the graph has at least n^2 / DENSE_SUMS_DENSITY arcs and
+    at most DENSE_SUMS_MAX_VERTICES vertices, where float32 sums are exact.
+    """
+    return arcs * DENSE_SUMS_DENSITY >= n * n and n <= DENSE_SUMS_MAX_VERTICES
 
 
 def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:

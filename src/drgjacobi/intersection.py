@@ -9,9 +9,11 @@ degree values included, because certificates must not inherit float
 drift. Certification and the recurrence check read the same per-pair
 neighbour counts from one helper, ``_neighbour_counts``: products of
 the graph's one cached ``Graph.adjacency_operator`` with row blocks of
-``Graph.distances`` (a numpy gather below ``SCIPY_MIN_VERTICES``
-vertices). Certification first checks the pairs (0, j) from row 0 alone,
-which vertex 0's level sets give without the table.
+``Graph.distances``, float32 BLAS products on dense graphs, exact as
+every partial sum is an integer below 2^24, and sparse int32 ones
+otherwise (``graphs._dense_sums_pay``). Certification first checks the
+pairs (0, j) from row 0 alone, which vertex 0's level sets give without
+the table.
 """
 
 from __future__ import annotations
@@ -162,15 +164,19 @@ def _neighbour_counts(g: Graph):
     and parity rows (graphs._neighbour_sums, a product with
     g.adjacency_operator) gives them: sum_u d(i, u) = deg(j) d(i, j) +
     farther - closer, and the number of odd d(i, u), as level neighbours
-    share d(i, j)'s parity. Blocks hold BLOCK_ENTRIES / 8 pairs, as each
-    pair takes several int32 temporaries.
+    share d(i, j)'s parity. Up to 512 vertices, blocks hold
+    BLOCK_ENTRIES / 8 pairs, as each pair takes several int32
+    temporaries; above, they keep the 16 rows that gives at 512, as each
+    product reads the whole operator once. Against 16-row blocks, the
+    products of 2-row blocks took 2.4-2.7x as long on cycle:4096 and
+    hypercube:12, and those of 8-row blocks 1.5x on complete:1024.
     """
-    n, dist, indptr = g.vertex_count, g.distances, g.csr[0]
+    n, dist, indptr, op = g.vertex_count, g.distances, g.csr[0], g.adjacency_operator
     degrees = indptr[1:] - indptr[:-1]  # deg(j) at column j
-    for start, stop in _row_blocks(n, 8 * n):
+    for start, stop in _row_blocks(n, 8 * min(n, 512)):
         m = dist[start:stop]
         odd_m = m & 1
-        both = _neighbour_sums(g, np.concatenate((m, odd_m)))
+        both = _neighbour_sums(op, np.concatenate((m, odd_m)))
         sums, odd = both[: stop - start], both[stop - start :]
         net = sums - degrees * m  # farther - closer
         level = np.where(odd_m, odd, degrees - odd)

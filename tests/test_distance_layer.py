@@ -191,13 +191,15 @@ def test_recurrence_matches_dense_reference(block_entries, monkeypatch):
 
 @pytest.mark.parametrize("block_entries", [graphs.BLOCK_ENTRIES, 40])
 def test_sparse_product_path_matches_references(block_entries, monkeypatch):
-    # the corpus graphs are below SCIPY_MIN_VERTICES, so the two tests above
-    # take neighbour sums by the numpy gather; crossover 2 sends them through scipy
-    monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", 2)
+    # every corpus graph is dense enough for the dense route, which the two
+    # tests above take; density 1 sends fresh copies through the sparse product
+    monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", 1)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     tried = 0
     for g in (RANDOM_GRAPHS + CUBIC_GRAPHS)[::5]:
+        g = graphs.Graph(g.adjacency)  # the shared graphs may hold a dense operator already
         outcome = certify_distance_regular(g)
+        assert not isinstance(g.adjacency_operator, np.ndarray)
         assert outcome.to_json() == reference_certify(g)
         if isinstance(outcome, intersection.IntersectionSequence):
             pairs = list(zip(outcome.a, outcome.b))

@@ -454,7 +454,7 @@ def test_verify_computes_distances_once_per_input(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "recurrence_pass", counting_pass)
     assert cli.main(["verify", "petersen", "cycle:6", "hypercube:3"]) == 0
     capsys.readouterr()
-    # one Bellman-checked table and one recurrence pass, for every check it serves, per input
+    # one entry-checked table and one recurrence pass, for every check it serves, per input
     assert sorted(checks) == [6, 8, 10]
     assert sorted(passes) == [6, 8, 10]
 
