@@ -5,17 +5,19 @@ simplicity (no loops, no parallel edges), symmetry of the adjacency
 relation, and connectivity, so everything downstream may assume all
 three; it also stores the adjacency once as int32 CSR arrays,
 ``Graph.csr``, which the array kernels here, in ``intersection`` and
-in ``oracle`` read. Neighbour sums, ``_neighbour_sums``, are products
-with ``Graph.adjacency_operator``, built on first use and cached like
-the distances, in one of two forms that ``_dense_sums_pay`` picks by
+in ``oracle`` read. Neighbour sums are products with
+``Graph.adjacency_operator``, built on first use and cached like the
+distances, in one of two forms that ``_dense_sums_pay`` picks by
 density: on graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, A_1 =
 (distances == 1) as a dense float32 array, whose BLAS products are
-exact at these sizes; on sparser ones, the CSR arrays wrapped in one
-int32 scipy CSR array. Certification and the recurrence check in
-``intersection`` take their counts from them. All distance data is
-read from one read-only all-pairs array, ``Graph.distances``, filled
-on first use by path search, never by matrix powers, so entries are
-exact by construction. It has three fills.
+exact while every sum stays below 2^24 (``_max_code``); on sparser
+ones, the CSR arrays wrapped in one int32 scipy CSR array.
+Certification and the recurrence check in ``intersection`` take one
+such product per block of the table, which sums a code of each
+neighbour's distance. All distance data is read from one read-only
+all-pairs array, ``Graph.distances``, filled on first use by path
+search, never by matrix powers, so entries are exact by construction.
+It has three fills.
 The bitset fill, ``_bitset_distances``, is one level-synchronous BFS
 from every source at once on rows packed 64 columns to a machine word.
 The two others search once per source: scipy's compiled
@@ -100,9 +102,9 @@ SCIPY_MIN_VERTICES = 24
 # connected graph of at most 30 vertices, which has at least 2 (n - 1) arcs,
 # the dense way. The crossover moves with n: the dense route wins down to
 # density 1/40 at 256 vertices, but only above about 1/13 from 1024 up.
+# The float32 sums are exact only while every sum stays below 2^24
+# (``_max_code``): the dense route is refused above that, whatever the density.
 DENSE_SUMS_DENSITY = 16
-# The float32 sums are exact while ((n + 2) / 2)^2 <= 4095^2 < 2^24.
-DENSE_SUMS_MAX_VERTICES = 2 * 4095 - 2
 
 # Cost model of the three distance fills, in nanoseconds, that decides
 # between the bitset fill and the search per source. Fitted by nonnegative
@@ -238,16 +240,16 @@ class Graph:
         When ``_dense_sums_pay`` takes the dense route, A_1 read off
         ``distances`` (so the table is filled first) as a float32 numpy
         array, 4 n^2 bytes (64 MiB at 4096 vertices); otherwise an int32
-        scipy CSR array sharing ``csr``'s index arrays. A product with rows
-        of ``distances`` holds every neighbour-distance sum exactly: the
-        sum over u ~ j of d(i, u) is at most deg(j) ecc(i) <= ((n + 2) / 2)^2,
-        as at most 3 neighbours of j lie on a geodesic from i, so int32
-        holds it below 92680 vertices, whose table alone takes 34 GB, and
-        float32, exact on integers up to 2^24, up to DENSE_SUMS_MAX_VERTICES.
+        scipy CSR array sharing ``csr``'s index arrays. Its products sum
+        the codes f(d(i, u)) of ``intersection`` over the neighbours u of
+        j, exactly while ``_max_code`` bounds them within the dtype: below
+        2^24, where float32 holds every integer, as ``_dense_sums_pay``
+        enforces, and below 2^31 for int32, which holds up to 43 690
+        vertices even when complete, whose table alone takes 3.8 GB.
         """
         indptr, indices = self.csr
         n = self.vertex_count
-        if _dense_sums_pay(n, len(indices)):
+        if _dense_sums_pay(n, len(indices), int((indptr[1:] - indptr[:-1]).max())):
             return (self.distances == 1).astype(np.float32)
         from scipy.sparse import csr_array  # imported here, as in the fill
 
@@ -264,24 +266,26 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, edges={len(self.csr[1]) // 2})"
 
 
-def _neighbour_sums(op, rows: np.ndarray) -> np.ndarray:
-    """The int32 array whose entry [c, j] sums rows[c, u] over the neighbours u of j.
+def _max_code(n: int, max_degree: int) -> int:
+    """A bound on the neighbour sums of codes on a graph of n vertices.
 
-    One product with ``op``, a graph's ``adjacency_operator``: a float32
-    BLAS product with the dense array, or a sparse product with the CSR one.
+    The code of a pair (i, j) sums f(d(i, u)) = (d(i, u) >> 1) +
+    (max_degree + 1) (d(i, u) & 1) over the neighbours u of j. The first
+    terms sum to at most deg(j) ecc(i) / 2 <= (n + 2)^2 / 8, as at most 3
+    neighbours of j lie on a geodesic from i, so deg(j) + ecc(i) <= n + 2;
+    the second to at most max_degree (max_degree + 1).
     """
-    if isinstance(op, np.ndarray):
-        return (rows.astype(np.float32) @ op).astype(np.int32)
-    return (op @ rows.T).T
+    return (n + 2) ** 2 // 8 + max_degree * (max_degree + 1)
 
 
-def _dense_sums_pay(n: int, arcs: int) -> bool:
+def _dense_sums_pay(n: int, arcs: int, max_degree: int) -> bool:
     """True iff neighbour sums take the dense float32 operator.
 
     They do when the graph has at least n^2 / DENSE_SUMS_DENSITY arcs and
-    at most DENSE_SUMS_MAX_VERTICES vertices, where float32 sums are exact.
+    ``_max_code`` stays below 2^24, so that float32 sums are exact: on
+    complete graphs, up to 3861 vertices.
     """
-    return arcs * DENSE_SUMS_DENSITY >= n * n and n <= DENSE_SUMS_MAX_VERTICES
+    return arcs * DENSE_SUMS_DENSITY >= n * n and _max_code(n, max_degree) < 1 << 24
 
 
 def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:

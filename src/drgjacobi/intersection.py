@@ -6,14 +6,18 @@ step farther from i depend only on k. Those counts form the
 intersection sequence {(a_k, b_k)}, k = 1..d, with b_1 the common
 degree. All counting here is exact integer arithmetic, the derived
 degree values included, because certificates must not inherit float
-drift. Certification and the recurrence check read the same per-pair
-neighbour counts from one helper, ``_neighbour_counts``: products of
-the graph's one cached ``Graph.adjacency_operator`` with row blocks of
-``Graph.distances``, float32 BLAS products on dense graphs, exact as
-every partial sum is an integer below 2^24, and sparse int32 ones
-otherwise (``graphs._dense_sums_pay``). Certification first checks the
-pairs (0, j) from row 0 alone, which vertex 0's level sets give without
-the table.
+drift. Certification and the recurrence check read one code per pair
+from one helper, ``_neighbour_codes``: the sum over the neighbours u of
+j of f(d(i, u)) (``_code``), which, given d(i, j), is a bijection of the
+pair's counts (``_counts``). A block's codes are one product of the
+graph's cached ``Graph.adjacency_operator`` with a block of columns of
+``Graph.distances`` mapped by f: a float32 BLAS product on dense graphs,
+exact as every partial sum is an integer below 2^24, and a sparse int32
+one otherwise (``graphs._dense_sums_pay``). Certification compares each
+pair's code with that of its distance's reference pair, and decodes only
+the codes it reports: the sequence's and a witness's. It first checks
+the pairs (0, j) from row 0 alone, which vertex 0's level sets give
+without the table.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .graphs import Graph, _neighbour_sums, _row_blocks
+from .graphs import Graph, _row_blocks
 
 
 class SequenceError(Exception):
@@ -155,33 +159,53 @@ def _pair_count(g: Graph, pair: tuple[int, int], k: int, count_type: str) -> int
     return sum(1 for u in g.adjacency[j] if dist[u] == target)
 
 
-def _neighbour_counts(g: Graph):
-    """Yield (start, stop, closer, level, farther) over row blocks of g.distances.
+def _code(x, step):
+    """f(x) = (x >> 1) + step (x & 1), summed over a pair's neighbour distances.
 
-    For i in start..stop - 1 and every j, entry [i - start, j] of each
-    array counts the neighbours u of j with d(i, u) = d(i, j) - 1,
-    d(i, j) and d(i, j) + 1. One neighbour sum of the block's distance
-    and parity rows (graphs._neighbour_sums, a product with
-    g.adjacency_operator) gives them: sum_u d(i, u) = deg(j) d(i, j) +
-    farther - closer, and the number of odd d(i, u), as level neighbours
-    share d(i, j)'s parity. Up to 512 vertices, blocks hold
-    BLOCK_ENTRIES / 8 pairs, as each pair takes several int32
-    temporaries; above, they keep the 16 rows that gives at 512, as each
-    product reads the whole operator once. Against 16-row blocks, the
-    products of 2-row blocks took 2.4-2.7x as long on cycle:4096 and
-    hypercube:12, and those of 8-row blocks 1.5x on complete:1024.
+    step exceeds every degree. As d(i, u) is d(i, j) - 1, d(i, j) or
+    d(i, j) + 1 for each neighbour u of j, the sum of f(d(i, u)) over them,
+    the pair's code, determines its counts (``_counts``).
     """
-    n, dist, indptr, op = g.vertex_count, g.distances, g.csr[0], g.adjacency_operator
-    degrees = indptr[1:] - indptr[:-1]  # deg(j) at column j
-    for start, stop in _row_blocks(n, 8 * min(n, 512)):
-        m = dist[start:stop]
-        odd_m = m & 1
-        both = _neighbour_sums(op, np.concatenate((m, odd_m)))
-        sums, odd = both[: stop - start], both[stop - start :]
-        net = sums - degrees * m  # farther - closer
-        level = np.where(odd_m, odd, degrees - odd)
-        farther = (degrees - level + net) >> 1
-        yield start, stop, farther - net, level, farther
+    return (x >> 1) + step * (x & 1)
+
+
+def _counts(code, m, deg, step):
+    """The (closer, level, farther) counts of pairs (i, j) at distance m.
+
+    code is the pair's code (``_code``), deg = deg(j), and step the
+    step of f. With r = code - deg (m >> 1): for odd m, r = farther +
+    step level, as only m is odd and (m + 1) >> 1 is one more than
+    m >> 1; for even m, r = step (closer + farther) - closer, as m - 1
+    and m + 1 are odd and (m - 1) >> 1 is one less than m >> 1. Both are
+    divmods by step, of r and -r, since farther and closer are below it.
+    Elementwise on arrays.
+    """
+    odd, base = m & 1, deg * (m >> 1)
+    hi, lo = np.divmod(np.where(odd, code - base, base - code), step)
+    closer, level = np.where(odd, deg - hi - lo, lo), np.where(odd, hi, deg + hi)
+    return closer, level, deg - closer - level
+
+
+def _neighbour_codes(g: Graph):
+    """Yield (start, m, codes) over the pairs (i, j) of blocks of rows i.
+
+    m[j, c] is d(i, j) with i = start + c, and codes[j, c] is the pair
+    (i, j)'s code (``_code``) with step one more than the largest degree:
+    as the table is symmetric, m is a block of its columns, and codes is
+    g.adjacency_operator times m mapped by f, in the operator's dtype.
+    Neither array is transposed, and m is intp, as numpy gathers from an
+    intp index about twice as fast as from a strided int8 or int16 one.
+    Up to 512 vertices, blocks hold BLOCK_ENTRIES / 2 pairs, as each pair
+    takes several temporaries; above, they keep the 64 columns that gives
+    at 512, as each product reads the whole operator once. On cycle:4096,
+    hypercube:12, complete:1024 and K_{724,724}, 64 columns took at most
+    5% longer than the fastest of 32, 64, 128 and 256.
+    """
+    n, dist, (indptr, _), op = g.vertex_count, g.distances, g.csr, g.adjacency_operator
+    fmap = _code(np.arange(n), int((indptr[1:] - indptr[:-1]).max()) + 1).astype(op.dtype)
+    for start, stop in _row_blocks(n, 2 * min(n, 512)):
+        m = dist[:, start:stop].astype(np.intp)
+        yield start, m, op @ fmap.take(m)
 
 
 def certify_distance_regular(g: Graph):
@@ -212,10 +236,8 @@ def certify_distance_regular(g: Graph):
         if len(nbrs) != degree:
             return NonRegularityWitness("NotRegular", 0, "b", (0, 0), degree, (v, v), len(nbrs))
 
-    # A pair's code is a + (degree + 1) b, from its counts a = closer and b = farther.
     row0, firsts = g._row0()
-    step = row0[g.csr[1]].reshape(n, degree) - row0[:, None]  # d(0, u) - d(0, j) at [j, u]
-    code = np.array([0, degree + 1, 1])[step].sum(axis=1)  # indexed by -1, 0 and 1
+    code = _code(row0, degree + 1)[g.csr[1]].reshape(n, degree).sum(axis=1)  # of (0, j)
     ref = code[firsts]  # of the first pair at each distance from 0
     bad = np.flatnonzero(code != ref[row0])
     if bad.size:
@@ -226,14 +248,14 @@ def certify_distance_regular(g: Graph):
     # Row 0 holds the reference pairs of distances 0..ecc(0); those of the
     # larger distances are the first occurrences in the block that meets them.
     d = len(firsts) - 1
-    dist = g.distances
-    ref = np.concatenate((ref, np.full(n - d, -1)))  # code of the first pair at distance k
+    ref = np.concatenate((ref, np.full(n - d, -1))).astype(g.adjacency_operator.dtype)
     ref_at = np.concatenate((firsts, np.zeros(n - d, dtype=firsts.dtype)))  # and its row-major index
-    for start, stop, closer, _, farther in _neighbour_counts(g):
-        code = (closer + (degree + 1) * farther).ravel()
-        k = dist[start:stop].ravel()
+    for start, m, codes in _neighbour_codes(g):
+        if (codes == ref.take(m)).all():
+            continue
+        k, code = m.T.ravel(), codes.T.ravel()  # in row-major order of the pairs
         bad = np.flatnonzero(code != ref[k])
-        if bad.size and ref[k[bad[0]]] < 0:  # a distance first met in this block
+        if ref[k[bad[0]]] < 0:  # a distance first met in this block
             ks, first = np.unique(k, return_index=True)
             fresh = ref[ks] < 0
             ref[ks[fresh]] = code[first[fresh]]
@@ -245,13 +267,16 @@ def certify_distance_regular(g: Graph):
             kx = int(k[x])
             return _witness(degree, kx, divmod(int(ref_at[kx]), n), ref[kx], divmod(start * n + x, n), code[x])
 
-    b, a = np.divmod(ref[1 : d + 1], degree + 1)
-    return IntersectionSequence(tuple(a.tolist()), (degree,) + tuple(b[:-1].tolist()))
+    codes = ref[: d + 1].astype(np.int64)  # decoded only here and in a witness
+    closer, _, farther = _counts(codes, np.arange(d + 1), degree, degree + 1)
+    return IntersectionSequence(tuple(closer[1:].tolist()), tuple(farther[:-1].tolist()))
 
 
 def _witness(degree, k, first_pair, first_code, second_pair, second_code) -> NonRegularityWitness:
     """The witness of two pairs at distance k whose codes differ, from the codes."""
-    (b1, a1), (b2, a2) = (divmod(int(c), degree + 1) for c in (first_code, second_code))
+    (a1, _, b1), (a2, _, b2) = (
+        map(int, _counts(int(code), k, degree, degree + 1)) for code in (first_code, second_code)
+    )
     col, c1, c2 = ("a", a1, a2) if a1 != a2 else ("b", b1, b2)
     return NonRegularityWitness("NotDistanceRegular", k, col, first_pair, c1, second_pair, c2)
 
@@ -300,11 +325,12 @@ def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
     (A*A_k)_{ij} counts the neighbours u of i with d(u, j) = k. For a
     pair at distance m, d(u, j) is m - 1, m or m + 1, so one pass checks
     every k: the three counts must equal a_m, alpha_m and b_{m+1}, and a
-    k outside 0..d is not checked. The counts are certify's, read at
-    (j, i): _neighbour_counts counts the neighbours of its column vertex.
+    k outside 0..d is not checked. The counts are decoded from certify's
+    codes: that of the pair (j, i) counts the neighbours of i.
     """
-    n, d, dist = g.vertex_count, seq.d, g.distances
-    top = int(dist.max())
+    n, d, indptr = g.vertex_count, seq.d, g.csr[0]
+    degrees = (indptr[1:] - indptr[:-1])[:, None]  # deg(i) at row i
+    top = int(g.distances.max())
     # rhs[s, m]: the count with d(u, j) = m + s - 1 that equation k = m + s - 1
     # demands of a pair at distance m; -1 where k is outside 0..d.
     rhs = np.full((3, max(top, d) + 2), -1)
@@ -312,15 +338,16 @@ def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
     rhs[1, : d + 1] = seq.alphas
     rhs[2, :d] = seq.b  # b_{m+1}
     mismatch = None
-    for start, stop, *counts in _neighbour_counts(g):
-        m = dist[start:stop]  # [j - start, i]
-        lhs, expected = np.stack(counts), np.take(rhs, m, axis=1)
+    step = int(degrees.max()) + 1
+    for start, m, codes in _neighbour_codes(g):  # at [i, j - start]
+        lhs = np.stack(_counts(codes.astype(np.int64), m, degrees, step))
+        expected = np.take(rhs, m, axis=1)
         bad = (lhs != expected) & (expected >= 0)
         if bad.any():
             k = np.where(bad, m + np.arange(-1, 2)[:, None, None], n + 1).min(axis=0)
-            i, j = map(int, np.argwhere(k.T == k.min())[0])  # the first failing k, then (i, j)
-            s = k[j, i] - m[j, i] + 1
-            found = (int(k[j, i]), i, start + j, int(lhs[s, j, i]), int(expected[s, j, i]))
+            i, j = map(int, np.argwhere(k == k.min())[0])  # the first failing k, then (i, j)
+            s = k[i, j] - m[i, j] + 1
+            found = (int(k[i, j]), i, start + j, int(lhs[s, i, j]), int(expected[s, i, j]))
             mismatch = found if mismatch is None else min(mismatch, found)
     return RecurrenceCheck(mismatch is None, mismatch)
 

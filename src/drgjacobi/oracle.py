@@ -10,7 +10,7 @@ that the table is the distance matrix: A_0 = I, equation 0 reads A_1 = A, equati
 fixes A_{k+1} as a_{k+1} >= 1, and equation d leaves no pair beyond distance d. That
 proof shares no code with the BFS that filled the table. Its equations below d are
 A_k = p_k(A); verify then reads each norm(A_k) as max |p_k| over A's spectrum.
-operator_norm is the tests' per-matrix reference. Dense paths are desk-scale only.
+Dense paths are desk-scale only.
 """
 
 from __future__ import annotations
@@ -176,8 +176,3 @@ def matrix_poly_firstkind(
         raise basis_error
     top = g.distances == seq.d
     return [(head - tau * top) / math.sqrt(degree_sequence(seq)[-1]) for tau in taus]
-
-
-def operator_norm(M: np.ndarray) -> float:
-    """Spectral radius of a symmetric matrix: max |eigenvalue| by LAPACK."""
-    return float(np.abs(np.linalg.eigvalsh(_symmetric(M))).max())

@@ -1,4 +1,4 @@
-"""The neighbour counts that certification and the recurrence check share."""
+"""The neighbour codes that certification and the recurrence check share, and their counts."""
 
 import functools
 import tracemalloc
@@ -60,12 +60,49 @@ def test_counts_match_brute_force_on_int8_tables(name, density, block_entries, m
 
 
 def counts_by_row(g):
-    """brute_force_counts' layout, read from intersection._neighbour_counts."""
+    """brute_force_counts' layout, decoded from intersection._neighbour_codes."""
+    degrees = np.diff(g.csr[0])
+    step = int(degrees.max()) + 1
     got = [None] * g.vertex_count
-    for start, stop, *counts in intersection._neighbour_counts(g):
-        for i in range(start, stop):
-            got[i] = [tuple(map(int, c)) for c in zip(*(a[i - start] for a in counts))]
+    for start, m, codes in intersection._neighbour_codes(g):
+        # codes[j, c] is the pair (start + c, j)'s code
+        counts = intersection._counts(codes.astype(np.int64), m, degrees[:, None], step)
+        for c in range(m.shape[1]):
+            got[start + c] = [tuple(map(int, t)) for t in zip(*(a[:, c] for a in counts))]
     return got
+
+
+@pytest.mark.parametrize("deg", range(1, 6))
+def test_codes_decode_to_their_counts(deg):
+    # every split of deg(j) into closer, level and farther neighbours, at every
+    # distance; step exceeds the largest degree, so it may exceed deg(j) + 1
+    for step in (deg + 1, deg + 3):
+        for m in range(7):
+            splits = [
+                (closer, level, deg - closer - level)
+                for closer in range(deg + 1)
+                for level in range(deg + 1 - closer)
+                if m or (closer, level) == (0, 0)  # a pair at distance 0 has only farther ones
+            ]
+            f = [intersection._code(x, step) if x >= 0 else None for x in (m - 1, m, m + 1)]
+            codes = [sum(c * v for c, v in zip(split, f) if c) for split in splits]
+            assert len(set(codes)) == len(splits)
+            for split, code in zip(splits, codes):
+                assert tuple(map(int, intersection._counts(code, m, deg, step))) == split
+            decoded = intersection._counts(np.array(codes), np.full(len(codes), m), deg, step)
+            assert list(zip(*(a.tolist() for a in decoded))) == splits
+
+
+@pytest.mark.parametrize("density, dense", [(1 << 30, True), (1, False)])
+def test_counts_match_brute_force_on_an_irregular_graph(density, dense, monkeypatch):
+    # degrees 1 to 9, vertex 0's the least: the step is 10 for every column,
+    # above most deg(j) + 1
+    monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", density)
+    ring = [(u + 1, v + 1) for u, v in ring_of_triangles(5)]
+    g = graph_from_edges(ring + [(1, 16), (16, 17), (17, 18), (18, 8), (18, 0)])
+    assert isinstance(g.adjacency_operator, np.ndarray) == dense
+    assert set(np.diff(g.csr[0]).tolist()) == {1, 2, 3, 8, 9}
+    assert counts_by_row(g) == brute_force_counts(g)
 
 
 @pytest.mark.parametrize("extra, dense", [(0, True), (1, False)])
@@ -79,28 +116,48 @@ def test_counts_match_brute_force_either_side_of_the_density_rule(extra, dense):
 
 
 @pytest.mark.parametrize("name", ["complete_bipartite:724", "complete:1024"])
-def test_dense_sums_equal_sparse_sums_at_the_caps(name, monkeypatch):
+def test_dense_codes_equal_sparse_codes_at_the_caps(name, monkeypatch):
     # the largest graphs the builtin caps send down the dense route; their
-    # blocks have the floor of 16 rows, and the counts are a function of these sums
+    # blocks have 64 columns, and the certificate is a function of these codes
     g = graph_from_name(name)
-    dense = g.adjacency_operator
+    widths = []
+
+    def first_and_last(n, width):  # of the blocks, as the sparse route is slow here
+        widths.append(width)
+        blocks = list(graphs._row_blocks(n, width))
+        return blocks[0], blocks[-1]
+
+    monkeypatch.setattr(intersection, "_row_blocks", first_and_last)
+    dense = list(intersection._neighbour_codes(g))
     monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", 1)
-    sparse = graphs.Graph.adjacency_operator.func(g)  # the sparse route's operator, uncached
-    assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
-    blocks = [(start, stop) for start, stop, *_ in intersection._neighbour_counts(g)]
-    assert {stop - start for start, stop in blocks[:-1]} == {16}
-    for start, stop in (blocks[0], blocks[-1]):
-        m = g.distances[start:stop]
-        rows = np.concatenate((m, m & 1))
-        assert np.array_equal(graphs._neighbour_sums(dense, rows), graphs._neighbour_sums(sparse, rows))
+    monkeypatch.setitem(g.__dict__, "adjacency_operator", graphs.Graph.adjacency_operator.func(g))
+    sparse = list(intersection._neighbour_codes(g))
+    assert dense[0][2].dtype == np.float32 and sparse[0][2].dtype == np.int32
+    blocks = list(graphs._row_blocks(g.vertex_count, widths[0]))
+    assert {stop - start for start, stop in blocks[:-1]} == {64}
+    for (start, m, codes), (start_s, m_s, codes_s) in zip(dense, sparse):
+        assert start == start_s and np.array_equal(m, m_s) and np.array_equal(codes, codes_s)
 
 
-def test_dense_route_is_refused_above_the_float32_bound():
-    # a Graph built directly is not held to MAX_BUILTIN_VERTICES; n^2 arcs pass any density
-    n = graphs.DENSE_SUMS_MAX_VERTICES
-    assert n == 8188 and ((n + 2) / 2) ** 2 < 2**24
-    assert graphs._dense_sums_pay(n, n * n)
-    assert not graphs._dense_sums_pay(n + 1, (n + 1) ** 2)
+def test_dense_route_holds_its_codes_below_2_to_24():
+    # float32 holds every integer up to 2^24: complete graphs keep the dense
+    # route up to 3861 vertices
+    for n, exact in ((3861, True), (3862, False)):
+        assert (graphs._max_code(n, n - 1) < 2**24) == exact
+        assert graphs._dense_sums_pay(n, n * (n - 1), n - 1) == exact
+    # int32, on the sparse route, holds every code of up to 43 690 vertices
+    assert graphs._max_code(43690, 43689) < 2**31 <= graphs._max_code(43691, 43690)
+
+
+@pytest.mark.parametrize("n, dense", [(3861, True), (3862, False)])
+def test_dense_route_refuses_an_irregular_graph_past_the_bound(n, dense, monkeypatch):
+    # a star built directly, centred on its last vertex: the centre's degree
+    # n - 1 alone decides the bound, as every density passes the rule here
+    monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", 1 << 30)
+    g = graphs.Graph(((n - 1,),) * (n - 1) + ((*range(n - 1),),))
+    assert graphs._dense_sums_pay(n, len(g.csr[1]), int(np.diff(g.csr[0]).max())) == dense
+    if not dense:  # the dense operator would take 60 MB and the table
+        assert not isinstance(g.adjacency_operator, np.ndarray)
 
 
 def certify_peak(g) -> int:
