@@ -4,13 +4,16 @@ Every subcommand prints one envelope {"status", "payload", "diagnostics"}
 and exits 0 (ok), 2 (witness: a check or certification failed with a
 recheckable witness) or 1 (error). Output is deterministic: fixed field
 order, floats in shortest round-trip form (at most 17 significant
-digits). --pretty renders a human-readable view instead.
+digits). The envelope is json.dumps(envelope, indent=2) byte for byte,
+from one renderer, _render. --pretty renders a human-readable view
+instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import json.encoder
 import math
 import os
 import sys
@@ -223,10 +226,13 @@ def cmd_moments(args) -> CommandResult:
     gen = families.family_from_name(args.family)
     if args.order < 0:
         raise CliUsageError("--order must be nonnegative")
+    tree = gen.description.startswith("tree:")
+    # both caps refuse before the walk; past the exact walk's, moment_sequence's message comes first
+    if tree and args.order <= families.MAX_MOMENT_ORDER:
+        top = families.density_moment(gen.degree, args.order)  # refuses an order beyond float64
     exact = families.moment_sequence(gen, args.order)
     payload = {"family": gen.description, "order": args.order, "moments": exact}
-    if gen.description.startswith("tree:"):
-        top = families.density_moment(gen.degree, args.order)  # first: refuses an order beyond float64
+    if tree:
         quadrature = [families.density_moment(gen.degree, k) for k in range(args.order)] + [top]
         payload["quadrature"] = quadrature
         payload["abs_diff"] = [abs(q - m) for q, m in zip(quadrature, exact)]
@@ -276,6 +282,34 @@ def cmd_jacobi(args) -> CommandResult:
     seq, _ = _resolve_sequence(args)
     tau = _resolve_tau(args, seq)
     return CommandResult("ok", jacobi.build_jacobi(seq, tau).to_json())
+
+
+_ENCODE = json.JSONEncoder().encode  # without indent: json's C encoder, ", " between items
+
+
+def _render(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for string keys.
+
+    indent turns json's C encoder off, so each run of numbers goes through
+    it in one call instead, and its ", " becomes the newline and indent
+    (no number's text holds ", "). Every other scalar is encoded alone.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (json.encoder.encode_basestring_ascii(key) + ": " + _render(value, inner)
+                 for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= {int, float}:
+            body = _ENCODE(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_render(value, inner) for value in obj)
+        return "[" + inner + body + pad + "]"
+    return _ENCODE(obj)
 
 
 def _pretty(result: CommandResult) -> str:
@@ -406,7 +440,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except CliUsageError as exc:
         result = CommandResult("error", {"error": "usage", "message": str(exc)})
-        _emit(json.dumps(result.to_json(), indent=2))
+        _emit(_render(result.to_json()))
         return EXIT_CODES["error"]
     try:
         result = args.handler(args)
@@ -423,7 +457,7 @@ def main(argv=None) -> int:
     ) as exc:
         name = "usage" if isinstance(exc, CliUsageError) else type(exc).__name__
         result = CommandResult("error", {"error": name, "message": str(exc)})
-    _emit(_pretty(result) if getattr(args, "pretty", False) else json.dumps(result.to_json(), indent=2))
+    _emit(_pretty(result) if getattr(args, "pretty", False) else _render(result.to_json()))
     return EXIT_CODES[result.status]
 
 

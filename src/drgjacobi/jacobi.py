@@ -69,9 +69,9 @@ class JacobiOperator:
     def __post_init__(self):
         if len(self.offdiag) != len(self.diag) - 1:
             raise JacobiError("offdiag must be one shorter than diag")
-        if not all(math.isfinite(x) for x in self.diag + self.offdiag):
+        if not all(map(math.isfinite, self.diag + self.offdiag)):
             raise JacobiError("diagonal and off-diagonal entries must be finite")
-        if any(not b > 0 for b in self.offdiag):
+        if min(self.offdiag, default=1.0) <= 0:  # all finite here: no NaN to skip
             raise JacobiError("off-diagonal entries must be strictly positive")
         if self.diag[0] != 0.0:
             raise JacobiError("the first diagonal entry is always 0")
@@ -89,8 +89,8 @@ class JacobiOperator:
     def to_json(self) -> dict:
         return {
             "size": self.size,
-            "diag": [float(x) for x in self.diag],
-            "offdiag": [float(x) for x in self.offdiag],
+            "diag": list(map(float, self.diag)),
+            "offdiag": list(map(float, self.offdiag)),
             "tau": None if self.tau is None else float(self.tau),
         }
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drgjacobi import jacobi
-from drgjacobi.cli import main
+from drgjacobi import families, jacobi
+from drgjacobi.cli import _render, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -774,3 +774,53 @@ def test_a_reader_that_closes_the_pipe_ends_the_output_quietly(argv, code):
     proc.stderr.close()
     assert proc.wait() == code
     assert stderr == b""
+
+
+def test_render_is_json_dumps_with_indent_2():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+    ints = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+    text = st.text() | st.sampled_from(['", "', "1, 2", "é中😀", 'say "hi"', "\x00\x1f\n\t\\"])
+    scalars = st.none() | st.booleans() | ints | floats | text
+    trees = st.recursive(
+        # runs of numbers take the one-call path; a run of strings may hold ", "
+        scalars | st.lists(ints | floats) | st.lists(text),
+        lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(text, kids),
+        max_leaves=40,
+    )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(trees)
+    def check(obj):
+        assert _render(obj) == json.dumps(obj, indent=2)
+
+    check()
+
+
+@pytest.mark.parametrize("obj", [{"a": [1, object()]}, [1.5, np.int64(2)], {"s": {1}}, {"z": 1j}])
+def test_render_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        _render(obj)
+
+
+def test_moments_checks_both_caps_before_the_exact_walk(capsys, monkeypatch):
+    def walk(*args):
+        raise AssertionError("the exact walk ran before a refusal")
+
+    def moments(order):
+        return run(capsys, ["moments", "--family", "tree:3", "--order", str(order)])
+
+    cap = families.MAX_MOMENT_ORDER
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "moment_sequence", walk)
+        for order in (664, cap):
+            message = "tree:3 quadrature moment order must be at most 663"
+            assert moments(order) == (1, error_envelope("SequenceError", message))
+    for order in (cap + 1, 10**9):
+        message = f"moment order must be at most {cap}"
+        assert moments(order) == (1, error_envelope("SequenceError", message))

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -237,3 +238,68 @@ def test_truncated_radius_monotone_and_bounded():
 def test_strict_gap_to_degree():
     for n in range(3, 11):
         assert spectral_radius_tree(n) < n
+
+
+def _per_level_corner(gen, m):
+    """The corner built one level at a time through pair and alpha."""
+    diag = tuple(float(gen.alpha(k)) for k in range(m))
+    off = tuple(math.sqrt(a * b) for a, b in (gen.pair(k) for k in range(1, m)))
+    return diag, off
+
+
+def _full_width_moments(gen, order):
+    """The integer walk over every level of the size ceil(order/2)+1 corner at every step."""
+    size = (order + 1) // 2 + 1
+    alphas = [gen.alpha(j) for j in range(size)]
+    down = [0] + [a * b for a, b in (gen.pair(j) for j in range(1, size))]
+    vec = [1] + [0] * (size - 1)
+    moments = [1]
+    for _ in range(order):
+        nxt = [0] * size
+        for j in range(size):
+            value = alphas[j] * vec[j]
+            if j + 1 < size:
+                value += vec[j + 1]
+            if j > 0:
+                value += down[j] * vec[j - 1]
+            nxt[j] = value
+        vec = nxt
+        moments.append(vec[0])
+    return moments
+
+
+def _random_families(count, seed=23):
+    """Valid eventually periodic families, period 1..3, each prefix longer than its period."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        degree, period = rng.randint(2, 6), rng.randint(1, 3)
+        pairs = [(1, degree)]
+        for _ in range(period + rng.randint(0, 3)):
+            pairs.append((rng.randint(1, degree - 1), rng.randint(1, degree - pairs[-1][0])))
+        try:
+            gen = families.FamilyGenerator(tuple(pairs), period, "random")
+        except SequenceError:  # a wrap-around alpha is negative
+            continue
+        if gen not in found:
+            found.append(gen)
+    return found
+
+
+@pytest.mark.parametrize("gen", _random_families(12), ids=lambda g: f"{g.prefix}/{g.period}")
+def test_array_corners_and_banded_moments_match_per_level_code(gen):
+    size = len(gen.prefix)
+    for m in (1, size, size + 1, size + 3 * gen.period):
+        corner = truncated_jacobi(gen, m)
+        assert (corner.diag, corner.offdiag) == _per_level_corner(gen, m)
+        assert all(type(x) is float for x in corner.diag + corner.offdiag)
+    for order in range(81):
+        moments = moment_sequence(gen, order)
+        assert moments == _full_width_moments(gen, order)
+        assert all(type(x) is int for x in moments)
+
+
+def test_banded_walk_gives_central_binomials_at_the_cap():
+    # custom:1,2;1,1 is the two-sided path; its closed walks are central binomials
+    moments = moment_sequence(family_from_name("custom:1,2;1,1;period=1"), MAX_MOMENT_ORDER)
+    assert moments[0::2] == [math.comb(2 * k, k) for k in range(MAX_MOMENT_ORDER // 2 + 1)]
+    assert set(moments[1::2]) == {0}
