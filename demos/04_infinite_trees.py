@@ -3,17 +3,19 @@
 The n-regular tree has intersection pairs (1, n), (1, n-1), (1, n-1), ...
 Its infinite tridiagonal matrix is approximated by corner truncations.
 Moments (J^k)_{0,0} are exact integers (closed-walk counts); for trees
-they must match moments of the Kesten-McKay density, computed here by
-adaptive quadrature after a sine substitution. The truncated spectral
+they must match moments of the Kesten-McKay density, computed here for
+every order at once by one Gauss-Chebyshev rule (numpy's chebgauss
+nodes after the substitution x = 2 sqrt(n-1) t). The truncated spectral
 radius climbs to 2 sqrt(n-1), strictly below the degree n: the spectral
 edge of an infinite tree never reaches the degree.
 """
 
 from drgjacobi import (
-    density_moment,
+    density_moments,
     eigenvalues,
     kesten_mckay_density,
     moment,
+    moment_sequence,
     spectral_radius_tree,
     tree_sequence,
     truncated_jacobi,
@@ -23,10 +25,10 @@ for n in (2, 3, 4):
     gen = tree_sequence(n)
     print(f"\n== {n}-regular tree")
     print("   k   exact (J^k)_00   quadrature          |diff|")
+    exact, quadrature = moment_sequence(gen, 12), density_moments(n, 12)
     for k in range(0, 13, 2):
-        exact = moment(gen, k)
-        quadrature = density_moment(n, k)
-        print(f"  {k:2d}   {exact:14d}   {quadrature:16.9f}   {abs(exact - quadrature):.2e}")
+        diff = abs(exact[k] - quadrature[k])
+        print(f"  {k:2d}   {exact[k]:14d}   {quadrature[k]:16.9f}   {diff:.2e}")
 
 print("\nFor n = 2 the even moments are the central binomial coefficients")
 print("(closed walks on the two-sided infinite path):",

@@ -229,11 +229,10 @@ def cmd_moments(args) -> CommandResult:
     tree = gen.description.startswith("tree:")
     # both caps refuse before the walk; past the exact walk's, moment_sequence's message comes first
     if tree and args.order <= families.MAX_MOMENT_ORDER:
-        top = families.density_moment(gen.degree, args.order)  # refuses an order beyond float64
+        quadrature = families.density_moments(gen.degree, args.order)  # refuses beyond float64
     exact = families.moment_sequence(gen, args.order)
     payload = {"family": gen.description, "order": args.order, "moments": exact}
     if tree:
-        quadrature = [families.density_moment(gen.degree, k) for k in range(args.order)] + [top]
         payload["quadrature"] = quadrature
         payload["abs_diff"] = [abs(q - m) for q, m in zip(quadrature, exact)]
     return CommandResult("ok", payload)
@@ -285,15 +284,34 @@ def cmd_jacobi(args) -> CommandResult:
 
 
 _ENCODE = json.JSONEncoder().encode  # without indent: json's C encoder, ", " between items
+# Shorter number runs are joined from their items' text: below about 8 items that
+# costs less than building the C encoder for one call (timeit, 2-core Xeon VM).
+_SHORT_RUN = 8
+_FLOAT_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's, not repr's
 
 
 def _render(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for string keys.
 
-    indent turns json's C encoder off, so each run of numbers goes through
-    it in one call instead, and its ", " becomes the newline and indent
-    (no number's text holds ", "). Every other scalar is encoded alone.
+    indent turns json's C encoder off, so each long run of numbers goes
+    through it in one call instead, and its ", " becomes the newline and
+    indent (no number's text holds ", "). Scalars are encoded here, as
+    json's pure-Python encoder does; anything else reaches _ENCODE and
+    its TypeError.
     """
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_SPELLINGS.get(text, text)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -304,7 +322,7 @@ def _render(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) <= {int, float}:
+        if len(obj) >= _SHORT_RUN and set(map(type, obj)) <= {int, float}:
             body = _ENCODE(obj)[1:-1].replace(", ", "," + inner)
         else:
             body = ("," + inner).join(_render(value, inner) for value in obj)

@@ -6,7 +6,9 @@ infinite tridiagonal matrix give finite Jacobi operators; the (0, 0)
 entry of the k-th matrix power, an exact integer, is the k-th moment of
 the spectral measure seen from any vertex. For the n-regular tree that
 measure is the Kesten-McKay distribution, which gives an independent
-quadrature route to the same moments.
+quadrature route to the same moments: one Gauss-Chebyshev rule
+(numpy's chebgauss nodes) yields every order up to the requested one
+at once, checked against the same rule at half the nodes.
 
 alpha_k and a_k b_k depend on k only through pair(k)'s index in the
 prefix, so each is computed once per prefix pair and spread over the
@@ -33,8 +35,11 @@ from .jacobi import JacobiOperator
 MAX_TRUNCATION_SIZE = 1 << 16
 MAX_MOMENT_ORDER = 2000
 
-# Quadrature tolerance of density_moment, relative to radius**k.
+# Quadrature tolerance of density_moments, relative to radius**k.
 QUAD_TOL = 1e-8
+# Largest node count of its Gauss-Chebyshev rule (128 KB of nodes), 16 times
+# what tree:2 takes at its float64 top order.
+_MAX_NODES = 1 << 14
 
 
 class QuadratureNotConvergedError(Exception):
@@ -154,8 +159,11 @@ def truncated_jacobi(gen: FamilyGenerator, m: int) -> JacobiOperator:
     if m > MAX_TRUNCATION_SIZE:
         raise SequenceError(f"truncation size must be at most {MAX_TRUNCATION_SIZE}")
     index, used = _pair_index(gen, m)
-    diag = np.array([float(gen.alpha(k)) for k in used])[index].tolist()
-    off = np.array([math.sqrt(a * b) for a, b in map(gen.pair, used)])[index].tolist()
+    try:
+        diag = np.array([float(gen.alpha(k)) for k in used])[index].tolist()
+        off = np.array([math.sqrt(a * b) for a, b in map(gen.pair, used)])[index].tolist()
+    except OverflowError:
+        raise SequenceError("an alpha_k or a_k b_k of the corner leaves float64") from None
     return JacobiOperator((0.0, *diag), tuple(off), tau=None)
 
 
@@ -213,37 +221,68 @@ def kesten_mckay_density(n: int, x: float) -> float:
     return n * math.sqrt(s) / (2.0 * math.pi * (shift + s))
 
 
-def density_moment(n: int, k: int) -> float:
-    """k-th moment of the Kesten-McKay density by adaptive quadrature.
+def density_moments(n: int, order: int) -> list[float]:
+    """Moments k = 0..order of the Kesten-McKay density, from one Gauss-Chebyshev rule.
 
-    The substitution x = 2 sqrt(n-1) sin(theta) removes the square-root
-    edge singularity before integrating. The tolerance is relative to
-    radius**k, the bound on |moment| with radius = 2 sqrt(n-1): raises
-    QuadratureNotConvergedError if the error estimate exceeds
-    QUAD_TOL * radius**k, and SequenceError for an order whose integrand
-    would near the float64 range.
+    With x = R t and R = 2 sqrt(n-1), the k-th moment is R^k times the
+    integral of t^k n R^2 (1-t^2) / (2 pi ((n-2)^2 + R^2 (1-t^2))) against
+    the Chebyshev weight 1/sqrt(1-t^2), which numpy's chebgauss nodes
+    integrate. The rule runs at N and 2N nodes, N doubling from about
+    order/2 + 8 up to _MAX_NODES, and the 2N values are returned once
+    |Q_2N - Q_N| <= 0.5 QUAD_TOL R^k for every k (R^k bounds |moment|);
+    otherwise QuadratureNotConvergedError is raised. Symmetric node pairs
+    are summed, so every odd moment is exactly 0.0, and powers are
+    accumulated one order at a time. SequenceError refuses an order whose
+    R^k would near the float64 range.
     """
     if n < 2:
         raise SequenceError("tree degree must be at least 2")
-    # The integrand's intermediate x^k n c^2 reaches n radius^(k+2); quad's error
-    # estimate overflows near 2^1021, so orders keep it below 2^1000.
+    if order < 0:
+        raise SequenceError("moment order must be nonnegative")
+    # orders keep n R^(k+2) below 2^1000, so every R^k and moment lies well inside float64
     top = math.floor((1000 - math.log2(n)) / (1 + math.log2(n - 1) / 2)) - 2
-    if k > top:
+    if order > top:
         raise SequenceError(f"tree:{n} quadrature moment order must be at most {top}")
-    from scipy.integrate import quad  # here: it would double the command line's import time
-    radius = 2.0 * math.sqrt(n - 1.0)
-    shift = float((n - 2) ** 2)
+    nodes = 2 * (order // 4 + 4)  # even, near order/2 + 8
+    fine = _even_moments_by_rule(n, order, nodes)
+    while True:
+        coarse, nodes = fine, 2 * nodes
+        fine = _even_moments_by_rule(n, order, nodes)
+        # a gap under one unit in the last place of Q_2N is rounding, not agreement
+        gap = np.maximum(np.abs(fine - coarse), np.spacing(fine))
+        if gap.max() <= 0.5 * QUAD_TOL or nodes >= _MAX_NODES:
+            break
+    # R^2j = (4(n-1))^j is an exact integer: one rounding per moment
+    powers = [(4 * (n - 1)) ** j for j in range(order // 2 + 1)]
+    j = int(np.argmax(gap))
+    if gap[j] > 0.5 * QUAD_TOL:
+        raise QuadratureNotConvergedError(
+            float(fine[j]) * powers[j], float(gap[j]) * powers[j], 0.5 * QUAD_TOL * powers[j]
+        )
+    moments = [0.0] * (order + 1)
+    moments[::2] = [q * r for q, r in zip(fine.tolist(), powers)]
+    return moments
 
-    def integrand(theta: float) -> float:
-        x = radius * math.sin(theta)
-        c = radius * math.cos(theta)
-        return (x ** k) * n * c * c / (2.0 * math.pi * (shift + c * c))
 
-    tol = QUAD_TOL * radius**k
-    value, err = quad(integrand, -math.pi / 2, math.pi / 2, epsabs=0.5 * tol, epsrel=1e-12)
-    if err > tol:
-        raise QuadratureNotConvergedError(value, err, tol)
-    return value
+def _even_moments_by_rule(n: int, order: int, nodes: int) -> np.ndarray:
+    """Entry j: the Gauss-Chebyshev rule at an even node count for moment 2j, over R^2j."""
+    from numpy.polynomial.chebyshev import chebgauss  # here: numpy does not load numpy.polynomial
+
+    t, w = chebgauss(nodes)
+    t, w = t[:nodes // 2], w[:nodes // 2]  # the positive nodes, each standing for its pair
+    c = 4.0 * (n - 1) * (1.0 - t) * (1.0 + t)
+    term = n / math.pi * w * (c / (float((n - 2) ** 2) + c))  # twice the density
+    t2 = t * t
+    out = np.empty(order // 2 + 1)
+    for j in range(len(out)):
+        out[j] = term.sum()
+        term *= t2
+    return out
+
+
+def density_moment(n: int, k: int) -> float:
+    """k-th moment of the Kesten-McKay density: the last of density_moments(n, k)."""
+    return density_moments(n, k)[-1]
 
 
 def spectral_radius_tree(n: int) -> float:

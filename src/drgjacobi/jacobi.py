@@ -230,10 +230,37 @@ def gershgorin_interval(J: JacobiOperator) -> tuple[float, float]:
     return min(J.diag) - width, max(J.diag) + width
 
 
+def _lapack_roots(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal (diag, off), ascending, by LAPACK dstevd.
+
+    dstevd is the routine scipy's eigvalsh_tridiagonal dispatches to; called
+    directly it skips that function's argument checks, about nine tenths of
+    its time at size 3. Size 1 and LAPACK's info are handled as scipy
+    handles them. scipy releases without the dstevd wrapper solve by
+    eigvalsh_tridiagonal.
+    """
+    # Imported here: scipy.linalg nearly triples the command line's import time.
+    from scipy.linalg import lapack
+
+    if len(diag) == 1:  # dstevd takes an off-diagonal of length 1 at least
+        return diag.copy()
+    stevd = getattr(lapack, "dstevd", None)
+    if stevd is None:
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        return eigvalsh_tridiagonal(diag, off)
+    roots, _, info = stevd(diag, off, compute_v=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal stevd")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"stevd did not converge (LAPACK info={info})")
+    return roots
+
+
 def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     """All eigenvalues of J, strictly increasing.
 
-    LAPACK (scipy's eigvalsh_tridiagonal) solves; one Sturm count (the
+    LAPACK (dstevd, see _lapack_roots) solves; one Sturm count (the
     negative pivots of J - x) at roots -/+ tol/2 certifies. The counts
     must read exactly k below and k + 1 above the k-th root, which
     proves that each root lies within tol/2 of the k-th eigenvalue and
@@ -241,9 +268,6 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     ToleranceTooSmallError is raised. tol defaults to 1e-12 relative to
     the Gershgorin enclosure width.
     """
-    # Imported here: scipy.linalg nearly triples the command line's import time.
-    from scipy.linalg import eigvalsh_tridiagonal
-
     n = J.size
     if tol is None:
         lo, hi = gershgorin_interval(J)
@@ -252,7 +276,7 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
         raise ValueError("tol must be positive")
     diag = np.asarray(J.diag, dtype=float)
     off = np.asarray(J.offdiag, dtype=float)
-    roots = eigvalsh_tridiagonal(diag, off)
+    roots = _lapack_roots(diag, off)
     counts = _sign_change_counts(diag, off, np.concatenate([roots - tol / 2, roots + tol / 2]))
     if not np.array_equal(counts, np.r_[0:n, 1:n + 1]):
         raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {tol / 2!r}")

@@ -670,11 +670,31 @@ def test_import_leaves_quadrature_and_graph_search_unloaded():
     probe = (
         "import sys, drgjacobi.cli; "
         "print([m for m in ('scipy.integrate', 'scipy.sparse.csgraph', 'scipy.linalg') "
-        "if m in sys.modules])"
+        "if m in sys.modules]); "
+        # tree moments take their quadrature from numpy
+        "code = drgjacobi.cli.main(['moments', '--family', 'tree:3', '--order', '16']); "
+        "print(code, 'scipy.integrate' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 False"
+
+
+def test_family_entries_beyond_float64_give_an_envelope(capsys):
+    huge = 10**400
+    family = f"custom:1,{huge};1,1"
+    code, doc = run_json(capsys, ["jacobi", "--family", family, "--size", "2"])
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == "SequenceError"
+    assert "float64" in doc["payload"]["message"]
+    code, doc = run_json(capsys, ["jacobi", "--family", family, "--size", "1"])
+    assert code == 0 and doc["payload"]["diag"] == [0.0]
+    # the exact walk needs no float: alpha_1 = huge - 2, a_1 b_1 = huge, a_2 b_2 = 1
+    code, doc = run_json(capsys, ["moments", "--family", family, "--order", "4"])
+    assert code == 0
+    fourth = huge * ((huge - 2) ** 2 + huge + 1)
+    assert doc["payload"]["moments"] == [1, 0, huge, huge * (huge - 2), fourth]
 
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):

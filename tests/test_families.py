@@ -9,6 +9,7 @@ from drgjacobi import (
     QuadratureNotConvergedError,
     SequenceError,
     density_moment,
+    density_moments,
     eigenvalues,
     family_from_name,
     kesten_mckay_density,
@@ -160,8 +161,9 @@ def test_caps_admit_the_ladder():
         lambda: moment_sequence(tree_sequence(3), 10**9),
         lambda: moment_sequence(tree_sequence(3), MAX_MOMENT_ORDER + 1),
         lambda: moment(tree_sequence(3), 10**9),
+        lambda: density_moments(3, 10**9),
     ],
-    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "moment-1e9"],
+    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "moment-1e9", "quadrature-1e9"],
 )
 def test_oversized_family_requests_fail_before_allocating(build):
     tracemalloc.start()
@@ -203,6 +205,27 @@ def test_density_moment_refuses_orders_beyond_float64(n, top):
     assert math.isfinite(density_moment(n, top - 1))
     with pytest.raises(SequenceError, match=f"at most {top}$"):
         density_moment(n, top + 1)
+
+
+@pytest.mark.parametrize(
+    "n, top",
+    [(2, 997), (3, 663), (4, 554), (5, 496), (6, 459), (7, 432), (8, 412), (9, 396), (100, 228)],
+)
+def test_density_moments_match_the_exact_walks(n, top):
+    # tops are the refusal's float64 limits; the walk is exact, so errors are the rule's
+    quadrature, exact = density_moments(n, top), moment_sequence(tree_sequence(n), top)
+    assert len(quadrature) == top + 1 and all(type(q) is float for q in quadrature)
+    assert quadrature[1::2] == [0.0] * (top // 2 + top % 2)  # symmetric pairs: exactly zero
+    for k, (q, m) in enumerate(zip(quadrature, exact)):
+        assert abs(q - m) <= (1e-12 if k <= 40 else 1e-9) * m, (k, q, m)
+    assert density_moment(n, top) == quadrature[-1]
+    with pytest.raises(SequenceError, match=f"at most {top}$"):
+        density_moments(n, top + 1)
+
+
+def test_density_moments_reject_a_negative_order():
+    with pytest.raises(SequenceError, match="nonnegative"):
+        density_moments(3, -1)
 
 
 def test_density_moment_refuses_degrees_beyond_float64():

@@ -24,6 +24,7 @@ from drgjacobi import (
     spectral_measure,
     weight_formulas,
 )
+from drgjacobi import jacobi
 
 PETERSEN = sequence_from_pairs([(1, 3), (1, 2)])
 
@@ -149,12 +150,10 @@ def test_eigenvalues_tolerance_too_small():
 
 @pytest.mark.parametrize("tamper", ["shift", "swap"])
 def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
-    import scipy.linalg  # eigenvalues imports its solver from here at each call
-
     tol = 1e-9
     J = build_jacobi(PETERSEN, 2.0)
     assert eigenvalues(J, tol) == pytest.approx([-2.0, 1.0, 3.0], abs=tol)
-    original = scipy.linalg.eigvalsh_tridiagonal
+    original = jacobi._lapack_roots  # eigenvalues looks its solver up at each call
 
     def tampered(diag, off):
         roots = original(diag, off)
@@ -162,9 +161,24 @@ def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
             return roots + 10 * tol
         return roots[[1, 0, 2]]
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", tampered)
+    monkeypatch.setattr(jacobi, "_lapack_roots", tampered)
     with pytest.raises(ToleranceTooSmallError):
         eigenvalues(J, tol)
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["dstevd", "scipy-without-dstevd"])
+def test_lapack_roots_are_scipys_roots_bit_for_bit(monkeypatch, wrapped):
+    from scipy.linalg import eigvalsh_tridiagonal, lapack
+
+    if not wrapped:
+        monkeypatch.delattr(lapack, "dstevd", raising=False)
+    rng = np.random.default_rng(24)
+    for n in [1, 2, 3] + rng.integers(4, 300, size=60).tolist():
+        diag = rng.normal(size=n) * rng.choice([1.0, 100.0])
+        off = np.abs(rng.normal(size=n - 1)) + 1e-3
+        roots = jacobi._lapack_roots(diag, off)
+        assert np.array_equal(roots, eigvalsh_tridiagonal(diag, off)), n
+        assert roots is not diag
 
 
 def test_eigenvalues_hamming_near_closed_form():
