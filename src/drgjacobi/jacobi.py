@@ -236,8 +236,9 @@ def _lapack_roots(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     dstevd is the routine scipy's eigvalsh_tridiagonal dispatches to; called
     directly it skips that function's argument checks, about nine tenths of
     its time at size 3. Size 1 and LAPACK's info are handled as scipy
-    handles them. scipy releases without the dstevd wrapper solve by
-    eigvalsh_tridiagonal.
+    handles them. The wrapper came with that function's 'stevd' driver,
+    after the scipy 1.10 floor in pyproject.toml: releases without it solve
+    by eigvalsh_tridiagonal itself, so each scipy gives its default roots.
     """
     # Imported here: scipy.linalg nearly triples the command line's import time.
     from scipy.linalg import lapack

@@ -166,19 +166,51 @@ def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
         eigenvalues(J, tol)
 
 
-@pytest.mark.parametrize("wrapped", [True, False], ids=["dstevd", "scipy-without-dstevd"])
-def test_lapack_roots_are_scipys_roots_bit_for_bit(monkeypatch, wrapped):
-    from scipy.linalg import eigvalsh_tridiagonal, lapack
-
-    if not wrapped:
-        monkeypatch.delattr(lapack, "dstevd", raising=False)
-    rng = np.random.default_rng(24)
+def _random_tridiagonals(seed):
+    rng = np.random.default_rng(seed)
     for n in [1, 2, 3] + rng.integers(4, 300, size=60).tolist():
         diag = rng.normal(size=n) * rng.choice([1.0, 100.0])
-        off = np.abs(rng.normal(size=n - 1)) + 1e-3
+        yield diag, np.abs(rng.normal(size=n - 1)) + 1e-3
+
+
+def test_lapack_roots_are_scipys_default_roots_bit_for_bit():
+    # eigenvalues solved by eigvalsh_tridiagonal's default driver before it called
+    # dstevd itself: the roots, and so every printed eigenvalue, must not move
+    from scipy.linalg import eigvalsh_tridiagonal, lapack
+
+    if not hasattr(lapack, "dstevd"):
+        pytest.skip("this scipy has no dstevd wrapper; eigvalsh_tridiagonal solves")
+    for diag, off in _random_tridiagonals(24):
         roots = jacobi._lapack_roots(diag, off)
-        assert np.array_equal(roots, eigvalsh_tridiagonal(diag, off)), n
+        assert np.array_equal(roots, eigvalsh_tridiagonal(diag, off)), len(diag)
         assert roots is not diag
+
+
+def test_lapack_roots_without_the_dstevd_wrapper_solve_by_scipy(monkeypatch):
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    solved = []
+
+    def spy(diag, off):
+        solved.append(len(diag))
+        return eigvalsh_tridiagonal(diag, off)
+
+    eigvalsh_tridiagonal = scipy.linalg.eigvalsh_tridiagonal
+    monkeypatch.delattr(lapack, "dstevd", raising=False)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    sizes = []  # size 1 needs no solver
+    for diag, off in _random_tridiagonals(25):
+        roots = jacobi._lapack_roots(diag, off)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        scale = max(np.abs(diag).max() + 2 * off.max(initial=0.0), 1.0)
+        assert np.abs(roots - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale, len(diag)
+        assert roots is not diag
+        sizes.append(len(diag))
+    assert solved == [n for n in sizes if n > 1] and sizes[0] == 1
+    J = build_jacobi(PETERSEN, 2.0)
+    assert eigenvalues(J) == pytest.approx([-2.0, 1.0, 3.0], abs=1e-12)
+    assert solved[-1] == 3
 
 
 def test_eigenvalues_hamming_near_closed_form():
