@@ -11,10 +11,9 @@ from drgjacobi import (
     certify_distance_regular,
     degree_sequence,
     graph_from_name,
-    isoscycle_numbers,
     parse_edge_list,
-    verify_recurrence,
 )
+from drgjacobi.oracle import dense_adjacency, recurrence_pass
 
 
 def show(name, g):
@@ -28,11 +27,14 @@ def show(name, g):
         return
     print(f"   pairs (a_k, b_k): {list(zip(outcome.a, outcome.b))}")
     print(f"   diagonal values alpha_0..alpha_d: {outcome.alphas}")
-    print(f"   distance-k degrees: {degree_sequence(outcome)}")
-    print(f"   isoscycle counts:   {isoscycle_numbers(outcome)}")
-    check = verify_recurrence(g, outcome)
+    degrees = degree_sequence(outcome)
+    print(f"   distance-k degrees: {degrees}")
+    # each vertex at distance k has alpha_k neighbours at distance k: alpha_k deg_k / 2 edges
+    isoscycles = [alpha * deg // 2 for alpha, deg in zip(outcome.alphas, degrees)]
+    print(f"   isoscycle counts:   {isoscycles}")
+    mismatch = recurrence_pass(g, outcome, dense_adjacency(g))[0]
     print(f"   exact recurrence A A_k = a_(k+1) A_(k+1) + alpha_k A_k + b_k A_(k-1): "
-          f"{'holds' if check else check.mismatch}")
+          f"{'holds' if mismatch is None else mismatch}")
 
 
 for name in ("complete:4", "cycle:6", "petersen", "hypercube:3", "complete_bipartite:3"):

@@ -16,10 +16,9 @@ from drgjacobi import (
     build_jacobi,
     canonical_tau,
     certify_distance_regular,
-    check_interlacing,
-    eigenfunction_coeffs,
     eigenvalues,
     graph_from_name,
+    spectra_interlace,
 )
 
 seq = certify_distance_regular(graph_from_name("petersen"))
@@ -36,13 +35,15 @@ for tau in (-2.0, 0.0, float(tau_star), 4.0):
 
 print("\nSpectra at distinct tau interlace and never collide:")
 for tau1, tau2 in ((2.0, 0.0), (-1.5, 3.25), (0.1, 0.2)):
-    print(f"  tau = {tau1} vs {tau2}: interlaced = {check_interlacing(seq, tau1, tau2)}")
+    e1, e2 = (eigenvalues(build_jacobi(seq, tau)) for tau in (tau1, tau2))
+    print(f"  tau = {tau1} vs {tau2}: interlaced = {spectra_interlace(e1, e2)[0]}")
 
 print("\nEigenvector coordinates in the normalized distance-matrix basis")
 print("(first-kind polynomial values at each eigenvalue):")
-for lam in eigenvalues(build_jacobi(seq, float(tau_star))):
-    coeffs = eigenfunction_coeffs(seq, float(tau_star), lam)
-    print(f"  lambda = {lam: 9.6f}: " + "  ".join(f"{c: 8.5f}" for c in coeffs))
+# J's eigenvector at lambda, scaled to first coordinate 1, is (P_0(lambda), ..., P_d(lambda))
+lams, vectors = np.linalg.eigh(build_jacobi(seq, float(tau_star)).to_dense())
+for lam, v in zip(lams, vectors.T):
+    print(f"  lambda = {lam: 9.6f}: " + "  ".join(f"{c: 8.5f}" for c in v / v[0]))
 
 # Complete graphs have a closed form: the completions are 2 x 2 and the
 # two eigenvalues are tau/2 +- sqrt(tau^2 + 4(n-1))/2.

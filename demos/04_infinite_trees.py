@@ -14,7 +14,6 @@ from drgjacobi import (
     density_moments,
     eigenvalues,
     kesten_mckay_density,
-    moment,
     moment_sequence,
     spectral_radius_tree,
     tree_sequence,
@@ -32,7 +31,7 @@ for n in (2, 3, 4):
 
 print("\nFor n = 2 the even moments are the central binomial coefficients")
 print("(closed walks on the two-sided infinite path):",
-      [moment(tree_sequence(2), k) for k in range(0, 13, 2)])
+      moment_sequence(tree_sequence(2), 12)[::2])
 
 print("\nTruncated spectral radius vs the limit 2 sqrt(n-1):")
 for n in (2, 3, 4):

@@ -11,11 +11,9 @@ handled through corner truncations and exact integer moments.
 from .families import (
     FamilyGenerator,
     QuadratureNotConvergedError,
-    density_moment,
     density_moments,
     family_from_name,
     kesten_mckay_density,
-    moment,
     moment_sequence,
     spectral_radius_tree,
     tree_sequence,
@@ -26,49 +24,31 @@ from .graphs import (
     GraphError,
     MalformedLineError,
     NotConnectedError,
-    OddPairCountError,
     SelfLoopError,
-    bfs_distances,
-    degree_k,
-    diameter,
-    distance_k_matrix,
     graph_from_edges,
     graph_from_name,
-    isoscycle_count,
     parse_edge_list,
 )
 from .intersection import (
     IntersectionSequence,
-    NonIntegralCountError,
     NonIntegralDegreeError,
     NonRegularityWitness,
-    RecurrenceCheck,
     SequenceError,
     certify_distance_regular,
     degree_sequence,
-    distance_poly_eval,
-    isoscycle_numbers,
     sequence_from_pairs,
-    verify_recurrence,
 )
 from .jacobi import (
-    FirstKindEvaluation,
     JacobiError,
     JacobiOperator,
-    KernelMismatchError,
     MultiplicityNotIntegralError,
-    NotAnEigenvalueError,
     SpectralAtom,
     SpectralMeasure,
     ToleranceTooSmallError,
     WeightMismatchError,
     build_jacobi,
     canonical_tau,
-    cd_kernel,
-    check_interlacing,
-    eigenfunction_coeffs,
     eigenvalues,
-    eval_first_kind,
     spectra_interlace,
     spectral_measure,
     weight_formulas,
@@ -78,52 +58,33 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FamilyGenerator",
-    "FirstKindEvaluation",
     "Graph",
     "GraphError",
     "IntersectionSequence",
     "JacobiError",
     "JacobiOperator",
-    "KernelMismatchError",
     "MalformedLineError",
     "MultiplicityNotIntegralError",
-    "NonIntegralCountError",
     "NonIntegralDegreeError",
     "NonRegularityWitness",
-    "NotAnEigenvalueError",
     "NotConnectedError",
-    "OddPairCountError",
     "QuadratureNotConvergedError",
-    "RecurrenceCheck",
     "SelfLoopError",
     "SequenceError",
     "SpectralAtom",
     "SpectralMeasure",
     "ToleranceTooSmallError",
     "WeightMismatchError",
-    "bfs_distances",
     "build_jacobi",
     "canonical_tau",
-    "cd_kernel",
     "certify_distance_regular",
-    "check_interlacing",
-    "degree_k",
     "degree_sequence",
-    "density_moment",
     "density_moments",
-    "diameter",
-    "distance_k_matrix",
-    "distance_poly_eval",
-    "eigenfunction_coeffs",
     "eigenvalues",
-    "eval_first_kind",
     "family_from_name",
     "graph_from_edges",
     "graph_from_name",
-    "isoscycle_count",
-    "isoscycle_numbers",
     "kesten_mckay_density",
-    "moment",
     "moment_sequence",
     "parse_edge_list",
     "sequence_from_pairs",
@@ -132,6 +93,5 @@ __all__ = [
     "spectral_radius_tree",
     "tree_sequence",
     "truncated_jacobi",
-    "verify_recurrence",
     "weight_formulas",
 ]

@@ -231,6 +231,15 @@ def cmd_moments(args) -> CommandResult:
     if tree and args.order <= families.MAX_MOMENT_ORDER:
         quadrature = families.density_moments(gen.degree, args.order)  # refuses beyond float64
     exact = families.moment_sequence(gen, args.order)
+    # Python refuses to write an int of more than `limit` digits (0: no cap, as before 3.10.7).
+    # Moments are nonnegative, and one below 2^(3 limit) < 10^limit fits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(exact).bit_length() > 3 * limit:
+        bound = 10**limit
+        for k, m in enumerate(exact):
+            if m >= bound:
+                raise SequenceError(f"moment {k} has more than {limit} digits, the most that "
+                                    "Python converts to text (sys.get_int_max_str_digits)")
     payload = {"family": gen.description, "order": args.order, "moments": exact}
     if tree:
         payload["quadrature"] = quadrature

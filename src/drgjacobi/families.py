@@ -198,11 +198,6 @@ def moment_sequence(gen: FamilyGenerator, order: int) -> list[int]:
     return moments
 
 
-def moment(gen: FamilyGenerator, k: int) -> int:
-    """Exact k-th moment (J^k)_{0,0}; see moment_sequence."""
-    return moment_sequence(gen, k)[-1]
-
-
 def kesten_mckay_density(n: int, x: float) -> float:
     """Spectral density of the n-regular tree at x.
 
@@ -278,11 +273,6 @@ def _even_moments_by_rule(n: int, order: int, nodes: int) -> np.ndarray:
         out[j] = term.sum()
         term *= t2
     return out
-
-
-def density_moment(n: int, k: int) -> float:
-    """k-th moment of the Kesten-McKay density: the last of density_moments(n, k)."""
-    return density_moments(n, k)[-1]
 
 
 def spectral_radius_tree(n: int) -> float:

@@ -12,11 +12,11 @@ density: on graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, A_1 =
 (distances == 1) as a dense float32 array, whose BLAS products are
 exact while every sum stays below 2^24 (``_max_code``); on sparser
 ones, the CSR arrays wrapped in one int32 scipy CSR array.
-Certification and the recurrence check in ``intersection`` take one
-such product per block of the table, which sums a code of each
-neighbour's distance. All distance data is read from one read-only
-all-pairs array, ``Graph.distances``, filled on first use by path
-search, never by matrix powers, so entries are exact by construction.
+Certification in ``intersection`` takes one such product per block of
+the table, which sums a code of each neighbour's distance. All distance
+data is read from one read-only all-pairs array, ``Graph.distances``,
+filled on first use by path search, never by matrix powers, so entries
+are exact by construction.
 It has three fills.
 The bitset fill, ``_bitset_distances``, is one level-synchronous BFS
 from every source at once on rows packed 64 columns to a machine word.
@@ -30,10 +30,9 @@ below that of the search per source: graphs of small diameter take it,
 long thin ones such as cycles and prisms keep their search. Below
 ``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs: the fill is
 the Python BFS, and every connected graph of at most 30 vertices takes
-the dense neighbour sums. The array is shared by every query here, by
-certification and the recurrence check in ``intersection`` and by
-``oracle``, which checks its entries and then proves it by the exact
-distance recurrence.
+the dense neighbour sums. The array is shared by certification in
+``intersection`` and by ``oracle``, which checks its entries and then
+proves it by the exact distance recurrence.
 The distance-k matrix A_k is the boolean array ``distances == k``.
 """
 
@@ -73,10 +72,6 @@ class NotConnectedError(GraphError):
         super().__init__(
             f"graph is not connected; one component is {list(self.component)}"
         )
-
-
-class OddPairCountError(GraphError):
-    """The ordered count of adjacent same-shell pairs must be even."""
 
 
 # Entries per numpy work block: its temporaries stay far below the
@@ -254,13 +249,6 @@ class Graph:
         from scipy.sparse import csr_array  # imported here, as in the fill
 
         return csr_array((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
-
-    def edges(self):
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
 
     def __repr__(self):
         return f"Graph(vertices={self.vertex_count}, edges={len(self.csr[1]) // 2})"
@@ -602,46 +590,3 @@ def graph_from_name(name: str) -> Graph:
             f"vertices and {MAX_BUILTIN_EDGES} edges)"
         )
     return builder(k)
-
-
-def bfs_distances(g: Graph, v: int) -> list[int]:
-    """Graph distances from v to every vertex: row v of g.distances."""
-    if not 0 <= v < g.vertex_count:
-        raise GraphError(f"vertex {v} out of range")
-    return g.distances[v].tolist()
-
-
-def diameter(g: Graph) -> int:
-    """Largest distance between any two vertices."""
-    return int(g.distances.max())
-
-
-def distance_k_matrix(g: Graph, k: int) -> np.ndarray:
-    """A_k: the symmetric boolean n x n array, True where dist(i, j) = k.
-
-    A_0 is the identity, and A_k is all False for k above the diameter.
-    """
-    if k < 0:
-        raise GraphError("k must be nonnegative")
-    return g.distances == k
-
-
-def degree_k(g: Graph, v: int, k: int) -> int:
-    """Number of vertices at distance exactly k from v."""
-    return sum(1 for d in bfs_distances(g, v) if d == k)
-
-
-def isoscycle_count(g: Graph, v: int, k: int) -> int:
-    """Number of adjacent vertex pairs lying both at distance k from v.
-
-    Counted as half the number of ordered such pairs; that count is even
-    by symmetry, so an odd value signals a bug (OddPairCountError).
-    """
-    dist = bfs_distances(g, v)
-    shell = {u for u, d in enumerate(dist) if d == k}
-    ordered = sum(1 for u in shell for w in g.adjacency[u] if w in shell)
-    if ordered % 2:
-        raise OddPairCountError(
-            f"odd ordered pair count {ordered} at vertex {v}, distance {k}"
-        )
-    return ordered // 2

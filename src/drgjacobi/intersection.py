@@ -6,10 +6,10 @@ step farther from i depend only on k. Those counts form the
 intersection sequence {(a_k, b_k)}, k = 1..d, with b_1 the common
 degree. All counting here is exact integer arithmetic, the derived
 degree values included, because certificates must not inherit float
-drift. Certification and the recurrence check read one code per pair
-from one helper, ``_neighbour_codes``: the sum over the neighbours u of
-j of f(d(i, u)) (``_code``), which, given d(i, j), is a bijection of the
-pair's counts (``_counts``). A block's codes are one product of the
+drift. Certification reads one code per pair from one helper,
+``_neighbour_codes``: the sum over the neighbours u of j of f(d(i, u))
+(``_code``), which, given d(i, j), is a bijection of the pair's counts
+(``_counts``). A block's codes are one product of the
 graph's cached ``Graph.adjacency_operator`` with a block of columns of
 ``Graph.distances`` mapped by f: a float32 BLAS product on dense graphs,
 exact as every partial sum is an integer below 2^24, and a sparse int32
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -40,12 +39,6 @@ class NonIntegralDegreeError(SequenceError):
         self.k = k
         self.value = value
         super().__init__(f"distance-{k} degree {value} is not an integer")
-
-
-class NonIntegralCountError(SequenceError):
-    def __init__(self, k: int, numerator: int):
-        self.k = k
-        super().__init__(f"distance-{k} isoscycle count {numerator}/2 is not an integer")
 
 
 @dataclass(frozen=True)
@@ -291,84 +284,12 @@ def degree_sequence(seq: IntersectionSequence) -> list[int]:
     return list(seq._degrees)
 
 
-def isoscycle_numbers(seq: IntersectionSequence) -> list[int]:
-    """Common isoscycle counts (alpha_k / 2) * deg(A_k), k = 0..d."""
-    values = []
-    for k, (alpha, degree) in enumerate(zip(seq.alphas, seq._degrees)):
-        doubled = alpha * degree
-        if doubled % 2:
-            raise NonIntegralCountError(k, doubled)
-        values.append(doubled // 2)
-    return values
+def _distance_polys(seq: IntersectionSequence, x):
+    """Yield p_0(x) = 1.0, p_1(x), ..., p_d(x), where p_k(A) = A_k; x may be a float array.
 
-
-@dataclass(frozen=True)
-class RecurrenceCheck:
-    """Outcome of the exact distance-matrix recurrence check.
-
-    Falsy when some entry mismatches; mismatch holds the first failing
-    (k, i, j, lhs, rhs).
+    verify's norm_bound check reads each norm(A_k) as max |p_k| over A's spectrum.
     """
-
-    ok: bool
-    mismatch: tuple[int, int, int, int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_recurrence(g: Graph, seq: IntersectionSequence) -> RecurrenceCheck:
-    """Check A*A_k = a_{k+1} A_{k+1} + alpha_k A_k + b_k A_{k-1} exactly.
-
-    Holds entrywise in integer arithmetic for k = 0..d, with A_{-1} and
-    A_{d+1} taken as zero and the k = d diagonal coefficient degree - a_d.
-    (A*A_k)_{ij} counts the neighbours u of i with d(u, j) = k. For a
-    pair at distance m, d(u, j) is m - 1, m or m + 1, so one pass checks
-    every k: the three counts must equal a_m, alpha_m and b_{m+1}, and a
-    k outside 0..d is not checked. The counts are decoded from certify's
-    codes: that of the pair (j, i) counts the neighbours of i.
-    """
-    n, d, indptr = g.vertex_count, seq.d, g.csr[0]
-    degrees = (indptr[1:] - indptr[:-1])[:, None]  # deg(i) at row i
-    top = int(g.distances.max())
-    # rhs[s, m]: the count with d(u, j) = m + s - 1 that equation k = m + s - 1
-    # demands of a pair at distance m; -1 where k is outside 0..d.
-    rhs = np.full((3, max(top, d) + 2), -1)
-    rhs[0, 1 : d + 2] = seq.a + (0,)  # a_m, and a_{d+1} = 0
-    rhs[1, : d + 1] = seq.alphas
-    rhs[2, :d] = seq.b  # b_{m+1}
-    mismatch = None
-    step = int(degrees.max()) + 1
-    for start, m, codes in _neighbour_codes(g):  # at [i, j - start]
-        lhs = np.stack(_counts(codes.astype(np.int64), m, degrees, step))
-        expected = np.take(rhs, m, axis=1)
-        bad = (lhs != expected) & (expected >= 0)
-        if bad.any():
-            k = np.where(bad, m + np.arange(-1, 2)[:, None, None], n + 1).min(axis=0)
-            i, j = map(int, np.argwhere(k == k.min())[0])  # the first failing k, then (i, j)
-            s = k[i, j] - m[i, j] + 1
-            found = (int(k[i, j]), i, start + j, int(lhs[s, i, j]), int(expected[s, i, j]))
-            mismatch = found if mismatch is None else min(mismatch, found)
-    return RecurrenceCheck(mismatch is None, mismatch)
-
-
-def distance_poly_eval(seq: IntersectionSequence, k: int, x):
-    """Value at x of the degree-k polynomial p_k with p_k(A) = A_k.
-
-    Evaluated through p_{k+1} = ((x - alpha_k) p_k - b_k p_{k-1}) / a_{k+1}.
-    Exact (Fraction) for int/Fraction input, float otherwise; in
-    particular p_k(degree) equals deg(A_k) exactly.
-    """
-    if not 0 <= k <= seq.d:
-        raise ValueError(f"k must be in 0..{seq.d}")
-    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-    xv = Fraction(x) if exact else float(x)
-    return next(islice(_distance_polys(seq, xv, Fraction(1) if exact else 1.0), k, None))
-
-
-def _distance_polys(seq: IntersectionSequence, x, one=1.0):
-    """Yield p_0(x) = one, p_1(x), ..., p_d(x); x may be a float array."""
-    alphas, p_prev, p = seq.alphas, None, one
+    alphas, p_prev, p = seq.alphas, None, 1.0
     yield p
     for m in range(seq.d):
         nxt = (x - alphas[m]) * p

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from itertools import pairwise
 
 import numpy as np
 
@@ -37,20 +37,12 @@ class ToleranceTooSmallError(JacobiError):
     """The Sturm count does not place each root within tol/2 of its eigenvalue."""
 
 
-class NotAnEigenvalueError(JacobiError):
-    pass
-
-
 class WeightMismatchError(JacobiError):
     """The two weight formulas disagree beyond tolerance."""
 
 
 class MultiplicityNotIntegralError(JacobiError):
     """N * weight is not close to an integer; not a genuine graph spectrum."""
-
-
-class KernelMismatchError(JacobiError):
-    """Sum and ratio forms of the reproducing kernel disagree."""
 
 
 @dataclass(frozen=True)
@@ -93,20 +85,6 @@ class JacobiOperator:
             "offdiag": list(map(float, self.offdiag)),
             "tau": None if self.tau is None else float(self.tau),
         }
-
-
-@dataclass(frozen=True)
-class FirstKindEvaluation:
-    """Values P_0(x), ..., P_n(x), P_{n+1}^(tau)(x) at one point.
-
-    derivatives holds the x-derivatives of the same entries, propagated
-    analytically through the recurrence.
-    """
-
-    values: tuple[float, ...]
-    point: float
-    tau: float
-    derivatives: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -192,19 +170,6 @@ def _first_kind_rows(J: JacobiOperator, xs: np.ndarray):
         yield p, dp
 
 
-def eval_first_kind(seq: IntersectionSequence, tau: float, x: float) -> FirstKindEvaluation:
-    """Evaluate the first-kind polynomials of J_tau and their derivatives at x.
-
-    The returned values are (P_0, ..., P_n, P_{n+1}^(tau)) where n = d.
-    The recurrence is differentiated alongside, so derivative values
-    carry no finite-difference noise.
-    """
-    rows = list(_first_kind_rows(build_jacobi(seq, tau), np.array([float(x)])))
-    values = tuple(float(p[0]) for p, _ in rows)
-    derivs = tuple(float(dp[0]) for _, dp in rows)
-    return FirstKindEvaluation(values, float(x), float(tau), derivs)
-
-
 def _sign_change_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each x: the negative pivots of J - x.
 
@@ -282,25 +247,6 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     if not np.array_equal(counts, np.r_[0:n, 1:n + 1]):
         raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {tol / 2!r}")
     return [float(r) for r in roots]
-
-
-def eigenfunction_coeffs(seq: IntersectionSequence, tau: float, lam: float) -> list[float]:
-    """Coefficients (P_0(lam), ..., P_n(lam)) of the eigenvector of J_tau.
-
-    lam must be an eigenvalue: the residual P_{n+1}^(tau)(lam) is
-    checked against a tolerance that scales with the coefficient sizes
-    and the spectral enclosure.
-    """
-    ev = eval_first_kind(seq, tau, lam)
-    coeffs = list(ev.values[:-1])
-    residual = abs(ev.values[-1])
-    lo, hi = gershgorin_interval(build_jacobi(seq, tau))
-    atol = 1e-7 * max(1.0, max(abs(c) for c in coeffs)) * max(1.0, hi - lo)
-    if residual > atol:
-        raise NotAnEigenvalueError(
-            f"P_(n+1)({lam}) = {ev.values[-1]:.3e} exceeds tolerance {atol:.3e}"
-        )
-    return coeffs
 
 
 def _inverse_weights(J: JacobiOperator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,39 +328,3 @@ def spectra_interlace(
     alternates = (order[1:] >= len(e1)) != (order[:-1] >= len(e1))
     min_gap = float(np.diff(merged[order])[alternates].min())
     return bool(min_gap > tol and alternates.all()), min_gap
-
-
-def check_interlacing(seq: IntersectionSequence, tau1: float, tau2: float) -> bool:
-    """True iff the spectra of J_tau1 and J_tau2 are disjoint and interlaced.
-
-    See spectra_interlace for the test applied to the two spectra.
-    """
-    if tau1 == tau2:
-        raise ValueError("tau values must differ")
-    e1 = eigenvalues(build_jacobi(seq, tau1))
-    e2 = eigenvalues(build_jacobi(seq, tau2))
-    return spectra_interlace(e1, e2)[0]
-
-
-def cd_kernel(seq: IntersectionSequence, k: int, x: float, y: float) -> float:
-    """Reproducing (Christoffel-Darboux) kernel K_k(x, y) for degree <= k.
-
-    Returns sum_{j<=k} P_j(x) P_j(y). For x != y the ratio form
-    sqrt(a_{k+1} b_{k+1}) (P_k(y) P_{k+1}(x) - P_k(x) P_{k+1}(y)) / (x - y)
-    is evaluated as well and must agree within a relative 1e-8
-    (KernelMismatchError otherwise). The confluent case x = y returns
-    the sum directly.
-    """
-    if not 0 <= k <= seq.d - 1:
-        raise ValueError(f"k must be in 0..{seq.d - 1}")
-    J = build_jacobi(seq, canonical_tau(seq))  # P_0 .. P_d do not involve tau
-    rows = islice(_first_kind_rows(J, np.array([x, y], dtype=float)), k + 2)
-    px, py = np.array([p for p, _ in rows]).T
-    total = float(sum(px[:-1] * py[:-1]))
-    if x != y:
-        ratio = float(J.offdiag[k] * (py[k] * px[k + 1] - px[k] * py[k + 1]) / (x - y))
-        if abs(total - ratio) > 1e-8 * max(1.0, abs(total), abs(ratio)):
-            raise KernelMismatchError(
-                f"sum form {total!r} vs ratio form {ratio!r} at ({x!r}, {y!r})"
-            )
-    return total

@@ -124,8 +124,9 @@ def dense_symmetric_eigen(M: np.ndarray) -> EigenDecomposition:
 def recurrence_pass(g: Graph, seq: IntersectionSequence, adj: np.ndarray):
     """Check A A_k = a_{k+1} A_{k+1} + alpha_k A_k + b_k A_{k-1} exactly, k = 0..d.
 
-    verify_recurrence's equations, by code sharing nothing with it: A_k is T_k =
-    (dist == k) on checked_distances(g), the left side its float64 product with adj =
+    The distance recurrence of a distance-regular graph, checked by code that shares
+    nothing with certification's neighbour counts: A_k is T_k = (dist == k) on
+    checked_distances(g), the left side its float64 product with adj =
     dense_adjacency(g), exact as its entries are counts below n.
 
     The pass proves the table. With E_m the distance-m matrix: T_0 = I by the entry

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -844,3 +846,50 @@ def test_moments_checks_both_caps_before_the_exact_walk(capsys, monkeypatch):
     for order in (cap + 1, 10**9):
         message = f"moment order must be at most {cap}"
         assert moments(order) == (1, error_envelope("SequenceError", message))
+
+
+# The most digits Python turns an int into text with; 0 where it has no cap.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+no_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts ints of any size to text")
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def digit_error(k, limit):
+    message = (f"moment {k} has more than {limit} digits, the most that Python "
+               "converts to text (sys.get_int_max_str_digits)")
+    return error_envelope("SequenceError", message)
+
+
+@no_digit_limit
+def test_moments_beyond_the_int_to_text_limit_are_a_sequence_error(capsys):
+    # once a traceback with no envelope: about 1.5 s of exact walk
+    code, doc = run_json(capsys, ["moments", "--family", "custom:1,1000000;1,999999", "--order", "2000"])
+    assert code == 1 and doc["payload"]["error"] == "SequenceError"
+    assert doc["payload"]["message"].startswith("moment ")
+    assert f" has more than {DIGIT_LIMIT} digits" in doc["payload"]["message"]
+
+
+@no_digit_limit
+def test_moments_refuse_exactly_the_moments_that_str_refuses(capsys):
+    # moment k is the first with more than 640 digits, the least limit Python takes: at a
+    # limit of `digits` every moment to k prints, and at `digits - 1` moment k is the first not
+    family = "custom:1,10;1,9"
+    moments = families.moment_sequence(families.family_from_name(family), 1000)
+    k, digits = next((k, len(str(m))) for k, m in enumerate(moments) if len(str(m)) > 640)
+    argv = ["moments", "--family", family, "--order", str(k)]
+    with digit_limit(digits):
+        code, doc = run_json(capsys, argv)
+        assert code == 0 and doc["payload"]["moments"] == moments[:k + 1]
+    with digit_limit(digits - 1):
+        assert run(capsys, argv) == (1, digit_error(k, digits - 1))
+        code, out = run(capsys, ["--pretty", *argv])
+        assert code == 1 and '"SequenceError"' in out

@@ -8,12 +8,10 @@ import pytest
 from drgjacobi import (
     QuadratureNotConvergedError,
     SequenceError,
-    density_moment,
     density_moments,
     eigenvalues,
     family_from_name,
     kesten_mckay_density,
-    moment,
     moment_sequence,
     spectral_radius_tree,
     tree_sequence,
@@ -82,14 +80,14 @@ def test_truncated_jacobi_examples():
 
 def test_moment_examples():
     for n in (2, 3, 4):
-        gen = tree_sequence(n)
-        assert moment(gen, 0) == 1
-        assert moment(gen, 2) == n
-        assert all(moment(gen, k) == 0 for k in (1, 3, 5, 7, 11))
-    t2 = tree_sequence(2)
+        moments = moment_sequence(tree_sequence(n), 12)
+        assert moments[0] == 1
+        assert moments[2] == n
+        assert all(moments[k] == 0 for k in (1, 3, 5, 7, 11))
+    t2 = moment_sequence(tree_sequence(2), 12)
     # closed walks on the two-sided path are central binomials
     for k in range(0, 13, 2):
-        assert moment(t2, k) == math.comb(k, k // 2)
+        assert t2[k] == math.comb(k, k // 2)
 
 
 def test_moment_matches_dense_matrix_power():
@@ -97,8 +95,8 @@ def test_moment_matches_dense_matrix_power():
     gen = family_from_name("custom:1,4;1,2;period=1")
     dense = truncated_jacobi(gen, 10).to_dense()
     power = np.eye(10)
-    for k in range(13):
-        assert moment(gen, k) == pytest.approx(power[0, 0], rel=1e-12)
+    for exact in moment_sequence(gen, 12):
+        assert exact == pytest.approx(power[0, 0], rel=1e-12)
         power = power @ dense
 
 
@@ -106,9 +104,9 @@ def test_moment_truncation_stability():
     # a longer corner cannot change the (0, 0) entry: compared by float matrix powers
     for n in (2, 3, 4):
         gen = tree_sequence(n)
-        for k in range(13):
+        for k, exact in enumerate(moment_sequence(gen, 12)):
             longer = truncated_jacobi(gen, (k + 1) // 2 + 5).to_dense()
-            assert moment(gen, k) == round(np.linalg.matrix_power(longer, k)[0, 0])
+            assert exact == round(np.linalg.matrix_power(longer, k)[0, 0])
 
 
 def _integer_power_moments(gen, order):
@@ -136,7 +134,7 @@ def test_moment_sequence_matches_per_order_moment(name):
     gen = family_from_name(name)
     seq = moment_sequence(gen, 60)
     assert len(seq) == 61
-    assert seq == [moment(gen, k) for k in range(61)]
+    assert seq == [moment_sequence(gen, k)[-1] for k in range(61)]  # each walk its own band
     assert seq == _integer_power_moments(gen, 60)
     assert all(type(m) is int for m in seq)
 
@@ -160,10 +158,9 @@ def test_caps_admit_the_ladder():
         lambda: truncated_jacobi(tree_sequence(3), MAX_TRUNCATION_SIZE + 1),
         lambda: moment_sequence(tree_sequence(3), 10**9),
         lambda: moment_sequence(tree_sequence(3), MAX_MOMENT_ORDER + 1),
-        lambda: moment(tree_sequence(3), 10**9),
         lambda: density_moments(3, 10**9),
     ],
-    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "moment-1e9", "quadrature-1e9"],
+    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "quadrature-1e9"],
 )
 def test_oversized_family_requests_fail_before_allocating(build):
     tracemalloc.start()
@@ -191,15 +188,15 @@ def test_kesten_mckay_density_values():
 
 def test_density_normalizes_and_matches_exact_moments():
     for n in (2, 3, 4):
-        assert density_moment(n, 0) == pytest.approx(1.0, abs=1e-8)
-        assert density_moment(n, 2) == pytest.approx(n, abs=1e-8)
-        gen = tree_sequence(n)
-        for k in range(13):
-            assert abs(density_moment(n, k) - moment(gen, k)) < 1e-6
-    assert density_moment(2, 4) == pytest.approx(6.0, abs=1e-8)
+        quadrature = density_moments(n, 12)
+        assert quadrature[0] == pytest.approx(1.0, abs=1e-8)
+        assert quadrature[2] == pytest.approx(n, abs=1e-8)
+        for q, m in zip(quadrature, moment_sequence(tree_sequence(n), 12)):
+            assert abs(q - m) < 1e-6
+    assert density_moments(2, 4)[4] == pytest.approx(6.0, abs=1e-8)
 
 
-# tree:n's float64 tops: the highest Kesten-McKay moment order density_moment accepts
+# tree:n's float64 tops: the highest Kesten-McKay moment order density_moments accepts
 FLOAT64_TOPS = [
     (2, 997), (3, 663), (4, 554), (5, 496), (6, 459), (7, 432), (8, 412), (9, 396), (100, 228)
 ]
@@ -207,10 +204,10 @@ FLOAT64_TOPS = [
 
 @pytest.mark.parametrize("n, top", FLOAT64_TOPS)
 def test_density_moment_refuses_orders_beyond_float64(n, top):
-    assert math.isfinite(density_moment(n, top))
-    assert math.isfinite(density_moment(n, top - 1))
+    assert math.isfinite(density_moments(n, top)[-1])
+    assert math.isfinite(density_moments(n, top - 1)[-1])
     with pytest.raises(SequenceError, match=f"at most {top}$"):
-        density_moment(n, top + 1)
+        density_moments(n, top + 1)
 
 
 @pytest.mark.parametrize("n, top", FLOAT64_TOPS)
@@ -221,7 +218,6 @@ def test_density_moments_match_the_exact_walks(n, top):
     assert quadrature[1::2] == [0.0] * (top // 2 + top % 2)  # symmetric pairs: exactly zero
     for k, (q, m) in enumerate(zip(quadrature, exact)):
         assert abs(q - m) <= (1e-12 if k <= 40 else 1e-9) * m, (k, q, m)
-    assert density_moment(n, top) == quadrature[-1]
 
 
 def test_density_moments_reject_a_negative_order():
@@ -231,13 +227,13 @@ def test_density_moments_reject_a_negative_order():
 
 def test_density_moment_refuses_degrees_beyond_float64():
     with pytest.raises(SequenceError, match="at most -1$"):
-        density_moment(10**200, 0)  # (n - 2)**2 alone leaves float64 here
+        density_moments(10**200, 0)  # (n - 2)**2 alone leaves float64 here
 
 
 def test_density_moment_unreachable_tolerance(monkeypatch):
     monkeypatch.setattr(families, "QUAD_TOL", 1e-20)
     with pytest.raises(QuadratureNotConvergedError):
-        density_moment(3, 8)
+        density_moments(3, 8)
 
 
 def test_spectral_radius_values():

@@ -11,16 +11,12 @@ from drgjacobi import (
     MalformedLineError,
     NotConnectedError,
     SelfLoopError,
-    bfs_distances,
-    degree_k,
-    diameter,
-    distance_k_matrix,
     graph_from_edges,
     graph_from_name,
-    isoscycle_count,
     parse_edge_list,
 )
 from drgjacobi.graphs import BUILTIN_GRAPHS, MAX_BUILTIN_EDGES, MAX_BUILTIN_VERTICES
+from references import degree_k, isoscycle_count, reference_bfs
 
 
 def kneser_petersen_text():
@@ -77,18 +73,12 @@ def test_parse_kneser_petersen():
     g = parse_edge_list(kneser_petersen_text())
     assert g.vertex_count == 10
     assert all(g.degree(v) == 3 for v in range(10))
-    assert diameter(g) == 2
+    assert int(g.distances.max()) == 2
 
 
 def reference_component_of_zero(adjacency):
-    """Vertex 0's component by a plain queue BFS, sorted."""
-    seen, queue = {0}, [0]
-    for u in queue:
-        for w in adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return tuple(sorted(seen))
+    """Vertex 0's component by the reference BFS, sorted."""
+    return tuple(v for v, d in enumerate(reference_bfs(adjacency, 0)) if d >= 0)
 
 
 def test_not_connected_component_matches_reference_bfs():
@@ -176,10 +166,10 @@ def test_builtin_generators():
     assert c6.vertex_count == 6 and all(c6.degree(v) == 2 for v in range(6))
     q3 = graph_from_name("hypercube:3")
     assert q3.vertex_count == 8 and all(q3.degree(v) == 3 for v in range(8))
-    assert diameter(q3) == 3
+    assert int(q3.distances.max()) == 3
     k33 = graph_from_name("complete_bipartite:3")
     assert k33.vertex_count == 6 and all(k33.degree(v) == 3 for v in range(6))
-    assert diameter(k33) == 2
+    assert int(k33.distances.max()) == 2
 
 
 def test_builtin_petersen_matches_kneser_construction():
@@ -188,8 +178,8 @@ def test_builtin_petersen_matches_kneser_construction():
     for g in (builtin, kneser):
         assert g.vertex_count == 10
         assert sorted(g.degree(v) for v in range(10)) == [3] * 10
-        assert diameter(g) == 2
-        profile = sorted(bfs_distances(g, 0))
+        assert int(g.distances.max()) == 2
+        profile = sorted(g.distances[0].tolist())
         assert profile == [0] + [1] * 3 + [2] * 6
 
 
@@ -233,49 +223,43 @@ def test_builtin_bad_names(name):
 
 
 def test_bfs_distances_k3_and_c6():
-    assert bfs_distances(graph_from_name("complete:3"), 0) == [0, 1, 1]
-    assert bfs_distances(graph_from_name("cycle:6"), 0) == [0, 1, 2, 3, 2, 1]
+    assert graph_from_name("complete:3").distances[0].tolist() == [0, 1, 1]
+    assert graph_from_name("cycle:6").distances[0].tolist() == [0, 1, 2, 3, 2, 1]
 
 
 def test_bfs_distances_petersen_profile():
     g = graph_from_name("petersen")
     for v in range(10):
-        dist = bfs_distances(g, v)
-        assert sorted(dist) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
-
-
-def test_bfs_vertex_out_of_range():
-    with pytest.raises(GraphError):
-        bfs_distances(graph_from_name("complete:3"), 5)
+        assert sorted(g.distances[v].tolist()) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
 
 
 def test_distance_matrix_zero_is_identity(corpus_entry):
     _, g, _ = corpus_entry
-    m = distance_k_matrix(g, 0)
+    m = g.distances == 0
     assert m.dtype == bool
     assert np.array_equal(m, np.eye(g.vertex_count, dtype=bool))
 
 
 def test_distance_matrix_c6_antipodes():
-    m = distance_k_matrix(graph_from_name("cycle:6"), 3)
+    m = graph_from_name("cycle:6").distances == 3
     assert all(np.flatnonzero(m[v]).tolist() == [(v + 3) % 6] for v in range(6))
 
 
 def test_distance_matrix_petersen_k2_row_sums():
-    m = distance_k_matrix(graph_from_name("petersen"), 2)
+    m = graph_from_name("petersen").distances == 2
     assert m.sum(axis=1).tolist() == [6] * 10
 
 
 def test_distance_matrix_beyond_diameter_is_zero(corpus_entry):
     _, g, _ = corpus_entry
-    m = distance_k_matrix(g, diameter(g) + 1)
+    m = g.distances == int(g.distances.max()) + 1
     assert m.shape == (g.vertex_count, g.vertex_count) and not m.any()
 
 
 def test_distance_matrices_partition_all_pairs(corpus_entry):
     _, g, _ = corpus_entry
     n = g.vertex_count
-    cover = np.stack([distance_k_matrix(g, k) for k in range(diameter(g) + 1)])
+    cover = np.stack([g.distances == k for k in range(int(g.distances.max()) + 1)])
     assert cover.shape[1:] == (n, n)
     assert (cover.sum(axis=0) == 1).all()  # each (i, j) in exactly one class
     for m in cover:
@@ -284,15 +268,15 @@ def test_distance_matrices_partition_all_pairs(corpus_entry):
 
 def test_row_sums_equal_degree_k(corpus_entry):
     _, g, _ = corpus_entry
-    for k in range(diameter(g) + 2):
-        row_sums = distance_k_matrix(g, k).sum(axis=1)
+    for k in range(int(g.distances.max()) + 2):
+        row_sums = (g.distances == k).sum(axis=1)
         for v in range(g.vertex_count):
             assert row_sums[v] == degree_k(g, v, k)
 
 
 def test_degree_k_sums_to_vertex_count(corpus_entry):
     _, g, _ = corpus_entry
-    d = diameter(g)
+    d = int(g.distances.max())
     for v in range(g.vertex_count):
         assert sum(degree_k(g, v, k) for k in range(d + 1)) == g.vertex_count
 
@@ -316,21 +300,21 @@ def test_isoscycle_count_examples():
     star = parse_edge_list("0 1\n0 2\n0 3\n0 4")
     for tree in (path, star):
         for v in range(tree.vertex_count):
-            for k in range(diameter(tree) + 2):
+            for k in range(int(tree.distances.max()) + 2):
                 assert isoscycle_count(tree, v, k) == 0
 
 
 def test_isoscycle_count_integral_on_corpus(corpus_entry):
     _, g, _ = corpus_entry
     for v in range(g.vertex_count):
-        for k in range(diameter(g) + 1):
-            assert isoscycle_count(g, v, k) >= 0  # raises if the pair count is odd
+        for k in range(int(g.distances.max()) + 1):
+            assert isoscycle_count(g, v, k) >= 0  # asserts that the pair count is even
 
 
 def test_diameter_examples():
-    assert diameter(graph_from_name("complete:7")) == 1
-    assert diameter(graph_from_name("cycle:6")) == 3
-    assert diameter(graph_from_name("petersen")) == 2
+    assert int(graph_from_name("complete:7").distances.max()) == 1
+    assert int(graph_from_name("cycle:6").distances.max()) == 3
+    assert int(graph_from_name("petersen").distances.max()) == 2
 
 
 def reference_structure_error(adjacency):

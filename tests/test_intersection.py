@@ -6,30 +6,26 @@ import pytest
 from drgjacobi import (
     Graph,
     IntersectionSequence,
-    NonIntegralCountError,
     NonIntegralDegreeError,
     NonRegularityWitness,
     SequenceError,
     certify_distance_regular,
     degree_sequence,
-    distance_poly_eval,
     graph_from_name,
-    isoscycle_numbers,
     parse_edge_list,
     sequence_from_pairs,
-    verify_recurrence,
 )
-from drgjacobi.oracle import checked_distances
+from drgjacobi.intersection import _distance_polys
+from drgjacobi.oracle import checked_distances, dense_adjacency, recurrence_pass
+from references import degree_k, distance_poly_eval, isoscycle_count, reference_bfs
 
 PRISM_TEXT = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5"
 
 
 def brute_force_counts(g, seq):
     """Recount every ordered pair's two intersection numbers from scratch."""
-    from drgjacobi import bfs_distances
-
     for i in range(g.vertex_count):
-        dist = bfs_distances(g, i)
+        dist = reference_bfs(g.adjacency, i)
         for j in range(g.vertex_count):
             k = dist[j]
             if k == 0:
@@ -89,7 +85,7 @@ def test_certify_path_not_regular():
 def test_certify_corpus_round_trip(corpus_entry):
     name, g, seq = corpus_entry
     assert isinstance(seq, IntersectionSequence), name
-    assert verify_recurrence(g, seq)
+    assert recurrence_pass(g, seq, dense_adjacency(g))[0] is None
 
 
 def test_edge_flip_perturbations_yield_checkable_witnesses(corpus):
@@ -97,7 +93,7 @@ def test_edge_flip_perturbations_yield_checkable_witnesses(corpus):
 
     for name, g, _ in corpus:
         n = g.vertex_count
-        edges = set(g.edges())
+        edges = {(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v}
         for i in range(n):
             for j in range(i + 1, n):
                 nbrs = [[] for _ in range(n)]
@@ -231,31 +227,10 @@ def test_degree_sequence_non_integral():
         sequence_from_pairs([(1, 4), (3, 2)])  # 4 * 2/3
 
 
-def test_isoscycle_numbers_examples():
-    for n in (3, 4, 7):
-        seq = sequence_from_pairs([(1, n - 1)])
-        assert isoscycle_numbers(seq) == [0, (n - 2) * (n - 1) // 2]
-    petersen = sequence_from_pairs([(1, 3), (1, 2)])
-    assert isoscycle_numbers(petersen) == [0, 0, 6]
-    # interior values vanish along a tree-like stretch
-    tree3 = sequence_from_pairs([(1, 3), (1, 2), (1, 2), (1, 2)])
-    assert isoscycle_numbers(tree3)[:-1] == [0, 0, 0, 0]
-    k2 = sequence_from_pairs([(1, 1)])
-    assert isoscycle_numbers(k2) == [0, 0]
-
-
-def test_isoscycle_numbers_non_integral():
-    seq = sequence_from_pairs([(1, 3), (1, 1)])  # alpha_1 = 1, deg_1 = 3
-    with pytest.raises(NonIntegralCountError):
-        isoscycle_numbers(seq)
-
-
 def test_counts_match_closed_forms(corpus_entry):
-    from drgjacobi import degree_k, isoscycle_count
-
     _, g, seq = corpus_entry
     degs = degree_sequence(seq)
-    isos = isoscycle_numbers(seq)
+    isos = [alpha * deg / 2 for alpha, deg in zip(seq.alphas, degs)]  # x.5 never matches
     for v in range(g.vertex_count):
         for k in range(seq.d + 1):
             assert degree_k(g, v, k) == degs[k]
@@ -265,7 +240,7 @@ def test_counts_match_closed_forms(corpus_entry):
 def test_verify_recurrence_k4_reduces_to_square():
     g = graph_from_name("complete:4")
     seq = certify_distance_regular(g)
-    assert verify_recurrence(g, seq)
+    assert recurrence_pass(g, seq, dense_adjacency(g))[0] is None
     a = (checked_distances(g) == 1).astype(np.int64)
     assert np.array_equal(a @ a, 3 * np.eye(4, dtype=np.int64) + 2 * a)
 
@@ -273,9 +248,9 @@ def test_verify_recurrence_k4_reduces_to_square():
 def test_verify_recurrence_tampered_sequence_fails():
     g = graph_from_name("petersen")
     tampered = sequence_from_pairs([(1, 3), (2, 2)])  # feasible but wrong
-    check = verify_recurrence(g, tampered)
-    assert not check
-    k, i, j, lhs, rhs = check.mismatch
+    mismatch = recurrence_pass(g, tampered, dense_adjacency(g))[0]
+    assert mismatch is not None
+    k, i, j, lhs, rhs = mismatch
     assert lhs != rhs
     # the reported entry is recomputable from dense products
     dist = checked_distances(g)
@@ -299,6 +274,7 @@ def test_distance_poly_eval_basics():
     assert distance_poly_eval(seq, 2, 3) == 6
     with pytest.raises(ValueError):
         distance_poly_eval(seq, 3, 0)
+    assert list(_distance_polys(seq, 3.0)) == [1.0, 3.0, 6.0]  # the walk verify's norm_bound reads
 
 
 def test_distance_poly_at_degree_equals_deg_k(corpus_entry):

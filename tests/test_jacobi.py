@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -6,21 +7,16 @@ import pytest
 from drgjacobi import (
     JacobiError,
     JacobiOperator,
-    KernelMismatchError,
     MultiplicityNotIntegralError,
-    NotAnEigenvalueError,
     SpectralMeasure,
     SpectralAtom,
     ToleranceTooSmallError,
     WeightMismatchError,
     build_jacobi,
     canonical_tau,
-    cd_kernel,
-    check_interlacing,
-    eigenfunction_coeffs,
     eigenvalues,
-    eval_first_kind,
     sequence_from_pairs,
+    spectra_interlace,
     spectral_measure,
     weight_formulas,
 )
@@ -31,6 +27,29 @@ PETERSEN = sequence_from_pairs([(1, 3), (1, 2)])
 
 def complete_seq(n):
     return sequence_from_pairs([(1, n - 1)])
+
+
+def first_kind(seq, tau, x):
+    """(P_0(x), ..., P_d(x), P_{d+1}^(tau)(x)) and their derivatives, from the rows the weights walk."""
+    rows = list(jacobi._first_kind_rows(build_jacobi(seq, tau), np.array([float(x)])))
+    return [float(p[0]) for p, _ in rows], [float(dp[0]) for _, dp in rows]
+
+
+def interlaced(seq, tau1, tau2):
+    """The interlace command's test of the spectra of J_tau1 and J_tau2."""
+    return spectra_interlace(eigenvalues(build_jacobi(seq, tau1)), eigenvalues(build_jacobi(seq, tau2)))[0]
+
+
+def christoffel_darboux(seq, k, x, y):
+    """Sum form sum_{j<=k} P_j(x) P_j(y) and ratio form of the kernel K_k(x, y), x != y.
+
+    The ratio form is sqrt(a_{k+1} b_{k+1}) (P_k(y) P_{k+1}(x) - P_k(x) P_{k+1}(y)) / (x - y).
+    """
+    J = build_jacobi(seq, canonical_tau(seq))  # P_0 .. P_d do not involve tau
+    rows = islice(jacobi._first_kind_rows(J, np.array([x, y], dtype=float)), k + 2)
+    px, py = np.array([p for p, _ in rows]).T
+    ratio = J.offdiag[k] * (py[k] * px[k + 1] - px[k] * py[k + 1]) / (x - y) if x != y else None
+    return float(px[:-1] @ py[:-1]), ratio
 
 
 def kn_closed_form(n, tau):
@@ -77,21 +96,21 @@ def test_canonical_tau():
 
 
 def test_eval_first_kind_basics():
-    ev = eval_first_kind(PETERSEN, 2.0, 0.0)
-    assert ev.values[0] == 1.0 and ev.values[1] == 0.0
+    values, _ = first_kind(PETERSEN, 2.0, 0.0)
+    assert values[0] == 1.0 and values[1] == 0.0
     # complete graph closed form for the terminal polynomial
     for n in (3, 6):
         for tau in (-1.0, 0.5, float(n - 2)):
             for x in (-2.0, 0.3, 4.0):
-                ev = eval_first_kind(complete_seq(n), tau, x)
+                values, _ = first_kind(complete_seq(n), tau, x)
                 expected = x * (x - tau) / math.sqrt(n - 1) - math.sqrt(n - 1)
-                assert ev.values[-1] == pytest.approx(expected, rel=1e-12)
+                assert values[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_eval_first_kind_petersen_at_one():
-    ev = eval_first_kind(PETERSEN, 2.0, 1.0)
+    values, _ = first_kind(PETERSEN, 2.0, 1.0)
     expected = (1.0, 1 / math.sqrt(3), -2 / math.sqrt(6), 0.0)
-    assert ev.values == pytest.approx(expected, abs=1e-12)
+    assert values == pytest.approx(expected, abs=1e-12)
 
 
 def test_first_kind_recurrence_residuals():
@@ -100,16 +119,11 @@ def test_first_kind_recurrence_residuals():
     off = [math.sqrt(a * b) for a, b in zip(seq.a, seq.b)]
     alphas = seq.alphas
     for x in rng.uniform(-4, 4, size=8):
-        ev = eval_first_kind(seq, 0.7, x)
-        p = ev.values
+        p, dp = first_kind(seq, 0.7, x)
         for k in range(1, seq.d):
             residual = off[k] * p[k + 1] - ((x - alphas[k]) * p[k] - off[k - 1] * p[k - 1])
             assert abs(residual) < 1e-12 * max(1.0, abs(p[k]), abs(p[k + 1]))
-        dp = ev.derivatives
-        fd = (
-            eval_first_kind(seq, 0.7, x + 1e-6).values[-1]
-            - eval_first_kind(seq, 0.7, x - 1e-6).values[-1]
-        ) / 2e-6
+        fd = (first_kind(seq, 0.7, x + 1e-6)[0][-1] - first_kind(seq, 0.7, x - 1e-6)[0][-1]) / 2e-6
         assert dp[-1] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
@@ -228,31 +242,27 @@ def test_eigenvalue_residual_certificate(corpus_entry):
         J = build_jacobi(seq, tau)
         scale = max(map(abs, J.diag)) + 2 * max(J.offdiag)
         for lam in eigenvalues(J):
-            ev = eval_first_kind(seq, tau, lam)
-            coeff_scale = max(1.0, max(abs(v) for v in ev.values[:-1]))
-            assert abs(ev.values[-1]) < 1e-8 * coeff_scale * max(1.0, scale)
+            values, _ = first_kind(seq, tau, lam)
+            coeff_scale = max(1.0, max(abs(v) for v in values[:-1]))
+            assert abs(values[-1]) < 1e-8 * coeff_scale * max(1.0, scale)
             # componentwise eigenvector identity J phi = lam phi
-            phi = np.array(ev.values[:-1])
+            phi = np.array(values[:-1])
             residual = J.to_dense() @ phi - lam * phi
             assert np.abs(residual).max() < 1e-8 * max(1.0, scale) * coeff_scale
 
 
 def test_eigenfunction_coeffs_examples():
+    # at an eigenvalue, P_{d+1}^(tau) vanishes and P_0 .. P_d are its eigenvector's coordinates
     for n in (2, 5, 9):
-        coeffs = eigenfunction_coeffs(complete_seq(n), float(n - 2), float(n - 1))
-        assert coeffs == pytest.approx([1.0, math.sqrt(n - 1)], abs=1e-9)
-    coeffs = eigenfunction_coeffs(PETERSEN, 2.0, 3.0)
-    assert coeffs == pytest.approx([1.0, math.sqrt(3), math.sqrt(6)], abs=1e-9)
+        values, _ = first_kind(complete_seq(n), float(n - 2), float(n - 1))
+        assert values == pytest.approx([1.0, math.sqrt(n - 1), 0.0], abs=1e-9)
+    values, _ = first_kind(PETERSEN, 2.0, 3.0)
+    assert values == pytest.approx([1.0, math.sqrt(3), math.sqrt(6), 0.0], abs=1e-9)
     # an eigenvalue at zero forces the second coefficient to vanish
     c4 = sequence_from_pairs([(1, 2), (2, 1)])
     assert 0.0 == pytest.approx(eigenvalues(build_jacobi(c4, 0.0))[1], abs=1e-10)
-    coeffs = eigenfunction_coeffs(c4, 0.0, 0.0)
-    assert coeffs[0] == 1.0 and coeffs[1] == 0.0
-
-
-def test_eigenfunction_coeffs_rejects_non_eigenvalue():
-    with pytest.raises(NotAnEigenvalueError):
-        eigenfunction_coeffs(PETERSEN, 2.0, 2.5)
+    values, _ = first_kind(c4, 0.0, 0.0)
+    assert values[0] == 1.0 and values[1] == 0.0
 
 
 def measure_atoms(seq, tau):
@@ -320,16 +330,11 @@ def test_spectral_measure_validation():
 
 def test_check_interlacing_k3():
     seq = complete_seq(3)
-    assert check_interlacing(seq, 0.0, 1.0)
+    assert interlaced(seq, 0.0, 1.0)
     e0 = eigenvalues(build_jacobi(seq, 0.0))
     e1 = eigenvalues(build_jacobi(seq, 1.0))
     assert e0 == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-10)
     assert e1 == pytest.approx([-1.0, 2.0], abs=1e-10)
-
-
-def test_check_interlacing_requires_distinct_tau():
-    with pytest.raises(ValueError):
-        check_interlacing(PETERSEN, 1.0, 1.0)
 
 
 def test_check_interlacing_random_taus(corpus_entry):
@@ -339,7 +344,7 @@ def test_check_interlacing_random_taus(corpus_entry):
         tau1, tau2 = rng.uniform(-5, 5, size=2)
         if tau1 == tau2:
             continue
-        assert check_interlacing(seq, float(tau1), float(tau2))
+        assert interlaced(seq, float(tau1), float(tau2))
 
 
 def test_spectra_disjoint_across_tau(corpus_entry):
@@ -350,20 +355,13 @@ def test_spectra_disjoint_across_tau(corpus_entry):
 
 
 def test_cd_kernel_examples():
-    assert cd_kernel(PETERSEN, 0, 1.3, -0.4) == 1.0
-    assert cd_kernel(PETERSEN, 1, 3.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+    assert christoffel_darboux(PETERSEN, 0, 1.3, -0.4)[0] == 1.0
+    assert christoffel_darboux(PETERSEN, 1, 3.0, 1.0)[0] == pytest.approx(2.0, abs=1e-12)
     # confluent case equals the Christoffel function denominator
-    ev = eval_first_kind(PETERSEN, 2.0, 3.0)
-    assert cd_kernel(PETERSEN, 1, 3.0, 3.0) == pytest.approx(
-        sum(v * v for v in ev.values[:2]), abs=1e-12
+    values, _ = first_kind(PETERSEN, 2.0, 3.0)
+    assert christoffel_darboux(PETERSEN, 1, 3.0, 3.0) == (
+        pytest.approx(sum(v * v for v in values[:2]), abs=1e-12), None
     )
-
-
-def test_cd_kernel_bounds_and_mismatch():
-    with pytest.raises(ValueError):
-        cd_kernel(PETERSEN, 2, 1.0, 0.0)  # k must stay below the diameter
-    with pytest.raises(KernelMismatchError):
-        cd_kernel(PETERSEN, 1, 1.0, 1.0 + 1e-13)  # ratio form breaks down near x = y
 
 
 def test_cd_kernel_two_forms_agree(corpus_entry):
@@ -372,7 +370,8 @@ def test_cd_kernel_two_forms_agree(corpus_entry):
     for _ in range(5):
         x, y = rng.uniform(-4, 4, size=2)
         for k in range(seq.d):
-            cd_kernel(seq, k, float(x), float(y))  # raises on disagreement
+            total, ratio = christoffel_darboux(seq, k, float(x), float(y))
+            assert abs(total - ratio) <= 1e-8 * max(1.0, abs(total), abs(ratio)), (k, x, y)
 
 
 def test_jacobi_json_round_trip():

@@ -1,14 +1,15 @@
-"""The neighbour codes that certification and the recurrence check share, and their counts."""
+"""The neighbour codes that certification reads, and their counts."""
 
 import functools
 import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from drgjacobi import certify_distance_regular, graph_from_edges, graph_from_name
 from drgjacobi import cli, graphs, intersection
+from references import reference_bfs
 
 
 def ring_of_triangles(rings: int) -> list[tuple[int, int]]:
@@ -22,15 +23,7 @@ def brute_force_counts(g):
     """counts[i][j] = (closer, level, farther) over the neighbours of j, by d(i, .)."""
     counts = []
     for i in range(g.vertex_count):
-        dist = [-1] * g.vertex_count
-        dist[i] = 0
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        dist = reference_bfs(g.adjacency, i)
         counts.append([
             tuple(sum(1 for u in g.adjacency[j] if dist[u] == dist[j] + s) for s in (-1, 0, 1))
             for j in range(g.vertex_count)

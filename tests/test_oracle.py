@@ -1,5 +1,4 @@
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from drgjacobi.oracle import (
     dense_symmetric_eigen,
     matrix_poly_firstkind,
 )
+from references import distance_poly_eval, reference_bfs
 
 
 def distance_matrices(g):
@@ -246,19 +246,6 @@ def test_sturm_solver_agrees_on_tree_truncations():
         sturm = eigenvalues(J)
         dense = dense_symmetric_eigen(J.to_dense())
         assert dense.eigenvalues == pytest.approx(sturm, abs=1e-8)
-
-
-def reference_bfs(adjacency, source):
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def test_oracle_distances_match_bfs(corpus_entry):
@@ -550,16 +537,19 @@ def test_mapped_norms_match_dense_norms_on_ladder(name):
     assert_mapped_norms_match_dense_norms(g, certify_distance_regular(g))
 
 
-def test_distance_poly_walk_is_bitwise_the_scalar_evaluation(corpus_entry):
-    from drgjacobi import distance_poly_eval
+def test_distance_poly_walk_matches_the_exact_reference(corpus_entry):
     from drgjacobi.intersection import _distance_polys
 
     _, g, seq = corpus_entry
     xs = np.array([-2.5, -1.0, 0.0, 0.3, 1.0, float(seq.degree), 7.25])
-    for k, values in enumerate(_distance_polys(seq, xs)):
-        expected = [distance_poly_eval(seq, k, float(x)) for x in xs]
-        assert np.array_equal(np.broadcast_to(values, xs.shape).view(np.int64),
-                              np.array(expected).view(np.int64))
+    walk = list(_distance_polys(seq, xs))
+    assert len(walk) == seq.d + 1
+    for k, values in enumerate(walk):
+        # each float x is a rational, so the reference is p_k at exactly that point
+        expected = np.array([float(distance_poly_eval(seq, k, x)) for x in xs.tolist()])
+        # about 450 units of rounding at scale max(1, |x|)^k: the corpus walks are at most 4 steps
+        scale = np.maximum(1.0, np.abs(xs)) ** k
+        assert np.all(np.abs(np.broadcast_to(values, xs.shape) - expected) <= 1e-13 * scale), k
 
 
 def test_norm_bound_fails_when_the_basis_identity_does(monkeypatch, capsys):

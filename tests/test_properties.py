@@ -18,14 +18,16 @@ from drgjacobi import (  # noqa: E402
     IntersectionSequence,
     NonRegularityWitness,
     NotConnectedError,
+    build_jacobi,
     certify_distance_regular,
-    check_interlacing,
+    eigenvalues,
     family_from_name,
     moment_sequence,
     sequence_from_pairs,
+    spectra_interlace,
     truncated_jacobi,
-    verify_recurrence,
 )
+from drgjacobi.oracle import dense_adjacency, recurrence_pass  # noqa: E402
 
 repeatable = settings(
     derandomize=True,
@@ -65,7 +67,8 @@ def pair_lists(draw):
 @given(pairs=pair_lists(), taus=st.lists(st.integers(-8, 8), min_size=2, max_size=2, unique=True))
 def test_distinct_taus_interlace(pairs, taus):
     seq = sequence_from_pairs(pairs)
-    assert check_interlacing(seq, float(taus[0]), float(taus[1]))
+    e1, e2 = (eigenvalues(build_jacobi(seq, float(tau))) for tau in taus)
+    assert spectra_interlace(e1, e2)[0]
 
 
 @st.composite
@@ -132,4 +135,5 @@ def test_witness_recount_matches_its_counts(g):
         assert outcome.recount(g) == (outcome.first_count, outcome.second_count)
         assert outcome.first_count != outcome.second_count
     else:
-        assert isinstance(outcome, IntersectionSequence) and verify_recurrence(g, outcome)
+        assert isinstance(outcome, IntersectionSequence)
+        assert recurrence_pass(g, outcome, dense_adjacency(g))[0] is None
