@@ -158,9 +158,10 @@ def test_caps_admit_the_ladder():
         lambda: truncated_jacobi(tree_sequence(3), MAX_TRUNCATION_SIZE + 1),
         lambda: moment_sequence(tree_sequence(3), 10**9),
         lambda: moment_sequence(tree_sequence(3), MAX_MOMENT_ORDER + 1),
+        lambda: moment_sequence(family_from_name("custom:1,4;1,2;period=1"), 10**9),
         lambda: density_moments(3, 10**9),
     ],
-    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "quadrature-1e9"],
+    ids=["size-1e9", "size-cap+1", "order-1e9", "order-cap+1", "moment-1e9", "quadrature-1e9"],
 )
 def test_oversized_family_requests_fail_before_allocating(build):
     tracemalloc.start()

@@ -227,10 +227,40 @@ def test_degree_sequence_non_integral():
         sequence_from_pairs([(1, 4), (3, 2)])  # 4 * 2/3
 
 
+def isoscycle_closed_form(seq):
+    """alpha_k deg_k / 2 for k = 0..d: the edges within level k seen from any vertex."""
+    return [alpha * deg / 2 for alpha, deg in zip(seq.alphas, degree_sequence(seq))]
+
+
+def test_isoscycle_numbers_examples():
+    for n in (3, 4, 7):
+        g = graph_from_name(f"complete:{n}")
+        seq = sequence_from_pairs([(1, n - 1)])
+        assert isoscycle_closed_form(seq) == [0, (n - 2) * (n - 1) // 2]
+        assert [isoscycle_count(g, 0, k) for k in range(2)] == isoscycle_closed_form(seq)
+    petersen = sequence_from_pairs([(1, 3), (1, 2)])
+    assert isoscycle_closed_form(petersen) == [0, 0, 6]
+    g = graph_from_name("petersen")
+    assert [isoscycle_count(g, v, 2) for v in range(10)] == [6] * 10
+    # interior values vanish along a tree-like stretch
+    tree3 = sequence_from_pairs([(1, 3), (1, 2), (1, 2), (1, 2)])
+    assert isoscycle_closed_form(tree3)[:-1] == [0, 0, 0, 0]
+    k2 = sequence_from_pairs([(1, 1)])
+    assert isoscycle_closed_form(k2) == [0, 0]
+
+
+def test_isoscycle_numbers_non_integral():
+    # a feasible array that no graph realises: the ordered count alpha_1 deg_1 of
+    # edges within level 1 is odd, so the closed form gives a half edge
+    seq = sequence_from_pairs([(1, 3), (1, 1)])
+    assert seq.alphas[1] == 1 and degree_sequence(seq)[1] == 3
+    assert isoscycle_closed_form(seq)[1] == 1.5
+
+
 def test_counts_match_closed_forms(corpus_entry):
     _, g, seq = corpus_entry
     degs = degree_sequence(seq)
-    isos = [alpha * deg / 2 for alpha, deg in zip(seq.alphas, degs)]  # x.5 never matches
+    isos = isoscycle_closed_form(seq)  # x.5 never matches
     for v in range(g.vertex_count):
         for k in range(seq.d + 1):
             assert degree_k(g, v, k) == degs[k]

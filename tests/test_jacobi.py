@@ -265,6 +265,17 @@ def test_eigenfunction_coeffs_examples():
     assert values[0] == 1.0 and values[1] == 0.0
 
 
+def test_eigenfunction_coeffs_rejects_non_eigenvalue():
+    # away from the spectrum P_{d+1}^(tau) does not vanish: it is det(x - J_tau)
+    # over the product of the off-diagonal entries
+    J = build_jacobi(PETERSEN, 2.0)
+    assert 2.5 not in eigenvalues(J)
+    values, _ = first_kind(PETERSEN, 2.0, 2.5)
+    expected = np.linalg.det(2.5 * np.eye(3) - J.to_dense()) / math.prod(J.offdiag)
+    assert values[-1] == pytest.approx(expected, rel=1e-12)
+    assert abs(values[-1]) > 0.5
+
+
 def measure_atoms(seq, tau):
     """(eigenvalue, weight, eigenvalue, weight, ...) of the measure of J_tau."""
     return [x for a in spectral_measure(seq, tau=tau).atoms for x in (a.eigenvalue, a.weight)]
@@ -335,6 +346,13 @@ def test_check_interlacing_k3():
     e1 = eigenvalues(build_jacobi(seq, 1.0))
     assert e0 == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-10)
     assert e1 == pytest.approx([-1.0, 2.0], abs=1e-10)
+
+
+def test_check_interlacing_requires_distinct_tau():
+    # J_tau against itself: the merged order alternates, but every gap is 0
+    spectrum = eigenvalues(build_jacobi(PETERSEN, 1.0))
+    assert spectra_interlace(spectrum, spectrum) == (False, 0.0)
+    assert not interlaced(PETERSEN, 1.0, 1.0)
 
 
 def test_check_interlacing_random_taus(corpus_entry):
