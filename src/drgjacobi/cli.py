@@ -176,18 +176,15 @@ def _verify_one(source: str) -> dict:
         return report
 
     # One exact pass, apart from certification's counts, also proves the table: its equations
-    # below d are the basis identity, and, given that, P^tau_{d+1}(A) sqrt(deg_d) = head - tau A_d.
+    # below d are the basis identity, and, given that, equation d gives both residuals.
     adj = oracle.dense_adjacency(g)
-    mismatch, basis_error, head = oracle.recurrence_pass(g, seq, adj)
+    mismatch, basis_error, residuals = oracle.recurrence_pass(g, seq, adj)
     check("recurrence", mismatch is None,
           "exact" if mismatch is None else {"mismatch": list(mismatch)})
-    degs = degree_sequence(seq)
     if basis_error is None:
         check("basis_identity", True, "exact")
-        top, scale = g.distances == seq.d, math.sqrt(degs[-1])
-        residual = float(np.abs(head - seq.tau_star * top).max()) / scale
+        residual, shift_residual = residuals
         check("minimal_polynomial", residual == 0, {"max_entry": residual})
-        shift_residual = float(np.abs(head - (seq.tau_star + 1) * top + top).max()) / scale
         check("minimal_polynomial_shifted", shift_residual == 0,
               {"max_entry_vs_predicted": shift_residual})
     else:
@@ -211,6 +208,7 @@ def _verify_one(source: str) -> dict:
     # Given the basis identity A_k = p_k(A), spec(A_k) is p_k of the dense spectrum.
     polys = _distance_polys(seq, dense.eigenvalues)
     basis_ok = basis_error is None
+    degs = degree_sequence(seq)
     norm_ok = basis_ok and all(np.abs(p).max() <= deg + 1e-8 for p, deg in zip(polys, degs))
     check("norm_bound", norm_ok, "norm(A_k) <= deg(A_k)" if basis_ok else "needs basis_identity")
     return report

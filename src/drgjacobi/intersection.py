@@ -162,30 +162,31 @@ def _code(x, step):
     return (x >> 1) + step * (x & 1)
 
 
-def _counts(code, m, deg, step):
+def _counts(code, m, degree):
     """The (closer, level, farther) counts of pairs (i, j) at distance m.
 
-    code is the pair's code (``_code``), deg = deg(j), and step the
-    step of f. With r = code - deg (m >> 1): for odd m, r = farther +
-    step level, as only m is odd and (m + 1) >> 1 is one more than
-    m >> 1; for even m, r = step (closer + farther) - closer, as m - 1
-    and m + 1 are odd and (m - 1) >> 1 is one less than m >> 1. Both are
-    divmods by step, of r and -r, since farther and closer are below it.
-    Elementwise on arrays.
+    code is the pair's code (``_code``) on a graph regular of the given
+    degree, with step = degree + 1. With r = code - degree (m >> 1): for
+    odd m, r = farther + step level, as only m is odd and (m + 1) >> 1 is
+    one more than m >> 1; for even m, r = step (closer + farther) -
+    closer, as m - 1 and m + 1 are odd and (m - 1) >> 1 is one less than
+    m >> 1. Both are divmods by step, of r and -r, since farther and
+    closer are below it. Elementwise on arrays.
     """
-    odd, base = m & 1, deg * (m >> 1)
-    hi, lo = np.divmod(np.where(odd, code - base, base - code), step)
-    closer, level = np.where(odd, deg - hi - lo, lo), np.where(odd, hi, deg + hi)
-    return closer, level, deg - closer - level
+    odd, base = m & 1, degree * (m >> 1)
+    hi, lo = np.divmod(np.where(odd, code - base, base - code), degree + 1)
+    closer, level = np.where(odd, degree - hi - lo, lo), np.where(odd, hi, degree + hi)
+    return closer, level, degree - closer - level
 
 
-def _neighbour_codes(g: Graph):
+def _neighbour_codes(g: Graph, degree: int):
     """Yield (start, m, codes) over the pairs (i, j) of blocks of rows i.
 
-    m[j, c] is d(i, j) with i = start + c, and codes[j, c] is the pair
-    (i, j)'s code (``_code``) with step one more than the largest degree:
-    as the table is symmetric, m is a block of its columns, and codes is
-    g.adjacency_operator times m mapped by f, in the operator's dtype.
+    g is regular of the given degree. m[j, c] is d(i, j) with i = start +
+    c, and codes[j, c] is the pair (i, j)'s code (``_code``) with step
+    degree + 1: as the table is symmetric, m is a block of its columns,
+    and codes is g.adjacency_operator times m mapped by f, in the
+    operator's dtype.
     Neither array is transposed, and m is intp, as numpy gathers from an
     intp index about twice as fast as from a strided int8 or int16 one.
     Up to 512 vertices, blocks hold BLOCK_ENTRIES / 2 pairs, as each pair
@@ -194,8 +195,8 @@ def _neighbour_codes(g: Graph):
     hypercube:12, complete:1024 and K_{724,724}, 64 columns took at most
     5% longer than the fastest of 32, 64, 128 and 256.
     """
-    n, dist, (indptr, _), op = g.vertex_count, g.distances, g.csr, g.adjacency_operator
-    fmap = _code(np.arange(n), int((indptr[1:] - indptr[:-1]).max()) + 1).astype(op.dtype)
+    n, dist, op = g.vertex_count, g.distances, g.adjacency_operator
+    fmap = _code(np.arange(n), degree + 1).astype(op.dtype)
     for start, stop in _row_blocks(n, 2 * min(n, 512)):
         m = dist[:, start:stop].astype(np.intp)
         yield start, m, op @ fmap.take(m)
@@ -243,7 +244,7 @@ def certify_distance_regular(g: Graph):
     d = len(firsts) - 1
     ref = np.concatenate((ref, np.full(n - d, -1))).astype(g.adjacency_operator.dtype)
     ref_at = np.concatenate((firsts, np.zeros(n - d, dtype=firsts.dtype)))  # and its row-major index
-    for start, m, codes in _neighbour_codes(g):
+    for start, m, codes in _neighbour_codes(g, degree):
         if (codes == ref.take(m)).all():
             continue
         k, code = m.T.ravel(), codes.T.ravel()  # in row-major order of the pairs
@@ -261,14 +262,14 @@ def certify_distance_regular(g: Graph):
             return _witness(degree, kx, divmod(int(ref_at[kx]), n), ref[kx], divmod(start * n + x, n), code[x])
 
     codes = ref[: d + 1].astype(np.int64)  # decoded only here and in a witness
-    closer, _, farther = _counts(codes, np.arange(d + 1), degree, degree + 1)
+    closer, _, farther = _counts(codes, np.arange(d + 1), degree)
     return IntersectionSequence(tuple(closer[1:].tolist()), tuple(farther[:-1].tolist()))
 
 
 def _witness(degree, k, first_pair, first_code, second_pair, second_code) -> NonRegularityWitness:
     """The witness of two pairs at distance k whose codes differ, from the codes."""
     (a1, _, b1), (a2, _, b2) = (
-        map(int, _counts(int(code), k, degree, degree + 1)) for code in (first_code, second_code)
+        map(int, _counts(int(code), k, degree)) for code in (first_code, second_code)
     )
     col, c1, c2 = ("a", a1, a2) if a1 != a2 else ("b", b1, b2)
     return NonRegularityWitness("NotDistanceRegular", k, col, first_pair, c1, second_pair, c2)

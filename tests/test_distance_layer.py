@@ -183,10 +183,14 @@ def reference_basis_entry(g, seq, k):
     return k + 1, i, j, int(rest[i, j]) / seq.a[k], float(mats[k + 1][i, j])
 
 
-def test_oracle_recurrence_pass_matches_dense_reference():
+@pytest.mark.parametrize("gather", [True, False], ids=["gather", "dense"])
+def test_oracle_recurrence_pass_matches_dense_reference(gather, monkeypatch):
     from drgjacobi import oracle
 
-    tried, below_d = 0, 0
+    # either route, whatever the cost rule picks; a moved b_1 differs from the degree, and
+    # the gather's base must exceed both
+    monkeypatch.setattr(oracle, "_gather_pays", lambda g, d: gather)
+    tried, below_d, at_d = 0, 0, 0
     for g in RANDOM_GRAPHS[:300] + CUBIC_GRAPHS:
         outcome = certify_distance_regular(g)
         if not isinstance(outcome, intersection.IntersectionSequence):
@@ -202,17 +206,19 @@ def test_oracle_recurrence_pass_matches_dense_reference():
             except intersection.SequenceError:
                 continue
             tried += 1
-            mismatch, basis_error, head = oracle.recurrence_pass(g, seq, oracle.dense_adjacency(g))
+            mismatch, basis_error, residuals = oracle.recurrence_pass(g, seq, oracle.dense_adjacency(g))
             expected = reference_recurrence(g, seq)
             assert mismatch == expected
             if expected is not None and expected[0] < seq.d:
                 below_d += 1
                 reference = oracle.BasisMismatchError(*reference_basis_entry(g, seq, expected[0]))
                 assert str(basis_error) == str(reference)
-                assert head is None
+                assert residuals is None
             else:
-                assert basis_error is None and head is not None
-    assert tried >= 400 and below_d >= 150
+                assert basis_error is None
+                at_d += expected is not None
+                assert (residuals == (0.0, 0.0)) == (expected is None)
+    assert tried >= 400 and below_d >= 150 and at_d >= 150
 
 
 def test_distances_are_read_only_and_computed_once():

@@ -53,13 +53,12 @@ def test_counts_match_brute_force_on_int8_tables(name, density, block_entries, m
 
 
 def counts_by_row(g):
-    """brute_force_counts' layout, decoded from intersection._neighbour_codes."""
-    degrees = np.diff(g.csr[0])
-    step = int(degrees.max()) + 1
+    """brute_force_counts' layout, decoded from intersection._neighbour_codes; g is regular."""
+    degree = g.degree(0)
     got = [None] * g.vertex_count
-    for start, m, codes in intersection._neighbour_codes(g):
+    for start, m, codes in intersection._neighbour_codes(g, degree):
         # codes[j, c] is the pair (start + c, j)'s code
-        counts = intersection._counts(codes.astype(np.int64), m, degrees[:, None], step)
+        counts = intersection._counts(codes.astype(np.int64), m, degree)
         for c in range(m.shape[1]):
             got[start + c] = [tuple(map(int, t)) for t in zip(*(a[:, c] for a in counts))]
     return got
@@ -67,35 +66,42 @@ def counts_by_row(g):
 
 @pytest.mark.parametrize("deg", range(1, 6))
 def test_codes_decode_to_their_counts(deg):
-    # every split of deg(j) into closer, level and farther neighbours, at every
-    # distance; step exceeds the largest degree, so it may exceed deg(j) + 1
-    for step in (deg + 1, deg + 3):
-        for m in range(7):
-            splits = [
-                (closer, level, deg - closer - level)
-                for closer in range(deg + 1)
-                for level in range(deg + 1 - closer)
-                if m or (closer, level) == (0, 0)  # a pair at distance 0 has only farther ones
-            ]
-            f = [intersection._code(x, step) if x >= 0 else None for x in (m - 1, m, m + 1)]
-            codes = [sum(c * v for c, v in zip(split, f) if c) for split in splits]
-            assert len(set(codes)) == len(splits)
-            for split, code in zip(splits, codes):
-                assert tuple(map(int, intersection._counts(code, m, deg, step))) == split
-            decoded = intersection._counts(np.array(codes), np.full(len(codes), m), deg, step)
-            assert list(zip(*(a.tolist() for a in decoded))) == splits
+    # every split of the degree into closer, level and farther neighbours, at every distance
+    step = deg + 1
+    for m in range(7):
+        splits = [
+            (closer, level, deg - closer - level)
+            for closer in range(deg + 1)
+            for level in range(deg + 1 - closer)
+            if m or (closer, level) == (0, 0)  # a pair at distance 0 has only farther ones
+        ]
+        f = [intersection._code(x, step) if x >= 0 else None for x in (m - 1, m, m + 1)]
+        codes = [sum(c * v for c, v in zip(split, f) if c) for split in splits]
+        assert len(set(codes)) == len(splits)
+        for split, code in zip(splits, codes):
+            assert tuple(map(int, intersection._counts(code, m, deg))) == split
+        decoded = intersection._counts(np.array(codes), np.full(len(codes), m), deg)
+        assert list(zip(*(a.tolist() for a in decoded))) == splits
 
 
 @pytest.mark.parametrize("density, dense", [(1 << 30, True), (1, False)])
-def test_counts_match_brute_force_on_an_irregular_graph(density, dense, monkeypatch):
-    # degrees 1 to 9, vertex 0's the least: the step is 10 for every column,
-    # above most deg(j) + 1
+def test_an_irregular_graph_is_refused_before_any_neighbour_code(density, dense, monkeypatch):
+    # degrees 1 to 9: the regularity check answers before the codes, which take one degree
     monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", density)
     ring = [(u + 1, v + 1) for u, v in ring_of_triangles(5)]
     g = graph_from_edges(ring + [(1, 16), (16, 17), (17, 18), (18, 8), (18, 0)])
     assert isinstance(g.adjacency_operator, np.ndarray) == dense
     assert set(np.diff(g.csr[0]).tolist()) == {1, 2, 3, 8, 9}
-    assert counts_by_row(g) == brute_force_counts(g)
+
+    def refused(g, degree):
+        raise AssertionError("neighbour codes on an irregular graph")
+
+    monkeypatch.setattr(intersection, "_neighbour_codes", refused)
+    witness = certify_distance_regular(g)
+    assert witness.to_json() == {
+        "kind": "NotRegular", "distance": 0, "count_type": "b",
+        "first_pair": [0, 0], "first_count": 1, "second_pair": [1, 1], "second_count": 9,
+    }
 
 
 @pytest.mark.parametrize("extra, dense", [(0, True), (1, False)])
@@ -121,10 +127,11 @@ def test_dense_codes_equal_sparse_codes_at_the_caps(name, monkeypatch):
         return blocks[0], blocks[-1]
 
     monkeypatch.setattr(intersection, "_row_blocks", first_and_last)
-    dense = list(intersection._neighbour_codes(g))
+    degree = g.degree(0)
+    dense = list(intersection._neighbour_codes(g, degree))
     monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", 1)
     monkeypatch.setitem(g.__dict__, "adjacency_operator", graphs.Graph.adjacency_operator.func(g))
-    sparse = list(intersection._neighbour_codes(g))
+    sparse = list(intersection._neighbour_codes(g, degree))
     assert dense[0][2].dtype == np.float32 and sparse[0][2].dtype == np.int32
     blocks = list(graphs._row_blocks(g.vertex_count, widths[0]))
     assert {stop - start for start, stop in blocks[:-1]} == {64}

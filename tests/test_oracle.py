@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from drgjacobi import (
+    graph_from_edges,
     graph_from_name,
     sequence_from_pairs,
     spectral_measure,
@@ -329,6 +331,113 @@ def test_recurrence_pass_rejects_multi_entry_tampering(tamper_entry, monkeypatch
     assert oracle.recurrence_pass(g, seq, adj)[:2] == (None, None)
 
 
+def route_outcome(entry, table, gather, monkeypatch):
+    """recurrence_pass on table by the route gather names, its error as text; or the entry check's."""
+    g, seq, adj = entry
+    monkeypatch.setitem(g.__dict__, "distances", table)
+    monkeypatch.setattr(oracle, "_gather_pays", lambda g, d: gather)
+    try:
+        mismatch, basis_error, residuals = oracle.recurrence_pass(g, seq, adj)
+    except OracleError as exc:
+        return str(exc)
+    return mismatch, basis_error and str(basis_error), residuals
+
+
+def test_gather_and_dense_routes_agree_on_altered_tables(tamper_entry, monkeypatch):
+    # the same verdict, mismatch, basis error and residuals, so the same verify report
+    g, seq, _ = tamper_entry
+    genuine = np.array(g.distances)
+    tables = [*tampered_tables(genuine), *fuzzed_tables(genuine, np.random.default_rng(7))]
+    failed_at = set()
+    for table in tables:
+        gather = route_outcome(tamper_entry, table, True, monkeypatch)
+        assert gather == route_outcome(tamper_entry, table, False, monkeypatch)
+        if not isinstance(gather, str) and gather[0] is not None:
+            failed_at.add(gather[0][0])
+    assert route_outcome(tamper_entry, genuine, True, monkeypatch) == (None, None, (0.0, 0.0))
+    # a failure at every k below d, with its basis error; complete:2's tables all fail the entry check
+    assert failed_at == (set(range(seq.d)) if g.vertex_count > 2 else set())
+
+
+@pytest.mark.parametrize("name, gather", [
+    ("complete:64", False),
+    ("complete_bipartite:32", False),
+    ("cycle:100", True),
+    ("hypercube:7", True),
+])
+def test_recurrence_route_follows_the_cost_rule(name, gather):
+    g = graph_from_name(name)
+    assert oracle._gather_pays(g, int(g.distances.max())) is gather
+
+
+def test_an_irregular_graph_takes_the_dense_route():
+    # a path: far above the crossover, but the gather sums one degree's codes per pair
+    path = graph_from_edges([(i, i + 1) for i in range(99)])
+    assert 99 * 100**2 >= oracle.GATHER_MIN_RATIO * len(path.csr[1])
+    assert not oracle._gather_pays(path, 99)
+
+
+def counted_products(monkeypatch):
+    """The k of every dense product A A_k the recurrence pass takes, in order."""
+    products, original = [], oracle._equation
+
+    def counting(dist, adj, seq, k):
+        products.append(k)
+        return original(dist, adj, seq, k)
+
+    monkeypatch.setattr(oracle, "_equation", counting)
+    return products
+
+
+def test_passing_verify_makes_no_dense_product_on_the_gather_route(monkeypatch, capsys):
+    from drgjacobi import cli
+
+    products = counted_products(monkeypatch)
+    assert cli.main(["verify", "cycle:300"]) == 0
+    capsys.readouterr()
+    assert products == []
+
+
+def swap_labels_2_and_9(table):
+    table[[2, 9]] = table[[9, 2]]
+    table[:, [2, 9]] = table[:, [9, 2]]
+
+
+def set_3_17_to_5(table):
+    table[3, 17] = 5
+
+
+@pytest.mark.parametrize("tamper, cut, k", [
+    (swap_labels_2_and_9, 0, 0),  # a relabelled cycle's table: its A_1 is not A
+    (set_3_17_to_5, 0, 4),  # no neighbour of 3 is at distance 4 from 17
+    (None, 1, 14),  # the genuine table, one pair short: equation d fails, and only it
+], ids=["swapped_labels", "moved_entry", "short_sequence"])
+def test_verify_reports_a_failure_alike_on_both_routes(tamper, cut, k, monkeypatch, capsys):
+    # one dense product, at the least failing k, on the gather route; k + 1 on the dense route
+    from drgjacobi import certify_distance_regular, cli
+
+    g = graph_from_name("cycle:30")
+    seq = certify_distance_regular(g)
+    seq = sequence_from_pairs(list(zip(seq.a, seq.b))[: seq.d - cut])
+    table = np.array(g.distances)
+    if tamper:
+        tamper(table)
+    monkeypatch.setitem(g.__dict__, "distances", table)
+    monkeypatch.setattr(cli, "load_graph", lambda source: g)
+    monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
+    products = counted_products(monkeypatch)
+    outs = []
+    for gather in (True, False):
+        monkeypatch.setattr(oracle, "_gather_pays", lambda g, d: gather)
+        assert cli.main(["verify", "cycle:30"]) == 2
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert products == [k, *range(k + 1)]
+    checks = {c["name"]: c for c in json.loads(outs[0])["payload"]["reports"][0]["checks"]}
+    assert checks["recurrence"]["detail"]["mismatch"][0] == k
+    assert checks["basis_identity"]["pass"] == (k == seq.d)
+
+
 def test_entry_check_names_the_first_bad_entry(monkeypatch):
     g = graph_from_name("petersen")
     genuine, n = np.array(g.distances), g.vertex_count
@@ -446,14 +555,14 @@ def test_verify_makes_one_neighbour_count_pass_per_input(monkeypatch, capsys):
     passes = []
     original = intersection._neighbour_codes
 
-    def counting(g):
+    def counting(g, degree):
         passes.append(g.vertex_count)
-        return original(g)
+        return original(g, degree)
 
     monkeypatch.setattr(intersection, "_neighbour_codes", counting)
     assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
     capsys.readouterr()
-    # certification's; the recurrence check reads the oracle's dense products instead
+    # certification's; the recurrence check takes the oracle's dense products or its gather instead
     assert sorted(passes) == [10, 30, 32]
 
 
