@@ -1,11 +1,18 @@
 """Simple connected graphs and their distance-k structure.
 
-Vertices are dense 0-based indices. Construction eagerly verifies
-simplicity (no loops, no parallel edges), symmetry of the adjacency
-relation, and connectivity, so everything downstream may assume all
-three; it also stores the adjacency once as int32 CSR arrays,
-``Graph.csr``, which the array kernels here, in ``intersection`` and
-in ``oracle`` read. Neighbour sums are products with
+Vertices are dense 0-based indices. A ``Graph`` stores its adjacency
+once, as read-only int32 CSR arrays ``Graph.csr``, which the array
+kernels here, in ``intersection`` and in ``oracle`` read. Construction
+takes those arrays and verifies them with numpy: entries in range, no
+loops, rows strictly increasing (so no parallel edges), the relation
+symmetric, and the graph connected, so everything downstream may assume
+all of it. The builtins write their closed forms straight into the two
+arrays, and ``graph_from_edges`` builds them with one dedup of the arc
+codes; ``parse_edge_list`` reads plain edge lists a chunk at a time with
+numpy and leaves every other list, and every malformed-line error, to
+its line loop. ``Graph.adjacency``, the neighbour lists as tuples, is a
+view built on first use; nothing on the construction path builds it.
+Neighbour sums are products with
 ``Graph.adjacency_operator``, built on first use and cached like the
 distances, in one of two forms that ``_dense_sums_pay`` picks by
 density: on graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, A_1 =
@@ -40,11 +47,9 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -119,10 +124,31 @@ BITSET_FILL_NS = (24_000, 11_600, 1.6, 0.55)  # fixed, level, word, entry
 SCIPY_FILL_NS = (148_000, 37.5, 2.3)  # fixed, vertex, arc
 PYTHON_FILL_NS = (8_500, 212, 30)
 
+# Cost model of the two searches for vertex 0's levels at construction, in
+# nanoseconds, that ``_array_levels_pay`` compares:
+#   arrays: levels * (level + vertex * n)
+#   lists:  vertex * n + arc * arcs
+# The array search expands a level with about fifteen numpy calls and scans
+# the n distances for the next frontier; the list search converts the CSR
+# arrays to Python lists and walks every arc in Python. Fitted by
+# nonnegative least squares on relative error to the minimum of at least 5
+# timings of each search on 76 graphs of 2 to 4096 vertices: cycles, paths,
+# stars, prisms, complete and complete bipartite graphs, cubes, unions of
+# random Hamiltonian cycles, G(n, p) graphs and cliques with a path attached
+# (numpy 2.4, 2-core x86 VM); the median error of each fit is 30%. The rule
+# takes the arrays only where their cost at the bound on the levels is the
+# smaller: every complete graph from 50 vertices and complete bipartite one
+# from 100, while cycles, paths, prisms and cubes keep the lists. Over the
+# 76 graphs it took 52 ms in all, against 192 ms for the lists alone, 158 ms
+# for the arrays alone and 20 ms for the faster search on each graph.
+ARRAY_LEVELS_NS = (13_700, 5.1)  # level, vertex per level
+LIST_LEVELS_NS = (520, 11.3)  # vertex, arc
+
 # Builtin graphs with more vertices or more edges are refused from their
-# parameter, before any allocation: construction holds each edge twice as a
-# Python int, then in int64 validation arrays, about 140 bytes per edge at its
-# tracemalloc peak (complete:1024 near 71 MB). hypercube:12, cycle:4096,
+# parameter, before any allocation: construction holds the closed form, the
+# stored int32 copy and two int32 code arrays, one entry per arc each, about
+# 34 bytes per edge at its tracemalloc peak (complete:1024 and
+# complete_bipartite:724 near 18 MB). hypercube:12, cycle:4096,
 # complete:1024 and complete_bipartite:724 are the largest admitted.
 MAX_BUILTIN_VERTICES = 4096
 MAX_BUILTIN_EDGES = 1 << 19
@@ -135,7 +161,16 @@ MAX_EDGE_LIST_BYTES = 32 * MAX_BUILTIN_EDGES
 LINE_CHUNK_CHARS = 1 << 16
 # The line ends of str.splitlines, "\r\n" being one, as a pattern compiled on
 # the first text longer than a chunk: compiling it takes about 0.7 ms.
-LINE_END_PATTERN = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+LINE_END_PATTERN = f"[{LINE_ENDS}]"
+# A plain line of an edge list (``_plain_labels``): blank, a comment, or two
+# decimal labels with spaces and tabs around and between them, ended by
+# "\n", "\r\n" or the end of the text. A label has at most 18 digits, so
+# that it fits in int64. With re.MULTILINE, NOT_PLAIN_PATTERN matches at the
+# start of a line that is not plain, and COMMENT_LINE_PATTERN a comment line.
+PLAIN_LINE = f"[ \t]*(?:[0-9]{{1,18}}[ \t]+[0-9]{{1,18}}[ \t]*|#[^{LINE_ENDS}]*)?\r?$"
+NOT_PLAIN_PATTERN = f"^(?!{PLAIN_LINE})"
+COMMENT_LINE_PATTERN = f"^[ \t]*#[^{LINE_ENDS}]*"
 
 
 def _row_blocks(n: int, width: int):
@@ -145,57 +180,65 @@ def _row_blocks(n: int, width: int):
         yield start, min(n, start + step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Graph:
-    """Immutable simple connected undirected graph.
+    """Immutable simple connected undirected graph, stored as CSR arrays.
 
-    ``adjacency[i]`` is the strictly increasing tuple of neighbors of
-    vertex ``i``. ``csr`` holds the same lists as read-only int32 arrays
-    ``(indptr, indices)``: the neighbors of ``i`` are
-    ``indices[indptr[i]:indptr[i + 1]]``. The connectivity check at
-    construction searches from vertex 0 level by level and keeps its
-    level sets, ``_levels[k]`` the set of vertices at distance k from 0.
-    Their count less one is the eccentricity of vertex 0, which bounds
-    the diameter for the choice of fill, and they give row 0 of the
-    distances without the table (``_row0``).
+    ``Graph(indptr, indices)`` takes one-dimensional integer arrays: the
+    neighbours of vertex i are ``indices[indptr[i]:indptr[i + 1]]``, in
+    strictly increasing order, and every edge appears in the rows of
+    both its ends. ``csr`` holds read-only int32 copies of the two
+    arrays, and is the one form the graph stores; ``adjacency``, the
+    same lists as tuples of ints, is a view built on first use.
+    Construction checks the arrays with numpy and raises a GraphError
+    naming the first offending entry in row-major order. It then
+    searches from vertex 0 level by level, by numpy or over Python
+    lists as ``_array_levels_pay`` decides, and keeps ``_row0``: row 0
+    of the distances and the least vertex at each distance from 0. The
+    number of levels less one is the eccentricity of vertex 0, which
+    bounds the diameter for the choice of fill. Graphs are equal when
+    their arrays are.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
-    csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _levels: tuple[set[int], ...] = field(init=False, repr=False, compare=False)
+    indptr: InitVar[np.ndarray]
+    indices: InitVar[np.ndarray]
+    csr: tuple[np.ndarray, np.ndarray] = field(init=False)
+    _row0: tuple[np.ndarray, np.ndarray] = field(init=False)
 
-    def __post_init__(self):
-        n = len(self.adjacency)
-        if n < 2:
-            raise GraphError("a graph needs at least two vertices")
-        object.__setattr__(self, "csr", _checked_csr(self.adjacency))
-        levels = _levels_of_zero(self.adjacency)
-        if sum(map(len, levels)) < n:
-            raise NotConnectedError(chain.from_iterable(levels))
-        object.__setattr__(self, "_levels", levels)
+    def __post_init__(self, indptr, indices):
+        (indptr, indices), degrees = _checked_csr(indptr, indices)
+        object.__setattr__(self, "csr", (indptr, indices))
+        n = len(indptr) - 1
+        if _array_levels_pay(n, len(indices), int(degrees.min())):
+            row0, firsts = _levels_by_arrays(indptr, indices)
+        else:
+            row0, firsts = _row0_of(_levels_of_zero(_neighbour_lists(indptr, indices)), n)
+        if row0.min() < 0:
+            raise NotConnectedError(np.flatnonzero(row0 >= 0).tolist())
+        object.__setattr__(self, "_row0", (row0, firsts))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return all(map(np.array_equal, self.csr, other.csr))
 
     @property
     def _ecc0(self) -> int:
         """The eccentricity of vertex 0."""
-        return len(self._levels) - 1
-
-    def _row0(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row 0 of the distances, and the least vertex at each distance from 0.
-
-        Both come from the level sets, so the table is not filled.
-        """
-        sizes = np.fromiter(map(len, self._levels), dtype=np.intp, count=len(self._levels))
-        order = np.fromiter(chain.from_iterable(self._levels), dtype=np.intp, count=self.vertex_count)
-        row0 = np.empty_like(order)
-        row0[order] = np.repeat(np.arange(len(sizes)), sizes)
-        return row0, np.minimum.reduceat(order, np.cumsum(sizes) - sizes)
+        return len(self._row0[1]) - 1
 
     @property
     def vertex_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.csr[0]) - 1
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        indptr = self.csr[0]
+        return int(indptr[v + 1] - indptr[v])
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbour lists as tuples of ints, built from ``csr`` on first use."""
+        return tuple(map(tuple, _neighbour_lists(*self.csr)))
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -211,9 +254,10 @@ class Graph:
         if _bitset_fill_pays(n, len(indices), self._ecc0):
             dist = _bitset_distances(indptr, indices, dtype)
         elif n < SCIPY_MIN_VERTICES:
+            nbrs = _neighbour_lists(indptr, indices)
             dist = np.empty((n, n), dtype=dtype)
             for v in range(n):
-                dist[v] = _bfs(self.adjacency, v)
+                dist[v] = _bfs(nbrs, v)
         else:
             # Imported here: csgraph adds about 1 MB that small graphs never need.
             from scipy.sparse import csr_matrix
@@ -276,68 +320,89 @@ def _dense_sums_pay(n: int, arcs: int, max_degree: int) -> bool:
     return arcs * DENSE_SUMS_DENSITY >= n * n and _max_code(n, max_degree) < 1 << 24
 
 
-def _checked_csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """The adjacency lists as read-only int32 CSR arrays, after validation."""
-    n = len(adjacency)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adjacency), dtype=np.int64, count=n), out=indptr[1:])
-    try:  # struct reads each entry by its __index__, so floats and strings are refused
-        packed = struct.pack(f"{indptr[-1]}q", *chain.from_iterable(adjacency))
-    except struct.error:  # an entry that is not an integer, or is outside int64
-        _raise_first_offence(adjacency)
-    indices = np.frombuffer(packed, dtype=np.int64)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    codes = rows * n
-    codes += indices
-    # Valid lists give loop-free, in-range, strictly increasing codes,
-    # and the reversed entries give the same codes in another order.
-    valid = (
-        ((indices >= 0) & (indices < n)).all()
-        and (codes[1:] > codes[:-1]).all()
-        and (indices != rows).all()
-    )
-    if valid:
-        reversed_codes = indices * n
+def _checked_csr(indptr, indices) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Read-only int32 copies of valid CSR arrays, and the degrees; a GraphError for invalid ones."""
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    if indptr.ndim != 1 or indices.ndim != 1 or not {indptr.dtype.kind, indices.dtype.kind} <= {"i", "u"}:
+        raise GraphError("indptr and indices must be one-dimensional integer arrays")
+    n = len(indptr) - 1
+    if n < 2:
+        raise GraphError("a graph needs at least two vertices")
+    indptr = indptr.astype(np.int64)
+    degrees = indptr[1:] - indptr[:-1]
+    if indptr[0] != 0 or indptr[-1] != len(indices) or degrees.min() < 0:
+        raise GraphError(f"indptr must rise from 0 to len(indices) = {len(indices)}")
+    # Codes i * n + j of the entries, and of the reversed ones: int32 while n^2 fits.
+    code = np.int32 if n * n < 1 << 31 else np.int64
+    rows = np.repeat(np.arange(n, dtype=code), degrees)
+    cols = indices.astype(code)
+    valid = not len(cols) or (indices.min() >= 0 and indices.max() < n)
+    if valid and len(cols):
+        reversed_codes = cols * n
         reversed_codes += rows
-        reversed_codes.sort()
-        valid = np.array_equal(codes, reversed_codes)
+        codes = rows  # the rows are not read again
+        codes *= n
+        codes += cols
+        # Valid rows give strictly increasing codes, none of them a loop's
+        # i * (n + 1), and the reversed entries give the same codes in
+        # another order.
+        loops = np.arange(0, n * n, n + 1, dtype=code)
+        valid = (codes[1:] > codes[:-1]).all() and not (
+            codes.take(np.searchsorted(codes, loops), mode="clip") == loops
+        ).any()
+        if valid:
+            reversed_codes.sort()
+            valid = (codes == reversed_codes).all()
     if not valid:
-        _raise_first_offence(adjacency)
-    csr = (indptr.astype(np.int32), indices.astype(np.int32))
+        _raise_first_offence(indices, degrees)
+    csr = (indptr.astype(np.int32), cols.astype(np.int32, copy=False))
     for a in csr:
         a.flags.writeable = False
-    return csr
+    return csr, degrees
 
 
-def _raise_first_offence(adjacency):
-    """Raise for the first offending entry of invalid lists, in row-major order."""
-    n = len(adjacency)
-    entries = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if hasattr(j, "__index__")}
-    for i, nbrs in enumerate(adjacency):
-        prev = -1
-        for j in nbrs:
-            if not hasattr(j, "__index__"):  # what struct.pack refuses; bools pass
-                raise GraphError(f"neighbor {j!r} of {i} is not an integer")
-            if j == i:
-                raise SelfLoopError(i)
-            if not 0 <= j < n:
-                raise GraphError(f"neighbor {j} of {i} out of range")
-            if j <= prev:
-                raise GraphError(f"adjacency[{i}] not strictly increasing")
-            prev = j
-            if (j, i) not in entries:
-                raise GraphError(f"asymmetric edge ({i}, {j})")
+def _raise_first_offence(indices, degrees):
+    """Raise for the first offending entry of invalid CSR rows, in row-major order.
+
+    Entry (i, j) is checked for a loop, then its range, then its order
+    after the entry before it in row i, then for the entry (j, i).
+    """
+    n = len(degrees)
+    rows = np.repeat(np.arange(n), degrees)
+    in_range = (indices >= 0) & (indices < n)
+    cols = np.full(len(indices), -1, dtype=np.int64)
+    cols[in_range] = indices[in_range]
+    loop = cols == rows
+    unordered = np.zeros_like(loop)
+    unordered[1:] = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+    entries = (rows * n + cols)[in_range]
+    asymmetric = in_range & ~np.isin(cols * n + rows, entries)
+    first = np.flatnonzero(loop | ~in_range | unordered | asymmetric)[0]
+    i, j = int(rows[first]), int(indices[first])
+    if loop[first]:
+        raise SelfLoopError(i)
+    if not in_range[first]:
+        raise GraphError(f"neighbor {j} of {i} out of range")
+    if unordered[first]:
+        raise GraphError(f"adjacency[{i}] not strictly increasing")
+    raise GraphError(f"asymmetric edge ({i}, {j})")
 
 
-def _bfs(adjacency, source: int) -> list[int]:
-    """Distances from source; unreachable vertices get -1."""
-    dist = [-1] * len(adjacency)
+def _neighbour_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """The rows of CSR arrays as Python lists of ints."""
+    ptr, idx = indptr.tolist(), indices.tolist()
+    return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def _bfs(nbrs, source: int) -> list[int]:
+    """Distances from source, where nbrs[v] lists v's neighbours; unreachable vertices get -1."""
+    dist = [-1] * len(nbrs)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for w in adjacency[u]:
+        for w in nbrs[u]:
             if dist[w] < 0:
                 dist[w] = du + 1
                 queue.append(w)
@@ -405,32 +470,127 @@ def _unit_balls(n: int) -> np.ndarray:
     return ball
 
 
-def _levels_of_zero(nbrs) -> tuple[set[int], ...]:
-    """The sets of vertices at distance 0, 1, ... from vertex 0, where
-    nbrs[v] lists v's neighbours; their union is the component of 0.
+def _array_levels_pay(n: int, arcs: int, min_degree: int) -> bool:
+    """True iff vertex 0's levels are searched by numpy, not over Python lists.
 
-    Searched level by level in set operations, in memory linear in the
-    number of edges whatever the vertex count.
+    The array search pays per level, and there are at most 3 n /
+    (min_degree + 1) levels: along a geodesic from vertex 0, the closed
+    neighbourhoods of every third vertex are disjoint, and each holds at
+    least min_degree + 1 vertices. Costs are those of the model above,
+    the array search's at that bound.
     """
-    seen, frontier, levels = {0}, {0}, []
+    level, vertex = ARRAY_LEVELS_NS
+    arrays = 3 * n / (min_degree + 1) * (level + vertex * n)
+    vertex, arc = LIST_LEVELS_NS
+    return arrays < vertex * n + arc * arcs
+
+
+def _levels_by_arrays(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row 0 of the distances (-1 off 0's component) and the least vertex at each distance.
+
+    Each level is expanded by numpy, a piece of the frontier at a time:
+    the rows of about BLOCK_ENTRIES arcs are gathered as one index
+    array, and the search stops as soon as every vertex is reached. The
+    next frontier is the sorted set of vertices first reached there.
+    """
+    n = len(indptr) - 1
+    row0 = np.full(n, -1, dtype=np.intp)
+    row0[0] = 0
+    frontier, firsts, unreached = np.zeros(1, dtype=np.intp), [0], n - 1
+    step = max(1, BLOCK_ENTRIES * n // max(1, len(indices)))  # rows of about BLOCK_ENTRIES arcs
+    while frontier.size and unreached:
+        k = len(firsts)
+        for start in range(0, frontier.size, step):
+            piece = frontier[start : start + step]
+            starts, stops = indptr[piece], indptr[piece + 1]
+            lengths = stops - starts
+            ends = np.cumsum(lengths)
+            nbrs = indices[np.arange(ends[-1]) + np.repeat(stops - ends, lengths)]
+            row0[nbrs[row0[nbrs] < 0]] = k
+            if row0.min() >= 0:
+                break
+        frontier = np.flatnonzero(row0 == k)
+        if frontier.size:
+            firsts.append(frontier[0])
+            unreached -= frontier.size
+    return row0, np.array(firsts, dtype=np.intp)
+
+
+def _levels_of_zero(nbrs) -> list[list[int]]:
+    """The lists of vertices at distance 0, 1, ... from vertex 0, where
+    nbrs[v] lists v's neighbours; together they are the component of 0.
+
+    nbrs is a list, or a mapping in which every vertex that occurs has a
+    key; the search stops once it has seen them all.
+    """
+    seen, frontier, levels = {0}, [0], []
     while frontier:
         levels.append(frontier)
-        frontier = set().union(*[nbrs[v] for v in frontier])
-        frontier -= seen
-        seen |= frontier
-    return tuple(levels)
+        if len(seen) == len(nbrs):
+            break
+        frontier = []
+        for u in levels[-1]:
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return levels
+
+
+def _row0_of(levels: list[list[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row 0 of the distances (-1 off 0's component) and the least vertex at each distance."""
+    row0 = [-1] * n
+    for k, level in enumerate(levels):
+        for v in level:
+            row0[v] = k
+    return np.array(row0, dtype=np.intp), np.array(list(map(min, levels)), dtype=np.intp)
 
 
 def graph_from_edges(edges) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
-    Duplicate edges are merged. The vertex set is 0..max_index. A label
-    that is not an integer raises GraphError, as in Graph. So do more
+    Duplicate edges are merged. The vertex set is 0..max index. A label
+    that is not an integer raises a GraphError naming it. So do more
     than MAX_BUILTIN_EDGES pairs (duplicates counted), at the first pair
     past the cap, and more than MAX_BUILTIN_VERTICES vertices, after the
     refusal of a list too sparse to be connected and before anything is
-    allocated per vertex.
+    allocated per vertex. An m x 2 integer array with no loop, no
+    negative label and at most MAX_BUILTIN_EDGES rows skips the check
+    per pair; any other array takes that check up to its first offence,
+    which raises as it would on the same pairs given as tuples.
     """
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        if len(edges) > MAX_BUILTIN_EDGES or edges.min(initial=0) < 0 or (edges[:, 0] == edges[:, 1]).any():
+            bad = np.flatnonzero((edges[:, 0] == edges[:, 1]) | (edges < 0).any(axis=1))
+            stop = min(bad[0] if bad.size else len(edges), MAX_BUILTIN_EDGES) + 1
+            _checked_pairs(edges[:stop].tolist())  # raises at the pair at stop - 1
+        pairs, n = edges, int(edges.max(initial=-1)) + 1
+    else:
+        pairs, n = _checked_pairs(edges)
+    if n > len(pairs) + 1:  # cannot be connected; refused before allocating per vertex
+        lists = defaultdict(list)
+        for u, v in pairs.tolist() if isinstance(pairs, np.ndarray) else pairs:
+            lists[u].append(v)
+            lists[v].append(u)
+        raise NotConnectedError(w for level in _levels_of_zero(lists) for w in level)
+    if n > MAX_BUILTIN_VERTICES:
+        raise GraphError(f"an edge list may name at most {MAX_BUILTIN_VERTICES} vertices, got {n}")
+    # the arc codes u * n + v of both orientations, sorted and deduplicated
+    arcs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+    arcs = np.concatenate((arcs, arcs[:, ::-1]))
+    codes = arcs[:, 0] * n
+    codes += arcs[:, 1]
+    del arcs, pairs  # freed before validation allocates its arrays
+    codes.sort()
+    first = np.ones(len(codes), dtype=bool)  # the first of each run of equal codes
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes = codes[first]
+    rows, indices = np.divmod(codes, n)
+    return Graph(np.searchsorted(rows, np.arange(n + 1)), indices)
+
+
+def _checked_pairs(edges) -> tuple[list[tuple[int, int]], int]:
+    """The pairs of edges as a list, after the check per pair, and max label + 1."""
     n = 0
     pairs = []
     for u, v in edges:
@@ -445,21 +605,7 @@ def graph_from_edges(edges) -> Graph:
             raise GraphError(f"negative vertex index in edge ({u}, {v})")
         pairs.append((u, v))
         n = max(n, u + 1, v + 1)
-    if n > len(pairs) + 1:  # cannot be connected; refused before allocating n sets
-        lists = defaultdict(list)
-        for u, v in pairs:
-            lists[u].append(v)
-            lists[v].append(u)
-        raise NotConnectedError(chain.from_iterable(_levels_of_zero(lists)))
-    if n > MAX_BUILTIN_VERTICES:
-        raise GraphError(f"an edge list may name at most {MAX_BUILTIN_VERTICES} vertices, got {n}")
-    nbrs = [set() for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    del nbrs, pairs  # freed before validation allocates its arrays
-    return Graph(adjacency)
+    return pairs, n
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -468,8 +614,54 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines are ignored and lines starting with '#' are comments.
     Raises MalformedLineError (with the 1-based line number), SelfLoopError,
     NotConnectedError, or GraphError past graph_from_edges' caps; parsing
-    stops at the first edge past MAX_BUILTIN_EDGES.
+    stops at the first edge past MAX_BUILTIN_EDGES. A text whose every
+    chunk is plain (``_plain_labels``) is read by numpy; any other is
+    read by the line loop, which raises every malformed-line error.
     """
+    edges = _plain_edges(text)
+    if edges is None:
+        edges = _line_edges(text)
+    return graph_from_edges(edges)
+
+
+def _plain_edges(text: str) -> np.ndarray | None:
+    """The edges of text as an m x 2 int64 array if every chunk is plain, else None.
+
+    Chunks of whitespace and comments alone are plain and add nothing, so
+    a text without a label is read without the line loop. Reading stops
+    one edge past MAX_BUILTIN_EDGES, as the line loop does.
+    """
+    blocks, count = [], 0
+    for chunk in _chunks(text):
+        labels = _plain_labels(chunk)
+        if labels is None:
+            return None
+        blocks.append(labels)
+        count += len(labels) // 2
+        if count > MAX_BUILTIN_EDGES:
+            break
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks]).reshape(-1, 2)[: MAX_BUILTIN_EDGES + 1]
+
+
+def _plain_labels(chunk: str) -> np.ndarray | None:
+    """The labels of a chunk of plain lines in order, as int64; None if a line is not plain.
+
+    The line loop reads plain lines (PLAIN_LINE) to the same pairs, so the
+    two readers agree wherever this one reads. Comment lines are blanked
+    first, one regex search finds a line that is not plain, and numpy
+    parses the rest.
+    """
+    if "#" in chunk:  # a comment line left blank is plain, as it was
+        chunk = re.sub(COMMENT_LINE_PATTERN, "", chunk, flags=re.MULTILINE)
+    if chunk.isspace():  # which np.fromstring would read as one 0
+        return np.empty(0, dtype=np.int64)
+    if re.search(NOT_PLAIN_PATTERN, chunk, re.MULTILINE):
+        return None
+    return np.fromstring(chunk, dtype=np.int64, sep=" ")
+
+
+def _line_edges(text: str) -> list[tuple[int, int]]:
+    """The edges of text by the line loop, which raises MalformedLineError."""
     edges = []
     for line_no, raw in enumerate(_lines(text), 1):
         line = raw.strip()
@@ -487,11 +679,11 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         if len(edges) > MAX_BUILTIN_EDGES:
             break  # one edge past the cap, which graph_from_edges refuses
-    return graph_from_edges(edges)
+    return edges
 
 
-def _lines(text: str):
-    """Yield the lines of text.splitlines(), splitting a chunk at a time.
+def _chunks(text: str):
+    """Yield text in consecutive chunks that end at line ends.
 
     Each chunk ends just after the first line end at least LINE_CHUNK_CHARS
     characters past its start, and never between "\r" and "\n".
@@ -503,36 +695,49 @@ def _lines(text: str):
         stop = match.end() if match else len(text)
         if text.startswith("\r\n", stop - 1):
             stop += 1
-        yield from text[start:stop].splitlines()
+        yield text[start:stop]
         start = stop
 
 
-def _closed_form(n: int, nbrs) -> Graph:
-    """The graph on vertices 0..n-1 in which v has the neighbours nbrs(v)."""
-    return Graph(tuple(tuple(sorted(nbrs(v))) for v in range(n)))
+def _lines(text: str):
+    """Yield the lines of text.splitlines(), splitting a chunk at a time."""
+    for chunk in _chunks(text):
+        yield from chunk.splitlines()
+
+
+def _regular(rows: np.ndarray) -> Graph:
+    """The graph in which vertex v has the sorted neighbours rows[v], from an n x k array."""
+    n, k = rows.shape
+    return Graph(np.arange(0, n * k + 1, k), rows.ravel())
 
 
 def _complete(n: int) -> Graph:
-    return _closed_form(n, lambda v: chain(range(v), range(v + 1, n)))
+    j = np.arange(n - 1, dtype=np.int32)
+    return _regular(j + (j >= np.arange(n, dtype=np.int32)[:, None]))
 
 
 def _cycle(n: int) -> Graph:
-    return _closed_form(n, lambda v: ((v - 1) % n, (v + 1) % n))
+    rows = np.arange(n)[:, None] + np.array([-1, 1])
+    rows[0], rows[-1] = (1, n - 1), (0, n - 2)
+    return _regular(rows)
 
 
 def _petersen() -> Graph:
     # outer 5-cycle 0..4, spokes v ~ v + 5, inner pentagram 5..9
-    return _closed_form(10, lambda v: (
-        ((v - 1) % 5, (v + 1) % 5, v + 5) if v < 5 else (v - 5, 5 + (v - 7) % 5, 5 + (v - 3) % 5)
-    ))
+    return _regular(np.array([
+        [1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4, 8], [0, 3, 9],
+        [0, 7, 8], [1, 8, 9], [2, 5, 9], [3, 5, 6], [4, 6, 7],
+    ]))
 
 
 def _hypercube(d: int) -> Graph:
-    return _closed_form(1 << d, lambda v: (v ^ (1 << bit) for bit in range(d)))
+    v = np.arange(1 << d)
+    return _regular(np.sort(v[:, None] ^ (1 << np.arange(d)), axis=1))
 
 
 def _complete_bipartite(n: int) -> Graph:
-    return _closed_form(2 * n, lambda v: range(n, 2 * n) if v < n else range(n))
+    # the first n vertices are adjacent to the last n, and the last to the first
+    return _regular(np.arange(n, dtype=np.int32) + np.repeat(np.array([n, 0], dtype=np.int32), n)[:, None])
 
 
 # Builtin generators: name -> (builder, smallest parameter, largest

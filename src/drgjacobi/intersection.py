@@ -16,8 +16,8 @@ exact as every partial sum is an integer below 2^24, and a sparse int32
 one otherwise (``graphs._dense_sums_pay``). Certification compares each
 pair's code with that of its distance's reference pair, and decodes only
 the codes it reports: the sequence's and a witness's. It first checks
-the pairs (0, j) from row 0 alone, which vertex 0's level sets give
-without the table.
+the pairs (0, j) from row 0 alone, which construction's search from
+vertex 0 keeps, without the table.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ def _pair_count(g: Graph, pair: tuple[int, int], k: int, count_type: str) -> int
     if dist[j] != k:
         raise ValueError(f"pair {pair} is at distance {dist[j]}, not {k}")
     target = k - 1 if count_type == "a" else k + 1
-    return sum(1 for u in g.adjacency[j] if dist[u] == target)
+    indptr, indices = g.csr
+    return int(np.count_nonzero(dist[indices[indptr[j] : indptr[j + 1]]] == target))
 
 
 def _code(x, step):
@@ -214,7 +215,7 @@ def certify_distance_regular(g: Graph):
     reference's.
 
     The counts of the pairs (0, j) read only row 0 of the distances,
-    which the level sets kept at construction give (``Graph._row0``), so
+    which construction's search from vertex 0 keeps (``Graph._row0``), so
     row 0 is checked first and the table is filled only when row 0 holds
     no witness. Every distance that occurs first occurs in row 0, so the
     reference pairs of row 0's distances lie in row 0, and row 0's first
@@ -225,12 +226,14 @@ def certify_distance_regular(g: Graph):
     a block that meets a distance beyond the eccentricity of vertex 0.
     """
     n = g.vertex_count
-    degree = g.degree(0)
-    for v, nbrs in enumerate(g.adjacency):
-        if len(nbrs) != degree:
-            return NonRegularityWitness("NotRegular", 0, "b", (0, 0), degree, (v, v), len(nbrs))
+    degrees = np.diff(g.csr[0])
+    degree = int(degrees[0])
+    irregular = np.flatnonzero(degrees != degree)
+    if irregular.size:
+        v = int(irregular[0])
+        return NonRegularityWitness("NotRegular", 0, "b", (0, 0), degree, (v, v), int(degrees[v]))
 
-    row0, firsts = g._row0()
+    row0, firsts = g._row0
     code = _code(row0, degree + 1)[g.csr[1]].reshape(n, degree).sum(axis=1)  # of (0, j)
     ref = code[firsts]  # of the first pair at each distance from 0
     bad = np.flatnonzero(code != ref[row0])

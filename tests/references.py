@@ -3,10 +3,38 @@
 Each is a plain loop over ``Graph.adjacency`` or over a sequence's pairs:
 none reads ``Graph.distances``, the table that certification and the
 oracle read, so a check against them does not share that table's code.
+The builtins' closed forms are written here as tuples, one sorted
+neighbour tuple per vertex, apart from the numpy arrays that
+``graph_from_name`` writes.
 """
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
+
+
+def csr_of(adjacency):
+    """The (indptr, indices) arrays of adjacency lists, for ``Graph(indptr, indices)``."""
+    indptr = np.cumsum([0, *map(len, adjacency)])
+    return indptr, np.array(list(chain.from_iterable(adjacency)), dtype=np.int64)
+
+
+# name -> the tuple of each vertex's sorted neighbours, from the parameter
+CLOSED_FORMS = {
+    "complete": lambda n: tuple(tuple(u for u in range(n) if u != v) for v in range(n)),
+    "cycle": lambda n: tuple(tuple(sorted({(v - 1) % n, (v + 1) % n})) for v in range(n)),
+    "hypercube": lambda d: tuple(tuple(sorted(v ^ (1 << bit) for bit in range(d))) for v in range(1 << d)),
+    "complete_bipartite": lambda n: tuple(
+        tuple(range(n, 2 * n)) if v < n else tuple(range(n)) for v in range(2 * n)
+    ),
+    # the outer 5-cycle 0..4, spokes v ~ v + 5 and the inner pentagram 5..9
+    "petersen": lambda: tuple(
+        tuple(sorted(((v - 1) % 5, (v + 1) % 5, v + 5) if v < 5 else (v - 5, 5 + (v - 3) % 5, 5 + (v - 7) % 5)))
+        for v in range(10)
+    ),
+}
 
 
 def reference_bfs(adjacency, source):

@@ -162,7 +162,7 @@ def test_sparse_product_path_matches_references(block_entries, monkeypatch):
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     certified = 0
     for g in (RANDOM_GRAPHS + CUBIC_GRAPHS)[::5]:
-        g = graphs.Graph(g.adjacency)  # the shared graphs may hold a dense operator already
+        g = graphs.Graph(*g.csr)  # the shared graphs may hold a dense operator already
         outcome = certify_distance_regular(g)
         assert not isinstance(g.adjacency_operator, np.ndarray)
         assert outcome.to_json() == reference_certify(g)
@@ -251,7 +251,7 @@ def test_both_fill_paths_match_reference_bfs(crossover, block_entries, monkeypat
     monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     for g in RANDOM_GRAPHS:
-        fresh = graphs.Graph(g.adjacency)  # the shared graphs may hold a table already
+        fresh = graphs.Graph(*g.csr)  # the shared graphs may hold a table already
         expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
         assert fresh.distances.tolist() == expected
 
@@ -270,7 +270,7 @@ def test_every_fill_route_matches_reference_bfs_on_ladder(name, monkeypatch):
     for bitset, crossover in routes:  # Python BFS, scipy, the bitset fill
         monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: bitset)
         monkeypatch.setattr(graphs, "SCIPY_MIN_VERTICES", crossover)
-        assert graphs.Graph(g.adjacency).distances.tolist() == expected
+        assert graphs.Graph(*g.csr).distances.tolist() == expected
 
 
 def test_row_0_witness_leaves_the_table_unfilled():
@@ -348,7 +348,7 @@ def test_bitset_fill_matches_reference_bfs(block_entries, monkeypatch):
     force_bitset_fill(monkeypatch)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     for g in RANDOM_GRAPHS:
-        fresh = graphs.Graph(g.adjacency)
+        fresh = graphs.Graph(*g.csr)
         expected = [reference_bfs(g.adjacency, v) for v in range(g.vertex_count)]
         assert fresh.distances.tolist() == expected
 

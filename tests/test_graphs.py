@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, count
 
 import numpy as np
@@ -16,7 +17,7 @@ from drgjacobi import (
     parse_edge_list,
 )
 from drgjacobi.graphs import BUILTIN_GRAPHS, MAX_BUILTIN_EDGES, MAX_BUILTIN_VERTICES
-from references import degree_k, isoscycle_count, reference_bfs
+from references import CLOSED_FORMS, csr_of, degree_k, isoscycle_count, reference_bfs
 
 
 def kneser_petersen_text():
@@ -62,7 +63,7 @@ def test_parse_not_connected():
 
 
 def test_not_connected_message_lists_the_sorted_component():
-    for build in (lambda: Graph(((2,), (3,), (0,), (1,))), lambda: graph_from_edges([(0, 2), (3, 1)])):
+    for build in (lambda: Graph(*csr_of(((2,), (3,), (0,), (1,)))), lambda: graph_from_edges([(0, 2), (3, 1)])):
         with pytest.raises(NotConnectedError) as err:
             build()
         assert err.value.component == (0, 2)
@@ -99,7 +100,7 @@ def test_not_connected_component_matches_reference_bfs():
         # both callers: Graph itself, and graph_from_edges, which refuses
         # sparse edge lists before building the adjacency; it reads the
         # vertex count off the edges, so it gets only lists that reach n - 1
-        builds = [lambda: Graph(adjacency)]
+        builds = [lambda: Graph(*csr_of(adjacency))]
         if any(n - 1 in edge for edge in edges):
             builds.append(lambda: graph_from_edges(edges))
         for build in builds:
@@ -111,33 +112,41 @@ def test_not_connected_component_matches_reference_bfs():
 
 def test_isolated_vertex_rejected():
     with pytest.raises(NotConnectedError):
-        Graph(((1,), (0,), ()))
+        Graph(*csr_of(((1,), (0,), ())))
     with pytest.raises(NotConnectedError):
         graph_from_edges([(0, 2)])  # vertex 1 is never named
 
 
 @pytest.mark.parametrize(
-    "adjacency, message",
+    "indptr, indices, message",
     [
-        (((10**30,), (0,)), f"neighbor {10**30} of 0 out of range"),
-        (((1.0,), (0,)), "neighbor 1.0 of 0 is not an integer"),
-        (((1.5,), (0,)), "neighbor 1.5 of 0 is not an integer"),
-        ((("1",), (0,)), "neighbor '1' of 0 is not an integer"),
-        # row-major: the asymmetry in row 0 comes before the float in row 2
-        (((1, 2), (0,), (0.5,)), "asymmetric edge (0, 2)"),
-        (((1,), (0, 2.0), (1,)), "neighbor 2.0 of 1 is not an integer"),
+        ([0, 1, 2], [1.0, 0.0], "indptr and indices must be one-dimensional integer arrays"),
+        ([0, 1, 2], ["1", "0"], "indptr and indices must be one-dimensional integer arrays"),
+        ([0, 1, 2], [[1], [0]], "indptr and indices must be one-dimensional integer arrays"),
+        ([[0, 1, 2]], [1, 0], "indptr and indices must be one-dimensional integer arrays"),
+        ([0, 1, 2], [10**30, 0], "indptr and indices must be one-dimensional integer arrays"),
+        ([0, 1], np.zeros(0, dtype=int), "a graph needs at least two vertices"),
+        ([1, 1, 2], [1, 0], "indptr must rise from 0 to len(indices) = 2"),
+        ([0, 2, 1], [1, 0], "indptr must rise from 0 to len(indices) = 2"),
+        ([0, 1, 1], [1, 0], "indptr must rise from 0 to len(indices) = 2"),
+        # past int64, and the first offence in row-major order
+        ([0, 1, 2], np.array([2**63, 0], dtype=np.uint64), f"neighbor {2**63} of 0 out of range"),
+        ([0, 2, 3, 4], [1, 2, 0, 5], "asymmetric edge (0, 2)"),
     ],
 )
-def test_non_integer_or_overflowing_entries_are_graph_errors(adjacency, message):
+def test_malformed_arrays_are_graph_errors(indptr, indices, message):
     with pytest.raises(GraphError) as err:
-        Graph(adjacency)
+        Graph(indptr, indices)
     assert type(err.value) is GraphError and str(err.value) == message
 
 
-def test_bool_and_numpy_integer_entries_are_accepted():
-    path = Graph(((1,), (0,)))
-    assert Graph(((True,), (False,))) == path
-    assert Graph(((np.int64(1),), (np.int32(0),))) == path
+def test_integer_dtypes_are_accepted_and_copied():
+    path = Graph([0, 1, 2], [1, 0])
+    indices = np.array([1, 0], dtype=np.uint8)
+    g = Graph(np.array([0, 1, 2], dtype=np.int16), indices)
+    assert g == path and g != Graph([0, 1, 3, 4], [1, 0, 2, 1])
+    indices[0] = 0  # the graph holds its own read-only int32 copies
+    assert g == path and g.csr[1].dtype == np.int32 and not g.csr[1].flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -212,6 +221,24 @@ def test_builtins_match_their_edge_rules():
             expected = graph_from_edges(EDGE_RULES[base](k)).adjacency
             assert graph_from_name(f"{base}:{k}").adjacency == expected, (base, k)
     assert graph_from_name("petersen").adjacency == graph_from_edges(PETERSEN_EDGES).adjacency
+
+
+# Each family's sizes: the first ten parameters, and the largest admitted.
+BUILTIN_SIZES = {
+    "complete": [*range(2, 12), 1024],
+    "cycle": [*range(3, 13), 4096],
+    "hypercube": [*range(1, 13)],
+    "complete_bipartite": [*range(1, 11), 724],
+}
+
+
+def test_builtin_csr_arrays_equal_the_tuple_closed_forms():
+    cases = [(f"{base}:{k}", CLOSED_FORMS[base](k)) for base, sizes in BUILTIN_SIZES.items() for k in sizes]
+    for name, adjacency in cases + [("petersen", CLOSED_FORMS["petersen"]())]:
+        indptr, indices = graph_from_name(name).csr
+        expected_indptr, expected_indices = csr_of(adjacency)
+        assert indptr.tolist() == expected_indptr.tolist(), name
+        assert indices.tolist() == expected_indices.tolist(), name
 
 
 @pytest.mark.parametrize(
@@ -318,7 +345,7 @@ def test_diameter_examples():
 
 
 def reference_structure_error(adjacency):
-    """The per-entry validation loop the CSR check replaced: (type, message) or None."""
+    """The per-entry validation loop the array check replaced: (type, message) or None."""
     n = len(adjacency)
     for i, nbrs in enumerate(adjacency):
         prev = -1
@@ -337,32 +364,37 @@ def reference_structure_error(adjacency):
 
 def test_validation_reports_the_first_offending_entry():
     rng = random.Random(20261018)
-    raised = 0
+    raised = Counter()
     for _ in range(3000):
         n = rng.randint(2, 9)
         rows = [sorted(rng.sample(range(n), rng.randint(0, n - 1))) for _ in range(n)]
-        for _ in range(rng.randint(0, 2)):  # a self-loop, a stray index or a swap
+        for _ in range(rng.randint(0, 2)):  # a self-loop, a stray index, a swap or a repeat
             row = rows[rng.randrange(n)]
-            kind = rng.randrange(3)
+            kind = rng.randrange(4)
             if kind == 0:
                 row.insert(rng.randint(0, len(row)), rows.index(row))
             elif kind == 1:
                 row.insert(rng.randint(0, len(row)), rng.choice([-1, n, n + 5]))
+            elif kind == 3 and row:
+                k = rng.randrange(len(row))
+                row.insert(k, row[k])
             elif len(row) > 1:
                 k = rng.randrange(len(row) - 1)
                 row[k], row[k + 1] = row[k + 1], row[k]
         adjacency = tuple(map(tuple, rows))
         expected = reference_structure_error(adjacency)
         try:
-            Graph(adjacency)
+            Graph(*csr_of(adjacency))
         except NotConnectedError:
             assert expected is None
         except GraphError as exc:
             assert (type(exc), str(exc)) == expected
-            raised += 1
+            raised[str(exc).split()[0]] += 1
         else:
             assert expected is None
-    assert raised > 1000
+    # loops, stray indices, unsorted or repeated entries and asymmetric edges
+    assert {key.split("[")[0] for key in raised} == {"self-loop", "neighbor", "adjacency", "asymmetric"}
+    assert sum(raised.values()) > 1000
 
 
 def test_repr_counts_edges():
@@ -463,6 +495,27 @@ def test_edge_lists_stop_at_the_first_edge_past_the_cap(monkeypatch):
     assert len(consumed) == 9
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (2, 2), (1, -1)],
+        [(0, 1), (1, -1), (2, 2)],
+        [(v, v + 1) for v in range(9)],
+        [(v, v + 1) for v in range(8)] + [(3, 3)],
+    ],
+)
+def test_edge_arrays_raise_as_the_same_pairs_do(edges, monkeypatch):
+    from drgjacobi import graphs
+
+    monkeypatch.setattr(graphs, "MAX_BUILTIN_EDGES", 8)
+    errors = []
+    for given in (edges, np.array(edges)):
+        with pytest.raises(GraphError) as err:
+            graph_from_edges(given)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
 # The line ends of str.splitlines, and "\r\n".
 LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -483,6 +536,20 @@ def test_blank_edge_lists_are_split_in_bounded_memory(end):
         peak, error = parse_peak(text)
         assert str(error) == "a graph needs at least two vertices"
         assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("line", [*LINE_ENDS, "  \t\r\n", "# a comment\n", "\t# ü\r\n"], ids=repr)
+def test_edge_lists_without_a_label_are_refused_before_the_line_loop(line, monkeypatch):
+    from drgjacobi import graphs
+
+    def line_loop(text):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(graphs, "_line_edges", line_loop)
+    text = line * ((2 << 20) // len(line))  # 2 Mi characters
+    with pytest.raises(GraphError) as err:
+        parse_edge_list(text)
+    assert type(err.value) is GraphError and str(err.value) == "a graph needs at least two vertices"
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
@@ -509,6 +576,19 @@ def test_chunked_lines_match_splitlines(chunk, monkeypatch):
     assert list(graphs._lines(text)) == ["0 1", "1 2", "x"]
     with pytest.raises(MalformedLineError, match="line 3"):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("name", ["complete:1024", "complete_bipartite:724"])
+def test_builtin_construction_memory_at_the_edge_cap(name):
+    # measured at 17.9 MB for both, about 34 bytes per edge; adjacency
+    # tuples beside the arrays took 68 and 70 MB
+    tracemalloc.start()
+    try:
+        graph_from_name(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_builtin_cap_admits_the_ladder():

@@ -9,7 +9,7 @@ import pytest
 
 from drgjacobi import certify_distance_regular, graph_from_edges, graph_from_name
 from drgjacobi import cli, graphs, intersection
-from references import reference_bfs
+from references import csr_of, reference_bfs
 
 
 def ring_of_triangles(rings: int) -> list[tuple[int, int]]:
@@ -154,7 +154,7 @@ def test_dense_route_refuses_an_irregular_graph_past_the_bound(n, dense, monkeyp
     # a star built directly, centred on its last vertex: the centre's degree
     # n - 1 alone decides the bound, as every density passes the rule here
     monkeypatch.setattr(graphs, "DENSE_SUMS_DENSITY", 1 << 30)
-    g = graphs.Graph(((n - 1,),) * (n - 1) + ((*range(n - 1),),))
+    g = graphs.Graph(*csr_of(((n - 1,),) * (n - 1) + ((*range(n - 1),),)))
     assert graphs._dense_sums_pay(n, len(g.csr[1]), int(np.diff(g.csr[0]).max())) == dense
     if not dense:  # the dense operator would take 60 MB and the table
         assert not isinstance(g.adjacency_operator, np.ndarray)

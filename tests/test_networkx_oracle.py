@@ -105,6 +105,6 @@ def test_distances_match_networkx_on_both_sides_of_the_fill_rule(monkeypatch):
         assert g.distances.tolist() == expected
         for taken in (True, False):  # and each graph by the other route too
             monkeypatch.setattr(graphs, "_bitset_fill_pays", lambda *args: taken)
-            assert graphs.Graph(g.adjacency).distances.tolist() == expected
+            assert graphs.Graph(*g.csr).distances.tolist() == expected
         monkeypatch.setattr(graphs, "_bitset_fill_pays", rule)
     assert sides == {True, False}

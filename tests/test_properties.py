@@ -5,6 +5,7 @@ tests the same examples each time for a given hypothesis version.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from drgjacobi import (  # noqa: E402
     Graph,
+    GraphError,
     IntersectionSequence,
     NonRegularityWitness,
     NotConnectedError,
@@ -22,12 +24,16 @@ from drgjacobi import (  # noqa: E402
     certify_distance_regular,
     eigenvalues,
     family_from_name,
+    graph_from_edges,
     moment_sequence,
+    parse_edge_list,
     sequence_from_pairs,
     spectra_interlace,
     truncated_jacobi,
 )
+from drgjacobi import graphs  # noqa: E402
 from drgjacobi.oracle import dense_adjacency, recurrence_pass  # noqa: E402
+from references import csr_of  # noqa: E402
 
 repeatable = settings(
     derandomize=True,
@@ -120,7 +126,7 @@ def regular_graphs(draw):
             nbrs[v].add(u)
         if all(len(s) == degree and v not in s for v, s in enumerate(nbrs)):
             try:
-                return Graph(tuple(tuple(sorted(s)) for s in nbrs))
+                return Graph(*csr_of(tuple(tuple(sorted(s)) for s in nbrs)))
             except NotConnectedError:
                 continue
     hypothesis.assume(False)
@@ -137,3 +143,54 @@ def test_witness_recount_matches_its_counts(g):
     else:
         assert isinstance(outcome, IntersectionSequence)
         assert recurrence_pass(g, outcome, dense_adjacency(g))[0] is None
+
+
+SPACING = st.sampled_from(["", " ", "\t", "  ", " \t "])
+# Lines that the line loop refuses, or reads though the bulk reader does not.
+ODD_LINES = ["x", "1", "1 2 3", "-1 2", "1 2 # c", "\xa01 2", "+1 2", "1_0 2", "\u0661 2", "0 " + "9" * 19]
+
+
+@st.composite
+def edge_list_texts(draw, odd):
+    """Edge lists of 2 to 8 vertices: edges with duplicates, reversed pairs
+    and loops, blank and comment lines, "\n" and "\r\n" line ends and
+    spacing; with odd, one line from ODD_LINES and any str.splitlines end."""
+    n = draw(st.integers(2, 8))
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "blank", "comment"]))
+        if kind == "edge":
+            u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            lines.append(f"{draw(SPACING)}{u}{draw(SPACING) or ' '}{v}{draw(SPACING)}")
+        elif kind == "blank":
+            lines.append(draw(SPACING))
+        else:
+            comment = draw(st.text(st.characters(exclude_characters=graphs.LINE_ENDS), max_size=4))
+            lines.append(f"{draw(SPACING)}#{comment}")
+    ends = ["\n", "\r\n"]
+    if odd:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+        ends += list(graphs.LINE_ENDS)
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip(graphs.LINE_ENDS)
+
+
+def outcome(build):
+    """The CSR arrays of the graph built, or the error's type, message, line number and line."""
+    try:
+        g = build()
+    except GraphError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "line", None)
+    return [a.tolist() for a in g.csr]
+
+
+@settings(repeatable, max_examples=300)
+@given(data=st.data(), odd=st.booleans(), chunk=st.sampled_from([1, 2, 3, 7, 1 << 16]))
+def test_bulk_reader_agrees_with_the_line_loop(data, odd, chunk):
+    text = data.draw(edge_list_texts(odd))
+    with mock.patch.object(graphs, "LINE_CHUNK_CHARS", chunk):
+        if not odd:  # plain lines: the bulk reader reads every chunk
+            assert graphs._plain_edges(text) is not None
+        bulk = outcome(lambda: parse_edge_list(text))
+        loop = outcome(lambda: graph_from_edges(graphs._line_edges(text)))
+    assert bulk == loop

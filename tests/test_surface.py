@@ -1,6 +1,7 @@
 """The public surface: the names drgjacobi exports, and a caller for every public function."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import drgjacobi
@@ -68,3 +69,11 @@ def test_every_public_function_has_a_caller_or_a_reason():
         and not any(node.name in used for _, other, used in statements if other is not node)
     }
     assert uncalled == set(KEPT_FOR)
+
+
+def test_graph_is_built_from_csr_arrays():
+    # Graph(indptr, indices) since the CSR arrays became the one stored form;
+    # the adjacency tuples are a view built on first use
+    assert list(inspect.signature(drgjacobi.Graph).parameters) == ["indptr", "indices"]
+    g = drgjacobi.Graph([0, 1, 2], [1, 0])
+    assert "adjacency" not in vars(g) and g.adjacency == ((1,), (0,)) and "adjacency" in vars(g)
