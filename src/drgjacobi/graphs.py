@@ -4,9 +4,18 @@ Vertices are dense 0-based indices. A ``Graph`` stores its adjacency
 once, as read-only int32 CSR arrays ``Graph.csr``, which the array
 kernels here, in ``intersection`` and in ``oracle`` read. Construction
 takes those arrays and verifies them with numpy: entries in range, no
-loops, rows strictly increasing (so no parallel edges), the relation
-symmetric, and the graph connected, so everything downstream may assume
-all of it. The builtins write their closed forms straight into the two
+loops, rows strictly increasing (so no parallel edges) and the relation
+symmetric. It then proves the graph connected by a breadth-first
+search from vertex 0, so everything downstream may assume all of it.
+That search, ``_bfs``, is the module's only one: it also fills the
+tables of small graphs and names vertex 0's component when
+``graph_from_edges`` refuses a list too sparse to be connected. It
+stops as soon as every vertex is reached, and at construction it reads
+a view of the CSR arrays that converts a row to a Python list only when
+the search expands it, so on a complete graph it converts one row. Its
+row of distances and the least vertex at each distance, the distance
+classes of vertex 0 that certification reads first, are kept as
+``Graph._row0``. The builtins write their closed forms straight into the two
 arrays, and ``graph_from_edges`` builds them with one dedup of the arc
 codes; ``parse_edge_list`` reads plain edge lists a chunk at a time with
 numpy and leaves every other list, and every malformed-line error, to
@@ -30,11 +39,12 @@ from every source at once on rows packed 64 columns to a machine word.
 The two others search once per source: scipy's compiled
 ``csgraph.shortest_path`` in row blocks, a Dijkstra search from each
 source (given ``indices``, its default method never switches to
-Floyd-Warshall), or, below ``SCIPY_MIN_VERTICES`` vertices, one Python
-BFS per vertex. ``_bitset_fill_pays`` takes the bitset fill when its
-worst-case cost, at twice the eccentricity of vertex 0 in levels, is
-below that of the search per source: graphs of small diameter take it,
-long thin ones such as cycles and prisms keep their search. Below
+Floyd-Warshall), or, below ``SCIPY_MIN_VERTICES`` vertices, ``_bfs``
+from each vertex but 0, whose row construction kept.
+``_bitset_fill_pays`` takes the bitset fill when its worst-case cost,
+at twice the eccentricity of vertex 0 in levels, is below that of the
+search per source: graphs of small diameter take it, long thin ones
+such as cycles and prisms keep their search. Below
 ``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs: the fill is
 the Python BFS, and every connected graph of at most 30 vertices takes
 the dense neighbour sums. The array is shared by certification in
@@ -47,7 +57,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict, deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -124,26 +133,6 @@ BITSET_FILL_NS = (24_000, 11_600, 1.6, 0.55)  # fixed, level, word, entry
 SCIPY_FILL_NS = (148_000, 37.5, 2.3)  # fixed, vertex, arc
 PYTHON_FILL_NS = (8_500, 212, 30)
 
-# Cost model of the two searches for vertex 0's levels at construction, in
-# nanoseconds, that ``_array_levels_pay`` compares:
-#   arrays: levels * (level + vertex * n)
-#   lists:  vertex * n + arc * arcs
-# The array search expands a level with about fifteen numpy calls and scans
-# the n distances for the next frontier; the list search converts the CSR
-# arrays to Python lists and walks every arc in Python. Fitted by
-# nonnegative least squares on relative error to the minimum of at least 5
-# timings of each search on 76 graphs of 2 to 4096 vertices: cycles, paths,
-# stars, prisms, complete and complete bipartite graphs, cubes, unions of
-# random Hamiltonian cycles, G(n, p) graphs and cliques with a path attached
-# (numpy 2.4, 2-core x86 VM); the median error of each fit is 30%. The rule
-# takes the arrays only where their cost at the bound on the levels is the
-# smaller: every complete graph from 50 vertices and complete bipartite one
-# from 100, while cycles, paths, prisms and cubes keep the lists. Over the
-# 76 graphs it took 52 ms in all, against 192 ms for the lists alone, 158 ms
-# for the arrays alone and 20 ms for the faster search on each graph.
-ARRAY_LEVELS_NS = (13_700, 5.1)  # level, vertex per level
-LIST_LEVELS_NS = (520, 11.3)  # vertex, arc
-
 # Builtin graphs with more vertices or more edges are refused from their
 # parameter, before any allocation: construction holds the closed form, the
 # stored int32 copy and two int32 code arrays, one entry per arc each, about
@@ -191,13 +180,14 @@ class Graph:
     arrays, and is the one form the graph stores; ``adjacency``, the
     same lists as tuples of ints, is a view built on first use.
     Construction checks the arrays with numpy and raises a GraphError
-    naming the first offending entry in row-major order. It then
-    searches from vertex 0 level by level, by numpy or over Python
-    lists as ``_array_levels_pay`` decides, and keeps ``_row0``: row 0
-    of the distances and the least vertex at each distance from 0. The
-    number of levels less one is the eccentricity of vertex 0, which
-    bounds the diameter for the choice of fill. Graphs are equal when
-    their arrays are.
+    naming the first offending entry in row-major order. It then runs
+    ``_bfs`` from vertex 0 over ``_CsrRows``, which converts a row only
+    when the search reads it, raises NotConnectedError naming vertex 0's
+    component if a vertex is unreached, and keeps ``_row0``: row 0 of
+    the distances and the least vertex at each distance from 0, read
+    off that row. Its largest distance is the eccentricity of vertex 0,
+    which bounds the diameter for the choice of fill. Graphs are equal
+    when their arrays are.
     """
 
     indptr: InitVar[np.ndarray]
@@ -206,16 +196,13 @@ class Graph:
     _row0: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self, indptr, indices):
-        (indptr, indices), degrees = _checked_csr(indptr, indices)
-        object.__setattr__(self, "csr", (indptr, indices))
-        n = len(indptr) - 1
-        if _array_levels_pay(n, len(indices), int(degrees.min())):
-            row0, firsts = _levels_by_arrays(indptr, indices)
-        else:
-            row0, firsts = _row0_of(_levels_of_zero(_neighbour_lists(indptr, indices)), n)
+        csr = _checked_csr(indptr, indices)
+        object.__setattr__(self, "csr", csr)
+        row0 = np.array(_bfs(_CsrRows(*csr), 0), dtype=np.intp)
         if row0.min() < 0:
             raise NotConnectedError(np.flatnonzero(row0 >= 0).tolist())
-        object.__setattr__(self, "_row0", (row0, firsts))
+        # the least vertex at each distance: its first occurrence in the row
+        object.__setattr__(self, "_row0", (row0, np.unique(row0, return_index=True)[1]))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -233,6 +220,8 @@ class Graph:
 
     def degree(self, v: int) -> int:
         indptr = self.csr[0]
+        if not 0 <= v < len(indptr) - 1:
+            raise GraphError(f"no vertex {v}: the vertices are 0..{len(indptr) - 2}")
         return int(indptr[v + 1] - indptr[v])
 
     @cached_property
@@ -256,7 +245,8 @@ class Graph:
         elif n < SCIPY_MIN_VERTICES:
             nbrs = _neighbour_lists(indptr, indices)
             dist = np.empty((n, n), dtype=dtype)
-            for v in range(n):
+            dist[0] = self._row0[0]
+            for v in range(1, n):
                 dist[v] = _bfs(nbrs, v)
         else:
             # Imported here: csgraph adds about 1 MB that small graphs never need.
@@ -320,8 +310,8 @@ def _dense_sums_pay(n: int, arcs: int, max_degree: int) -> bool:
     return arcs * DENSE_SUMS_DENSITY >= n * n and _max_code(n, max_degree) < 1 << 24
 
 
-def _checked_csr(indptr, indices) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Read-only int32 copies of valid CSR arrays, and the degrees; a GraphError for invalid ones."""
+def _checked_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int32 copies of valid CSR arrays; a GraphError for invalid ones."""
     indptr, indices = np.asarray(indptr), np.asarray(indices)
     if indptr.ndim != 1 or indices.ndim != 1 or not {indptr.dtype.kind, indices.dtype.kind} <= {"i", "u"}:
         raise GraphError("indptr and indices must be one-dimensional integer arrays")
@@ -358,7 +348,7 @@ def _checked_csr(indptr, indices) -> tuple[tuple[np.ndarray, np.ndarray], np.nda
     csr = (indptr.astype(np.int32), cols.astype(np.int32, copy=False))
     for a in csr:
         a.flags.writeable = False
-    return csr, degrees
+    return csr
 
 
 def _raise_first_offence(indices, degrees):
@@ -394,17 +384,41 @@ def _neighbour_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]
     return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
+class _CsrRows:
+    """The rows of CSR arrays as lists of ints, each converted when it is read."""
+
+    __slots__ = ("ptr", "indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.ptr = indptr.tolist()
+        self.indices = memoryview(indices)
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, v: int) -> list[int]:
+        return self.indices[self.ptr[v] : self.ptr[v + 1]].tolist()
+
+
 def _bfs(nbrs, source: int) -> list[int]:
-    """Distances from source, where nbrs[v] lists v's neighbours; unreachable vertices get -1."""
-    dist = [-1] * len(nbrs)
+    """Distances from source, where nbrs[v] is a list of v's neighbours; unreachable vertices get -1.
+
+    The list of reached vertices, in the order reached, is its own queue,
+    and the search stops as soon as it holds every vertex, before it
+    reads the rows of the vertices still queued: on a complete graph it
+    reads one row.
+    """
+    n = len(nbrs)
+    dist = [-1] * n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    queue = [source]
+    for u in queue:  # the loop reaches the vertices appended during it
+        if len(queue) == n:
+            break
+        du = dist[u] + 1
         for w in nbrs[u]:
             if dist[w] < 0:
-                dist[w] = du + 1
+                dist[w] = du
                 queue.append(w)
     return dist
 
@@ -470,82 +484,6 @@ def _unit_balls(n: int) -> np.ndarray:
     return ball
 
 
-def _array_levels_pay(n: int, arcs: int, min_degree: int) -> bool:
-    """True iff vertex 0's levels are searched by numpy, not over Python lists.
-
-    The array search pays per level, and there are at most 3 n /
-    (min_degree + 1) levels: along a geodesic from vertex 0, the closed
-    neighbourhoods of every third vertex are disjoint, and each holds at
-    least min_degree + 1 vertices. Costs are those of the model above,
-    the array search's at that bound.
-    """
-    level, vertex = ARRAY_LEVELS_NS
-    arrays = 3 * n / (min_degree + 1) * (level + vertex * n)
-    vertex, arc = LIST_LEVELS_NS
-    return arrays < vertex * n + arc * arcs
-
-
-def _levels_by_arrays(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row 0 of the distances (-1 off 0's component) and the least vertex at each distance.
-
-    Each level is expanded by numpy, a piece of the frontier at a time:
-    the rows of about BLOCK_ENTRIES arcs are gathered as one index
-    array, and the search stops as soon as every vertex is reached. The
-    next frontier is the sorted set of vertices first reached there.
-    """
-    n = len(indptr) - 1
-    row0 = np.full(n, -1, dtype=np.intp)
-    row0[0] = 0
-    frontier, firsts, unreached = np.zeros(1, dtype=np.intp), [0], n - 1
-    step = max(1, BLOCK_ENTRIES * n // max(1, len(indices)))  # rows of about BLOCK_ENTRIES arcs
-    while frontier.size and unreached:
-        k = len(firsts)
-        for start in range(0, frontier.size, step):
-            piece = frontier[start : start + step]
-            starts, stops = indptr[piece], indptr[piece + 1]
-            lengths = stops - starts
-            ends = np.cumsum(lengths)
-            nbrs = indices[np.arange(ends[-1]) + np.repeat(stops - ends, lengths)]
-            row0[nbrs[row0[nbrs] < 0]] = k
-            if row0.min() >= 0:
-                break
-        frontier = np.flatnonzero(row0 == k)
-        if frontier.size:
-            firsts.append(frontier[0])
-            unreached -= frontier.size
-    return row0, np.array(firsts, dtype=np.intp)
-
-
-def _levels_of_zero(nbrs) -> list[list[int]]:
-    """The lists of vertices at distance 0, 1, ... from vertex 0, where
-    nbrs[v] lists v's neighbours; together they are the component of 0.
-
-    nbrs is a list, or a mapping in which every vertex that occurs has a
-    key; the search stops once it has seen them all.
-    """
-    seen, frontier, levels = {0}, [0], []
-    while frontier:
-        levels.append(frontier)
-        if len(seen) == len(nbrs):
-            break
-        frontier = []
-        for u in levels[-1]:
-            for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return levels
-
-
-def _row0_of(levels: list[list[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row 0 of the distances (-1 off 0's component) and the least vertex at each distance."""
-    row0 = [-1] * n
-    for k, level in enumerate(levels):
-        for v in level:
-            row0[v] = k
-    return np.array(row0, dtype=np.intp), np.array(list(map(min, levels)), dtype=np.intp)
-
-
 def graph_from_edges(edges) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
@@ -568,11 +506,15 @@ def graph_from_edges(edges) -> Graph:
     else:
         pairs, n = _checked_pairs(edges)
     if n > len(pairs) + 1:  # cannot be connected; refused before allocating per vertex
-        lists = defaultdict(list)
-        for u, v in pairs.tolist() if isinstance(pairs, np.ndarray) else pairs:
-            lists[u].append(v)
-            lists[v].append(u)
-        raise NotConnectedError(w for level in _levels_of_zero(lists) for w in level)
+        number = {0: 0}  # the labels that occur, numbered from 0 in order of appearance
+        listed = pairs.tolist() if isinstance(pairs, np.ndarray) else pairs
+        ends = [number.setdefault(w, len(number)) for pair in listed for w in pair]
+        nbrs = [[] for _ in number]
+        for u, v in zip(ends[::2], ends[1::2]):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        labels = list(number)
+        raise NotConnectedError(labels[w] for w, d in enumerate(_bfs(nbrs, 0)) if d >= 0)
     if n > MAX_BUILTIN_VERTICES:
         raise GraphError(f"an edge list may name at most {MAX_BUILTIN_VERTICES} vertices, got {n}")
     # the arc codes u * n + v of both orientations, sorted and deduplicated

@@ -331,9 +331,10 @@ def test_verify_fills_each_table_once(monkeypatch, capsys):
     capsys.readouterr()
     # per input: each row of the table once, by the route the rule picks:
     # Python BFS for petersen, scipy for the 30-cycle (eccentricity 15)
-    # and the bitset fill for the 5-cube; the connectivity check uses no
-    # BFS and the oracle fills no table of its own
-    assert bfs_rows == {10: 10}
+    # and the bitset fill for the 5-cube. Construction searches row 0 by
+    # one BFS on every graph, which petersen's fill copies, searching the
+    # other 9 rows; the oracle fills no table of its own
+    assert bfs_rows == {10: 10, 30: 1, 32: 1}
     assert compiled_rows == {30: 30}
     assert bitset_rows == {32: 32}
 

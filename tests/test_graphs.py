@@ -82,6 +82,29 @@ def reference_component_of_zero(adjacency):
     return tuple(v for v, d in enumerate(reference_bfs(adjacency, 0)) if d >= 0)
 
 
+def assert_component_matches_reference(n, edges):
+    """Check both callers' NotConnectedError on a graph of n vertices; False if it is connected."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    expected = reference_component_of_zero(adjacency)
+    if len(expected) == n:
+        return False
+    # both callers: Graph itself, and graph_from_edges, which refuses
+    # sparse edge lists before building the adjacency; it reads the
+    # vertex count off the edges, so it gets only lists that reach n - 1
+    builds = [lambda: Graph(*csr_of(adjacency))]
+    if any(n - 1 in edge for edge in edges):
+        builds.append(lambda: graph_from_edges(edges))
+    for build in builds:
+        with pytest.raises(NotConnectedError) as err:
+            build()
+        assert err.value.component == expected
+    return True
+
+
 def test_not_connected_component_matches_reference_bfs():
     rng = random.Random(20261018)
     checked = 0
@@ -89,25 +112,44 @@ def test_not_connected_component_matches_reference_bfs():
         n = rng.randint(2, 40)
         p = rng.choice([0.02, 0.05, 0.1, 0.2])
         edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-        nbrs = [set() for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-        expected = reference_component_of_zero(adjacency)
-        if len(expected) == n:
-            continue
-        # both callers: Graph itself, and graph_from_edges, which refuses
-        # sparse edge lists before building the adjacency; it reads the
-        # vertex count off the edges, so it gets only lists that reach n - 1
-        builds = [lambda: Graph(*csr_of(adjacency))]
-        if any(n - 1 in edge for edge in edges):
-            builds.append(lambda: graph_from_edges(edges))
-        for build in builds:
-            with pytest.raises(NotConnectedError) as err:
-                build()
-            assert err.value.component == expected
-        checked += 1
+        checked += assert_component_matches_reference(n, edges)
+    # dense ones: two disjoint cliques, and a clique beside K_{m,m}, with
+    # vertex 0 in either part; the search reaches its part in one or two levels
+    for n in (50, 101, 180, 300):
+        k = rng.randint(n // 4, n // 2)
+        m = (n - k) // 2
+        clique = list(combinations(range(k), 2))
+        shapes = [
+            (n, clique + list(combinations(range(k, n), 2))),
+            (k + 2 * m, clique + [(k + u, k + m + v) for u in range(m) for v in range(m)]),
+        ]
+        for size, edges in shapes:
+            for shift in (0, k, rng.randrange(size)):  # vertex 0 is old vertex shift
+                shifted = [((u - shift) % size, (v - shift) % size) for u, v in edges]
+                assert assert_component_matches_reference(size, shifted)
+
+
+def dense_random_edges(rng):
+    """Edges of a relabelled dense graph: G(n, p) with p >= 0.3, or a clique with a path attached."""
+    n = rng.randint(30, 300)
+    if rng.random() < 0.5:
+        p = rng.choice([0.3, 0.6, 0.9])
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    else:
+        clique = rng.randint(20, n - 1)
+        edges = list(combinations(range(clique), 2)) + [(v, v + 1) for v in range(clique - 1, n - 1)]
+    perm = rng.sample(range(n), n)
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
+def test_row_0_and_its_least_vertices_match_reference_bfs(corpus):
+    rng = random.Random(20261020)
+    graphs = [g for _, g, _ in corpus] + [graph_from_edges(dense_random_edges(rng)) for _ in range(40)]
+    for g in graphs:
+        row0, firsts = g._row0
+        expected = reference_bfs(g.adjacency, 0)
+        assert row0.tolist() == expected
+        assert firsts.tolist() == [expected.index(k) for k in range(max(expected) + 1)]
 
 
 def test_isolated_vertex_rejected():
@@ -401,6 +443,15 @@ def test_repr_counts_edges():
     assert repr(graph_from_name("petersen")) == "Graph(vertices=10, edges=15)"
     assert repr(graph_from_name("complete:6")) == "Graph(vertices=6, edges=15)"
     assert repr(graph_from_name("cycle:4")) == "Graph(vertices=4, edges=4)"
+
+
+def test_degree_refuses_a_vertex_out_of_range():
+    g = graph_from_name("petersen")
+    assert [g.degree(v) for v in range(10)] == [3] * 10
+    for v in (-1, -30, 10, 11):
+        with pytest.raises(GraphError) as err:
+            g.degree(v)
+        assert type(err.value) is GraphError and str(err.value) == f"no vertex {v}: the vertices are 0..9"
 
 
 def test_csr_matches_adjacency():
