@@ -8,24 +8,28 @@ Every boundary value tau gives a valid completion J_tau; the choice
 tau = degree - a_d reproduces the adjacency spectrum.
 
 Eigenvalues come from LAPACK's tridiagonal solver. The three-term
-recurrence of J_tau is walked once per job, over all points at once.
+recurrence of J_tau is walked once per job, over all points at once,
+a block of levels at a time (graphs._row_blocks): each level costs a
+fixed handful of in-place numpy calls, in the same IEEE operations as
+the plain recurrence, so every value is the plain walk's bit for bit.
 The certificate counts the negative pivots of J - x (the Sturm chain
 in ratio form, no rescaling) on both sides of every root, which proves
-that each root lies within tol/2 of the eigenvalue of its rank. The
-weights take one pass over all roots: atom weights of the spectral
-measure are 1 / sum_k P_k^2, cross-checked against the
-Christoffel-Darboux derivative identity
-sum_k P_k^2 = P_n * (P_{n+1}^(tau))' at each root.
+that each root lies within tol/2 of the eigenvalue of its rank; the
+completions J_tau of one sequence differ only in the last level, so
+one count certifies the spectra of several tau. The weights take one
+pass over all roots: atom weights of the spectral measure are
+1 / sum_k P_k^2, cross-checked against the Christoffel-Darboux
+derivative identity sum_k P_k^2 = P_n * (P_{n+1}^(tau))' at each root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
+from . import graphs
 from .intersection import IntersectionSequence
 
 
@@ -150,42 +154,89 @@ def canonical_tau(seq: IntersectionSequence) -> int:
     return seq.tau_star
 
 
-def _first_kind_rows(J: JacobiOperator, xs: np.ndarray):
-    """Yield (P_k(xs), P_k'(xs)) for k = 0 .. n+1, each an array over xs.
+def _first_kind_blocks(J: JacobiOperator, xs: np.ndarray):
+    """Yield the rows (P_k(xs), P_k'(xs)) for k = 0 .. d+1, a block of levels at a time.
 
-    P_0 = 1 and off_k P_{k+1} = (x - diag_k) P_k - off_{k-1} P_{k-1};
-    the last row P_{n+1}^(tau) is left undivided. The derivatives
-    follow by differentiating the recurrence. Only the last two rows
-    are kept, and nothing is rescaled: the weights need true values.
+    J has size d + 1. P_0 = 1 and
+    off_k P_{k+1} = (x - diag_k) P_k - off_{k-1} P_{k-1};
+    the last row P_{d+1}^(tau) is left undivided. The derivatives
+    follow by differentiating the recurrence. A block of levels
+    s .. s + r - 1 comes as an (r + 1, 2, len(xs)) view of the rows
+    s .. s + r, each row the pair (P_k, P_k') stacked. Its last row
+    comes again first in the next block, and the view holds only until
+    the next block is asked for: the walk keeps one block of rows.
+    Nothing is rescaled: the weights need true values.
     """
+    m, n = len(xs), J.size
+    diag = np.asarray(J.diag, dtype=float)
     off = (1.0,) + J.offdiag + (1.0,)
-    p_prev, p = np.zeros_like(xs), np.ones_like(xs)
-    dp_prev, dp = np.zeros_like(xs), np.zeros_like(xs)
-    yield p, dp
-    for k, a in enumerate(J.diag):
-        shift = xs - a
-        p_next = (shift * p - off[k] * p_prev) / off[k + 1]
-        dp_next = (p + shift * dp - off[k] * dp_prev) / off[k + 1]
-        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-        yield p, dp
+    rows = None
+    # Blocks of BLOCK_ENTRIES / 2 entries, as for the pivots: a level holds five
+    # rows of len(xs), its pair, its shift twice and its square.
+    for start, stop in graphs._row_blocks(n, 10 * m):
+        if rows is None:
+            rows = np.empty((stop - start + 2, 2, m))  # rows[0] precedes the block
+            rows[:2] = 0.0
+            rows[1, 0] = 1.0  # P_{-1} = 0 and P_0 = 1, both with derivative 0
+            shifts, scaled = np.empty((stop - start, 2, m)), np.empty((2, m))
+            # views made once: the buffers are reused by every block
+            pairs, values, derivs = list(rows), list(rows[:, 0]), list(rows[:, 1])
+        else:
+            rows[:2] = rows[r:r + 2]
+        r = stop - start
+        np.subtract(xs, diag[start:stop, None, None], shifts[:r])  # x - diag_k, twice
+        for k, prev, cur, p, nxt, dp_nxt, shift in zip(
+            range(start, stop), pairs, pairs[1:], values[1:], pairs[2:], derivs[2:], shifts
+        ):
+            np.multiply(cur, shift, nxt)
+            np.add(dp_nxt, p, dp_nxt)
+            np.multiply(prev, off[k], scaled)
+            np.subtract(nxt, scaled, nxt)
+            np.divide(nxt, off[k + 1], nxt)
+        yield rows[1:r + 2]
 
 
-def _sign_change_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _sign_change_counts(
+    diag: np.ndarray, off: np.ndarray, xs: np.ndarray, lasts: tuple[float, ...] = ()
+) -> np.ndarray:
     """Number of eigenvalues below each x: the negative pivots of J - x.
 
     The pivots u_0 = diag_0 - x, u_k = (diag_k - x) - off_{k-1}^2 / u_{k-1}
     are the ratios of consecutive entries of the Sturm chain, so they
     stay in range and need no rescaling. A zero pivot is counted by its
     sign bit and sends the next pivot to -/+inf (a tiny one may too, by
-    overflow), so the pair counts once.
+    overflow), so the pair counts once. The pivots are filled a block
+    of levels at a time. With lasts, the xs fall into len(lasts) equal
+    consecutive groups, and group i takes lasts[i] for diag[-1].
     """
     off2 = off * off
+    m, n = len(xs), len(diag)
+    counts = np.zeros(m, dtype=np.int64)
+    # Blocks of at most BLOCK_ENTRIES / 2 pivots and 255 levels: one uint8 per
+    # point then sums a block's sign bits, with no cast to int64 per level.
+    width = max(2 * m, graphs.BLOCK_ENTRIES // 256 + 1)
     with np.errstate(divide="ignore", over="ignore"):
-        pivot = diag[0] - xs
-        counts = np.signbit(pivot).astype(np.int64)
-        for k in range(1, len(diag)):
-            pivot = (diag[k] - xs) - off2[k - 1] / pivot
-            counts += np.signbit(pivot)
+        for start, stop in graphs._row_blocks(n, width):
+            if start:  # the previous block's last pivot, read before the buffer is refilled
+                np.divide(off2[start - 1], rows[r - 1], ratio)
+            else:
+                buf, ratio = np.empty((stop - start, m)), np.empty(m)
+                rows = list(buf)  # views made once: the buffer is reused by every block
+            r = stop - start
+            pivots = np.subtract.outer(diag[start:stop], xs, out=buf[:r])
+            if lasts and stop == n:
+                groups = len(lasts)
+                np.subtract(
+                    np.reshape(lasts, (groups, 1)),
+                    xs.reshape(groups, -1),
+                    rows[r - 1].reshape(groups, -1),
+                )
+            if start:
+                rows[0] -= ratio
+            for k, prev, pivot in zip(range(start, stop - 1), rows, rows[1:r]):
+                np.divide(off2[k], prev, ratio)
+                pivot -= ratio
+            counts += np.add.reduce(np.signbit(pivots).view(np.uint8), axis=0, dtype=np.uint8)
     return counts
 
 
@@ -223,6 +274,38 @@ def _lapack_roots(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _tolerance(J: JacobiOperator, tol: float | None) -> float:
+    """tol, by default 1e-12 relative to the Gershgorin enclosure width."""
+    if tol is None:
+        lo, hi = gershgorin_interval(J)
+        tol = 1e-12 * max(hi - lo, 1.0)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return tol
+
+
+def _certify(counts: np.ndarray, tol: float) -> None:
+    """ToleranceTooSmallError unless the pivot counts at root_0 - tol/2,
+    root_0 + tol/2, root_1 - tol/2, ... read exactly 0, 1, 1, 2, 2, ..."""
+    if (counts != np.arange(1, len(counts) + 1) >> 1).any():
+        raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {tol / 2!r}")
+
+
+def _sides(roots: np.ndarray, tol: float) -> np.ndarray:
+    """The points root_0 - tol/2, root_0 + tol/2, root_1 - tol/2, ... that certify."""
+    return np.add.outer(roots, (-tol / 2, tol / 2)).ravel()
+
+
+def _certified_roots(J: JacobiOperator, tol: float | None) -> np.ndarray:
+    """The eigenvalues of J as an array, solved and certified as in eigenvalues."""
+    tol = _tolerance(J, tol)
+    diag = np.asarray(J.diag, dtype=float)
+    off = np.asarray(J.offdiag, dtype=float)
+    roots = _lapack_roots(diag, off)
+    _certify(_sign_change_counts(diag, off, _sides(roots, tol)), tol)
+    return roots
+
+
 def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     """All eigenvalues of J, strictly increasing.
 
@@ -234,27 +317,49 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
     ToleranceTooSmallError is raised. tol defaults to 1e-12 relative to
     the Gershgorin enclosure width.
     """
-    n = J.size
-    if tol is None:
-        lo, hi = gershgorin_interval(J)
-        tol = 1e-12 * max(hi - lo, 1.0)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    diag = np.asarray(J.diag, dtype=float)
-    off = np.asarray(J.offdiag, dtype=float)
-    roots = _lapack_roots(diag, off)
-    counts = _sign_change_counts(diag, off, np.concatenate([roots - tol / 2, roots + tol / 2]))
-    if not np.array_equal(counts, np.r_[0:n, 1:n + 1]):
-        raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {tol / 2!r}")
-    return [float(r) for r in roots]
+    return _certified_roots(J, tol).tolist()
+
+
+def completion_spectra(
+    seq: IntersectionSequence, taus: tuple[float, ...], tol: float | None = None
+) -> list[list[float]]:
+    """eigenvalues(build_jacobi(seq, tau), tol) for each tau, certified in one walk.
+
+    The completions J_tau differ only in their last diagonal entry, so
+    one pivot count serves every tau: each tau's roots -/+ tol/2 walk
+    the shared levels together, and only the last level reads each
+    point's own tau. Each tau keeps its own default tol, from its own
+    Gershgorin width, and the first tau whose roots fail is the one
+    whose ToleranceTooSmallError is raised.
+    """
+    ops = [build_jacobi(seq, tau) for tau in taus]
+    tols = [_tolerance(J, tol) for J in ops]
+    off = np.asarray(ops[0].offdiag, dtype=float)
+    roots = [_lapack_roots(np.asarray(J.diag, dtype=float), off) for J in ops]
+    xs = np.concatenate([_sides(r, t) for r, t in zip(roots, tols)])
+    counts = _sign_change_counts(
+        np.asarray(ops[0].diag, dtype=float), off, xs, tuple(J.diag[-1] for J in ops)
+    )
+    for group, t in zip(np.split(counts, len(ops)), tols):
+        _certify(group, t)
+    return [r.tolist() for r in roots]
 
 
 def _inverse_weights(J: JacobiOperator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k P_k^2 and P_n * (P_{n+1}^(tau))' at every x, in one walk."""
-    direct = np.zeros_like(xs)
-    for (p, _), (_, dp_next) in pairwise(_first_kind_rows(J, xs)):
-        direct += p * p
-    return direct, p * dp_next
+    """sum_k P_k^2 and P_n * (P_{n+1}^(tau))' at every x, in one walk.
+
+    Each block's squares are summed down its levels by one add.reduce,
+    with the running sum added into its first row: that reduction adds
+    row after row, so the sum is the left-to-right one.
+    """
+    if len(xs) == 1:  # over a single column, add.reduce would sum pairwise
+        return tuple(side[:1] for side in _inverse_weights(J, np.repeat(xs, 2)))
+    direct = np.zeros(len(xs))
+    for rows in _first_kind_blocks(J, xs):
+        squares = np.multiply(rows[:-1, 0], rows[:-1, 0])
+        squares[0] += direct
+        np.add.reduce(squares, axis=0, out=direct)
+    return direct, rows[-2, 0] * rows[-1, 1]
 
 
 def _checked_weights(J: JacobiOperator, roots: np.ndarray) -> np.ndarray:
@@ -298,8 +403,8 @@ def spectral_measure(
     an integer (the sequence is then not a genuine graph spectrum).
     """
     J = build_jacobi(seq, canonical_tau(seq) if tau is None else tau)
-    lams = eigenvalues(J, tol)
-    weights = _checked_weights(J, np.array(lams)).tolist()
+    roots = _certified_roots(J, tol)
+    lams, weights = roots.tolist(), _checked_weights(J, roots).tolist()
     mults: list[int | None] = [None] * len(lams)
     if vertex_count is not None:
         mults = [round(vertex_count * w) for w in weights]

@@ -480,13 +480,13 @@ def test_each_command_solves_once_per_spectrum(capsys, monkeypatch, argv, solves
     from drgjacobi import jacobi
 
     calls = []
-    original = jacobi.eigenvalues
+    original = jacobi._lapack_roots  # every solve, certified by eigenvalues or with another tau
 
-    def counting(J, tol=None):
-        calls.append(J.tau)
-        return original(J, tol)
+    def counting(diag, off):
+        calls.append(diag[-1])
+        return original(diag, off)
 
-    monkeypatch.setattr(jacobi, "eigenvalues", counting)
+    monkeypatch.setattr(jacobi, "_lapack_roots", counting)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == solves

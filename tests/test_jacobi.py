@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,10 +28,20 @@ def complete_seq(n):
     return sequence_from_pairs([(1, n - 1)])
 
 
+def walk_rows(J, xs):
+    """Every row (P_k, P_k') of the weights walk at xs, a (d + 2, 2, len(xs)) array.
+
+    Each block's last row comes again first in the next block, so all
+    but the last block give all but their last row.
+    """
+    blocks = [rows.copy() for rows in jacobi._first_kind_blocks(J, np.array(xs, dtype=float))]
+    return np.concatenate([rows[:-1] for rows in blocks] + [blocks[-1][-1:]])
+
+
 def first_kind(seq, tau, x):
     """(P_0(x), ..., P_d(x), P_{d+1}^(tau)(x)) and their derivatives, from the rows the weights walk."""
-    rows = list(jacobi._first_kind_rows(build_jacobi(seq, tau), np.array([float(x)])))
-    return [float(p[0]) for p, _ in rows], [float(dp[0]) for _, dp in rows]
+    rows = walk_rows(build_jacobi(seq, tau), [x])
+    return rows[:, 0, 0].tolist(), rows[:, 1, 0].tolist()
 
 
 def interlaced(seq, tau1, tau2):
@@ -46,8 +55,7 @@ def christoffel_darboux(seq, k, x, y):
     The ratio form is sqrt(a_{k+1} b_{k+1}) (P_k(y) P_{k+1}(x) - P_k(x) P_{k+1}(y)) / (x - y).
     """
     J = build_jacobi(seq, canonical_tau(seq))  # P_0 .. P_d do not involve tau
-    rows = islice(jacobi._first_kind_rows(J, np.array([x, y], dtype=float)), k + 2)
-    px, py = np.array([p for p, _ in rows]).T
+    px, py = walk_rows(J, [x, y])[:k + 2, 0].T
     ratio = J.offdiag[k] * (py[k] * px[k + 1] - px[k] * py[k + 1]) / (x - y) if x != y else None
     return float(px[:-1] @ py[:-1]), ratio
 
@@ -178,6 +186,25 @@ def test_sturm_certificate_rejects_tampered_roots(monkeypatch, tamper):
     monkeypatch.setattr(jacobi, "_lapack_roots", tampered)
     with pytest.raises(ToleranceTooSmallError):
         eigenvalues(J, tol)
+
+    # interlace certifies both spectra in one walk: tampered roots of either
+    # tau fail with the message of that tau's own certificate, tau1's first;
+    # without tol each tau takes its own default, from its Gershgorin width
+    taus = (2.0, 40.0)
+    for given in (tol, None):
+        messages = []
+        for tau in taus:
+            with pytest.raises(ToleranceTooSmallError) as exc:
+                eigenvalues(build_jacobi(PETERSEN, tau), given)
+            messages.append(str(exc.value))
+        assert (messages[0] == messages[1]) == (given is not None)
+        for bad in ({2.0}, {40.0}, {2.0, 40.0}):
+            monkeypatch.setattr(
+                jacobi, "_lapack_roots", lambda d, o: (tampered if d[-1] in bad else original)(d, o)
+            )
+            with pytest.raises(ToleranceTooSmallError) as exc:
+                jacobi.completion_spectra(PETERSEN, taus, given)
+            assert str(exc.value) == messages[0 if 2.0 in bad else 1]
 
 
 def _random_tridiagonals(seed):

@@ -1,10 +1,12 @@
 """The two recurrence walks of jacobi: the pivot count and the first-kind rows.
 
-The streamed first-kind walk must reproduce, bit for bit, the scalar
-recurrence it replaced, which is kept below as the reference. The
-reference is written for one point but runs unchanged on an array of
-points: numpy's elementwise float64 arithmetic rounds exactly like
-Python's, so one call covers every root of a matrix.
+Both walks go a block of levels at a time. The first-kind walk must
+reproduce, bit for bit, the scalar recurrence it replaced, which is
+kept below as the reference. The reference is written for one point
+but runs unchanged on an array of points: numpy's elementwise float64
+arithmetic rounds exactly like Python's, so one call covers every root
+of a matrix. The tests that shrink graphs.BLOCK_ENTRIES make small
+sequences cross many block boundaries.
 """
 
 import math
@@ -25,8 +27,10 @@ from drgjacobi import (
     eigenvalues,
     sequence_from_pairs,
     spectral_measure,
+    weight_formulas,
 )
-from drgjacobi.jacobi import _first_kind_rows, _sign_change_counts
+from drgjacobi import graphs, jacobi
+from drgjacobi.jacobi import _first_kind_blocks, _sign_change_counts
 
 
 def hamming(dim):
@@ -128,18 +132,40 @@ def test_weights_match_reference_on_tree_prefixes():
             assert (new == ref) if isinstance(ref, str) else (bits(new) == bits(ref)), (m, tau)
 
 
-def test_eval_first_kind_matches_reference(corpus):
+def test_eval_first_kind_matches_reference(corpus, monkeypatch):
     extra = [hamming(5), hamming(23), tree_prefix(7), tree_prefix(400)]
     for s in extra + [entry[2] for entry in corpus]:
         for tau in taus(s):
             lams = eigenvalues(build_jacobi(s, tau))
-            points = lams[:3] + lams[-3:] + [0.0, -1.25, 0.5 * (lams[0] + lams[-1])]
+            points = np.array(lams[:3] + lams[-3:] + [0.0, -1.25, 0.5 * (lams[0] + lams[-1])])
+            refs = [reference_first_kind(s, tau, float(x)) for x in points]
+            values, derivs = (np.array([ref[side] for ref in refs]).T for side in (0, 1))
             J = build_jacobi(s, tau)
-            for x in points:
-                values, derivs = reference_first_kind(s, tau, x)
-                rows = list(_first_kind_rows(J, np.array([x])))
-                assert bits([p[0] for p, _ in rows]) == bits(values)
-                assert bits([dp[0] for _, dp in rows]) == bits(derivs)
+            for block_entries in (graphs.BLOCK_ENTRIES, 1, 300):
+                monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+                k = 0  # each block starts again at the last row of the one before
+                for rows in _first_kind_blocks(J, points):
+                    assert rows.shape == (len(rows), 2, len(points))
+                    for p, dp in rows:
+                        assert bits(p) == bits(values[k]) and bits(dp) == bits(derivs[k])
+                        k += 1
+                    k -= 1
+                assert k == len(values) - 1
+                monkeypatch.undo()
+
+
+def test_weight_formulas_at_one_point_sum_left_to_right(monkeypatch):
+    # a single point's squares lie in one column, which add.reduce would sum pairwise
+    for seq in (hamming(23), tree_prefix(30), tree_prefix(400)):
+        lams = eigenvalues(build_jacobi(seq, 0.0))
+        for block_entries in (graphs.BLOCK_ENTRIES, 25):
+            monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+            for lam in lams[:4] + lams[-4:] + [0.3]:
+                values, derivs = reference_first_kind(seq, 0.0, lam)
+                direct = 0.0
+                for v in values[:-1]:
+                    direct = direct + v * v
+                assert bits(weight_formulas(seq, 0.0, lam)) == bits([direct, values[-2] * derivs[-1]])
 
 
 def test_weight_mismatch_message_uses_plain_floats():
@@ -255,6 +281,103 @@ def test_weight_pass_streams_rows():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_interlace_certificate_walk_streams_levels(monkeypatch):
+    # both spectra of the 4096-pair tree prefix, 16388 points: a block of every
+    # level's pivots would take 537 MB, the walk's blocks stay far below 1 MB
+    seq = tree_prefix(4096)
+    jacobi.completion_spectra(tree_prefix(3), (0.0, 1.0))  # scipy's import is not the walk's
+    walk, peaks = jacobi._sign_change_counts, []
+
+    def traced(*args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = walk(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return counts
+
+    monkeypatch.setattr(jacobi, "_sign_change_counts", traced)
+    tracemalloc.start()
+    try:
+        spectra = jacobi.completion_spectra(seq, (0.0, 1.0))
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in spectra] == [4097, 4097]
+    assert len(peaks) == 1 and peaks[0] < 1_000_000
+
+
+# ------------------------------------------------- level blocks
+
+
+def test_walks_match_references_across_level_blocks(corpus, monkeypatch):
+    # these block sizes take from one level a block up to all levels of a
+    # short sequence, and one level a block on the long tree prefixes
+    seqs = [entry[2] for entry in corpus] + [hamming(d) for d in range(2, 24)]
+    seqs += [tree_prefix(m) for m in (*range(1, 65), 400, 1000)]
+    for seq in seqs:
+        for tau in taus(seq):
+            J = build_jacobi(seq, tau)
+            with np.errstate(over="ignore", invalid="ignore"):  # tree prefix 1000 at tau -3
+                expected = reference_outcome(seq, tau)
+            eigs = np.linalg.eigvalsh(J.to_dense())
+            # around the roots, as eigenvalues certifies, and at exact zero pivots
+            lo, hi = min(J.diag) - 2 * max(J.offdiag), max(J.diag) + 2 * max(J.offdiag)
+            roots, tol = np.array(eigenvalues(J)), 1e-12 * max(hi - lo, 1.0)
+            zeros = np.array(sorted({0.0, *J.diag}))
+            zeros = zeros[np.abs(zeros[:, None] - eigs[None, :]).min(axis=1) > 1e-9]
+            around = np.concatenate([roots - tol / 2, roots + tol / 2])
+            few = np.concatenate([[lo - 1.0], zeros, [hi + 1.0]])  # long blocks: up to 255 levels
+            for block_entries in (graphs.BLOCK_ENTRIES, 1, 40, 1000):
+                monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+                new = measure_outcome(seq, tau)
+                assert type(new) is type(expected), (seq.d, tau, block_entries)
+                assert (new == expected) if isinstance(expected, str) else (bits(new) == bits(expected))
+                for xs in (around, few):
+                    counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs)
+                    # eigenvalues below each x, as dense_counts counts them
+                    assert counts.tolist() == np.searchsorted(eigs, xs).tolist(), (seq.d, tau)
+                monkeypatch.undo()
+
+
+# ------------------------------------------------- interlace: both spectra in one walk
+
+
+def interlace_sequences(corpus):
+    return [entry[2] for entry in corpus] + [hamming(d) for d in (2, 3, 7, 13, 23)] + [
+        tree_prefix(m) for m in (1, 2, 19, 150, 300)
+    ]
+
+
+def test_interlace_counts_are_the_two_certificates(corpus, monkeypatch):
+    walk, counted = _sign_change_counts, []
+
+    def spy(*args):
+        counted.append(walk(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(jacobi, "_sign_change_counts", spy)
+    rng = np.random.default_rng(29)
+    for seq in interlace_sequences(corpus):
+        for tau1, tau2 in rng.uniform(-6, 6, size=(3, 2)).tolist():
+            for tol in (None, 1e-9):
+                counted.clear()
+                separate = [eigenvalues(build_jacobi(seq, t), tol) for t in (tau1, tau2)]
+                spectra = jacobi.completion_spectra(seq, (tau1, tau2), tol)
+                assert len(counted) == 3
+                assert counted[2].tolist() == counted[0].tolist() + counted[1].tolist()
+                assert bits(spectra[0]) == bits(separate[0]) and bits(spectra[1]) == bits(separate[1])
+
+
+def test_interlace_walk_across_level_blocks(corpus, monkeypatch):
+    rng = np.random.default_rng(31)
+    for seq in interlace_sequences(corpus):
+        for tau1, tau2 in rng.uniform(-6, 6, size=(2, 2)).tolist():
+            expected = jacobi.completion_spectra(seq, (tau1, tau2))
+            for block_entries in (1, 40, 1000):
+                monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
+                assert jacobi.completion_spectra(seq, (tau1, tau2)) == expected
+                monkeypatch.undo()
 
 
 # ------------------------------------------------- multiplicities
