@@ -7,6 +7,11 @@ order, floats in shortest round-trip form (at most 17 significant
 digits). The envelope is json.dumps(envelope, indent=2) byte for byte,
 from one renderer, _render. --pretty renders a human-readable view
 instead.
+
+An argv that starts with a command name is parsed once, by that
+command's own parser. Any other argv (a leading --pretty or -h, an
+unknown or missing command) goes through the top-level parser, which
+hands the command's tokens on to the same command parsers.
 """
 
 from __future__ import annotations
@@ -261,10 +266,9 @@ def cmd_interlace(args) -> CommandResult:
     tau1, tau2 = float(args.tau[0]), float(args.tau[1])
     if tau1 == tau2:
         raise CliUsageError("interlace needs two different --tau values")
-    e1, e2 = jacobi.completion_spectra(seq, (tau1, tau2), args.tol)
-    # each root lies within tol/2 of its eigenvalue, so a gap above tol separates them
-    gap = {} if args.tol is None else {"tol": args.tol}
-    interlaced, min_gap = jacobi.spectra_interlace(e1, e2, **gap)
+    (e1, e2), (tol1, tol2) = jacobi.completion_spectra(seq, (tau1, tau2), args.tol)
+    # each root lies within its tol/2 of its eigenvalue, so a gap above the mean tol separates them
+    interlaced, min_gap = jacobi.spectra_interlace(e1, e2, (tol1 + tol2) / 2)
     payload = {
         "tau1": tau1,
         "tau2": tau2,
@@ -458,11 +462,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()  # parse_args leaves the parser as it was, so every call shares it
+# the command parsers by name, the choices of _PARSER's subparsers action
+(_COMMANDS,) = [a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), parsing a command's tokens once.
+
+    The top-level parser hands every token after the command name to
+    the command's parser (nargs PARSER), which reads them as a direct
+    call does; _Parser's errors carry no prog prefix, so both report
+    alike. The namespace starts with the two attributes the top-level
+    parser sets, and argparse adds only those it does not have.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(pretty=False, command=argv[0]))
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except CliUsageError as exc:
         result = CommandResult("error", {"error": "usage", "message": str(exc)})
         _emit(_render(result.to_json()))

@@ -23,11 +23,14 @@ vertex 0 keeps, without the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import Graph, _row_blocks
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SequenceError(Exception):
@@ -78,7 +81,9 @@ class IntersectionSequence:
         for k, (a_k, b_k) in enumerate(zip(self.a, self.b), 1):
             deg_k, rem = divmod(degrees[-1] * b_k, a_k)
             if rem:
-                raise NonIntegralDegreeError(k, Fraction(degrees[-1] * b_k, a_k))
+                import fractions  # only this error needs it; it loads decimal, 1.5-3 ms afresh
+
+                raise NonIntegralDegreeError(k, fractions.Fraction(degrees[-1] * b_k, a_k))
             degrees.append(deg_k)
         object.__setattr__(self, "_degrees", tuple(degrees))
 

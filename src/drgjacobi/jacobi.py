@@ -322,8 +322,9 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
 
 def completion_spectra(
     seq: IntersectionSequence, taus: tuple[float, ...], tol: float | None = None
-) -> list[list[float]]:
-    """eigenvalues(build_jacobi(seq, tau), tol) for each tau, certified in one walk.
+) -> tuple[list[list[float]], list[float]]:
+    """eigenvalues(build_jacobi(seq, tau), tol) for each tau, certified in
+    one walk, and the tol that certified each.
 
     The completions J_tau differ only in their last diagonal entry, so
     one pivot count serves every tau: each tau's roots -/+ tol/2 walk
@@ -342,7 +343,7 @@ def completion_spectra(
     )
     for group, t in zip(np.split(counts, len(ops)), tols):
         _certify(group, t)
-    return [r.tolist() for r in roots]
+    return [r.tolist() for r in roots], tols
 
 
 def _inverse_weights(J: JacobiOperator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

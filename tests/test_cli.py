@@ -1,15 +1,18 @@
 import argparse
 import contextlib
+import io
 import json
 import math
+import shlex
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drgjacobi import families, jacobi
-from drgjacobi.cli import _render, main
+from drgjacobi import cli, families, jacobi
+from drgjacobi.cli import CliUsageError, _render, main
+from drgjacobi.intersection import IntersectionSequence
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -136,22 +139,22 @@ def test_verify_keeps_going_after_a_spectral_error(capsys, monkeypatch):
     assert cycle["checks"][-1]["name"] == "norm_bound"
 
 
-@pytest.mark.parametrize(
-    "argv, error, message",
-    [
-        (["spectrum", "--array", "1,x"], "usage", "bad pair '1,x' in --array"),
-        (["spectrum", "--array", "1,3,4"], "usage", "bad pair '1,3,4' in --array"),
-        (["spectrum", "--array", ";"], "usage", "--array needs at least one pair"),
-        (["moments", "--family", "custom:1,3;x", "--order", "2"],
-         "SequenceError", "bad pair 'x' in 'custom:1,3;x'"),
-        (["moments", "--family", "custom:1,3;1", "--order", "2"],
-         "SequenceError", "bad pair '1' in 'custom:1,3;1'"),
-        (["moments", "--family", "custom:1,3;period=x", "--order", "2"],
-         "SequenceError", "bad period in 'custom:1,3;period=x'"),
-        (["moments", "--family", "custom:1,x;period=y", "--order", "2"],
-         "SequenceError", "bad pair '1,x' in 'custom:1,x;period=y'"),
-    ],
-)
+PAIR_LIST_ERRORS = [
+    (["spectrum", "--array", "1,x"], "usage", "bad pair '1,x' in --array"),
+    (["spectrum", "--array", "1,3,4"], "usage", "bad pair '1,3,4' in --array"),
+    (["spectrum", "--array", ";"], "usage", "--array needs at least one pair"),
+    (["moments", "--family", "custom:1,3;x", "--order", "2"],
+     "SequenceError", "bad pair 'x' in 'custom:1,3;x'"),
+    (["moments", "--family", "custom:1,3;1", "--order", "2"],
+     "SequenceError", "bad pair '1' in 'custom:1,3;1'"),
+    (["moments", "--family", "custom:1,3;period=x", "--order", "2"],
+     "SequenceError", "bad period in 'custom:1,3;period=x'"),
+    (["moments", "--family", "custom:1,x;period=y", "--order", "2"],
+     "SequenceError", "bad pair '1,x' in 'custom:1,x;period=y'"),
+]
+
+
+@pytest.mark.parametrize("argv, error, message", PAIR_LIST_ERRORS)
 def test_pair_list_error_envelopes(capsys, argv, error, message):
     code, doc = run_json(capsys, argv)
     assert code == 1
@@ -224,17 +227,29 @@ def test_interlace_tol_sets_the_gap(capsys):
     _, doc = run_json(capsys, argv + ["--tol", "1e-14"])
     assert doc["payload"]["min_gap"] == pytest.approx(6.7e-11, rel=0.01)
     assert doc["payload"]["interlaced"] is True
-    _, doc = run_json(capsys, argv)  # without --tol the gap must exceed 1e-9
-    assert doc["payload"]["interlaced"] is False
+    _, doc = run_json(capsys, argv)  # without --tol the gap is the mean default tol, 8.9e-12
+    assert doc["payload"]["interlaced"] is True
     _, doc = run_json(capsys, argv + ["--tol", "1e-10"])
     assert doc["payload"]["interlaced"] is False
 
 
-def test_interlace_gap_default_lives_in_spectra_interlace(capsys, monkeypatch):
-    argv = ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001"]
-    monkeypatch.setattr(jacobi.spectra_interlace, "__defaults__", (1e-12,))
-    _, doc = run_json(capsys, argv)  # the gap of 6.7e-11 now exceeds the default
-    assert doc["payload"]["interlaced"] is True
+def test_interlace_gap_default_is_the_mean_of_the_certificates_tols(capsys, monkeypatch):
+    # each root is certified within its own default tol/2, from its own Gershgorin
+    # width, so a gap above the mean of the two tols separates the spectra
+    taus = (2.0, 2.000000001)
+    petersen = IntersectionSequence((1, 1), (3, 2))
+    tols = [jacobi._tolerance(jacobi.build_jacobi(petersen, tau), None) for tau in taus]
+    gaps, spectra_interlace = [], jacobi.spectra_interlace
+
+    def spy(e1, e2, tol):  # no default: the command always names its gap
+        gaps.append(tol)
+        return spectra_interlace(e1, e2, tol)
+
+    monkeypatch.setattr(jacobi, "spectra_interlace", spy)
+    argv = ["interlace", "petersen"] + [arg for tau in taus for arg in ("--tau", str(tau))]
+    assert run_json(capsys, argv)[1]["payload"]["interlaced"] is True
+    assert run_json(capsys, argv + ["--tol", "1e-10"])[1]["payload"]["interlaced"] is False
+    assert gaps == [(tols[0] + tols[1]) / 2, 1e-10] and 8e-12 < gaps[0] < 1e-11
 
 
 def test_interlace_needs_two_taus(capsys):
@@ -370,24 +385,24 @@ FAMILY_ALONE = "--family takes no graph source, --array, --tau or --canonical"
 SIZE_NEEDS_FAMILY = "--size needs --family"
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        # "nosuch" is never opened: the conflict is refused first
-        (["spectrum", "nosuch", "--array", "1,3"], BOTH_SOURCES),
-        (["spectrum", "petersen", "--array", "1,3"], BOTH_SOURCES),
-        (["interlace", "petersen", "--array", "1,3", "--tau", "0", "--tau", "1"], BOTH_SOURCES),
-        (["jacobi", "petersen", "--array", "1,3"], BOTH_SOURCES),
-        (["jacobi", "--family", "tree:3", "--array", "1,3", "--tau", "0.5"], FAMILY_ALONE),
-        (["jacobi", "--family", "tree:3", "petersen"], FAMILY_ALONE),
-        (["jacobi", "--family", "tree:3", "--array", "1,3"], FAMILY_ALONE),
-        (["jacobi", "--family", "tree:3", "--tau", "0.5"], FAMILY_ALONE),
-        (["jacobi", "--family", "tree:3", "--canonical"], FAMILY_ALONE),
-        (["jacobi", "petersen", "--size", "4"], SIZE_NEEDS_FAMILY),
-        (["jacobi", "nosuch", "--size", "4"], SIZE_NEEDS_FAMILY),
-        (["jacobi", "--array", "1,3;1,2", "--size", "4"], SIZE_NEEDS_FAMILY),
-    ],
-)
+CONFLICTING_SOURCES = [
+    # "nosuch" is never opened: the conflict is refused first
+    (["spectrum", "nosuch", "--array", "1,3"], BOTH_SOURCES),
+    (["spectrum", "petersen", "--array", "1,3"], BOTH_SOURCES),
+    (["interlace", "petersen", "--array", "1,3", "--tau", "0", "--tau", "1"], BOTH_SOURCES),
+    (["jacobi", "petersen", "--array", "1,3"], BOTH_SOURCES),
+    (["jacobi", "--family", "tree:3", "--array", "1,3", "--tau", "0.5"], FAMILY_ALONE),
+    (["jacobi", "--family", "tree:3", "petersen"], FAMILY_ALONE),
+    (["jacobi", "--family", "tree:3", "--array", "1,3"], FAMILY_ALONE),
+    (["jacobi", "--family", "tree:3", "--tau", "0.5"], FAMILY_ALONE),
+    (["jacobi", "--family", "tree:3", "--canonical"], FAMILY_ALONE),
+    (["jacobi", "petersen", "--size", "4"], SIZE_NEEDS_FAMILY),
+    (["jacobi", "nosuch", "--size", "4"], SIZE_NEEDS_FAMILY),
+    (["jacobi", "--array", "1,3;1,2", "--size", "4"], SIZE_NEEDS_FAMILY),
+]
+
+
+@pytest.mark.parametrize("argv, message", CONFLICTING_SOURCES)
 def test_conflicting_sources_are_usage_errors(capsys, argv, message):
     assert run(capsys, argv) == (1, usage_envelope(message))
 
@@ -670,17 +685,20 @@ def test_import_leaves_quadrature_and_graph_search_unloaded():
     src = str(Path(drgjacobi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
-        "import sys, drgjacobi.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.sparse.csgraph', 'scipy.linalg') "
-        "if m in sys.modules]); "
+        "import contextlib, io, sys, drgjacobi.cli\n"
+        "def loaded(*names): return [m for m in names if m in sys.modules]\n"
+        "def main(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()): return drgjacobi.cli.main(argv)\n"
+        "print(loaded('scipy.integrate', 'scipy.sparse.csgraph', 'scipy.linalg', 'fractions',"
+        " 'decimal'))\n"
+        # fractions, which loads decimal, only for a non-integral degree's error
+        "print(main(['spectrum', '--array', '1,3;1,2']), loaded('fractions', 'decimal'))\n"
         # tree moments take their quadrature from numpy
-        "code = drgjacobi.cli.main(['moments', '--family', 'tree:3', '--order', '16']); "
-        "print(code, 'scipy.integrate' in sys.modules)"
+        "print(main(['moments', '--family', 'tree:3', '--order', '16']), loaded('scipy.integrate'))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert lines[0] == "[]" and lines[-1] == "0 False"
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
 def test_family_entries_beyond_float64_give_an_envelope(capsys):
@@ -715,6 +733,81 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     assert built == []
 
 
+def test_a_command_is_parsed_once(capsys, monkeypatch):
+    parsed = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, ["spectrum", "--array", "1,3;1,2"])[0] == 0
+    assert parsed == ["drgjacobi spectrum"]
+    # a leading option goes through the top-level parser, which hands the command on
+    code, out = run(capsys, ["--pretty", "certify", "petersen"])
+    assert code == 0 and out.startswith("status: ok\n")
+    assert parsed[1:] == ["drgjacobi", "drgjacobi certify"]
+
+
+def parse_outcome(parse, argv):
+    """The Namespace parse gives argv, or its usage message, or its exit code and output."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            return parse(list(argv))
+        except CliUsageError as exc:
+            return "usage", str(exc)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+PARSE_CORPUS = [
+    *(shlex.split(line)[1:] for line in readme_command_lines()),
+    *(argv for argv, _, _ in PAIR_LIST_ERRORS),
+    *(argv for argv, _ in CONFLICTING_SOURCES),
+    *(command + ["--array", tree_prefix_array(cli.MAX_ARRAY_PAIRS + 1)]
+      for command in (["spectrum"], ["interlace", "--tau", "0", "--tau", "1"], ["jacobi"])),
+    *(command + [f"--tol={tol}"] for tol in ("nan", "inf", "0", "-1") for command in (
+        ["spectrum", "petersen"], ["interlace", "petersen", "--tau", "0", "--tau", "1"])),
+    ["spectrum"],
+    ["nosuch"],
+    ["interlace", "petersen", "--tau", "2"],
+    ["interlace", "petersen", "--tau", "1", "--tau", "1"],
+    ["interlace", "petersen", "--tau", "-1e", "--tau", "1"],
+    ["spectrum", "--array", "1,3;1,2", "--tau", "-1e-3"],
+    ["jacobi", "petersen", "--tau=-inf"],
+    # --pretty on either side of the command, abbreviations, "--", help, missing arguments
+    [],
+    ["--pretty"],
+    ["--pretty", "certify", "petersen"],
+    ["certify", "petersen", "--pretty"],
+    ["--pre", "measure", "complete:4"],
+    ["spectrum", "--arr", "1,3;1,2", "--can"],
+    ["measure", "petersen", "--plot", "out.txt"],
+    ["--", "certify", "petersen"],
+    ["spectrum", "--", "petersen"],
+    ["spectrum", "--array", "--", "1,3"],
+    ["-h"],
+    ["--pretty", "-h"],
+    ["certify", "-h"],
+    ["interlace", "--help"],
+    ["certify"],
+    ["verify"],
+    ["moments", "--family", "tree:3"],
+    ["moments", "--order", "2", "--family"],
+    ["jacobi", "petersen", "--tau", "1", "--canonical"],
+    ["certify", "petersen", "complete:4"],
+    ["spectrum", "petersen", "-x"],
+    ["jacobi", "--size", "x", "--family", "tree:3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS)
+def test_a_command_parser_gives_what_the_top_level_parser_gives(argv):
+    assert parse_outcome(cli._parse, argv) == parse_outcome(cli._PARSER.parse_args, argv)
+
+
 def test_no_state_leaks_across_calls(capsys):
     two_taus = ["interlace", "petersen", "--tau", "0"]
     assert run(capsys, two_taus) == (1, usage_envelope("interlace needs exactly two --tau values"))
@@ -727,7 +820,7 @@ def test_no_state_leaks_across_calls(capsys):
 
     close = ["interlace", "petersen", "--tau", "2", "--tau", "2.000000001"]
     plain = run(capsys, close)
-    assert run(capsys, close + ["--tol", "1e-14"]) != plain  # interlaced at this tol only
+    assert run(capsys, close + ["--tol", "1e-10"]) != plain  # not interlaced at this tol only
     assert run(capsys, close) == plain
     assert run(capsys, ["--pretty"] + close) != plain
     assert run(capsys, close) == plain

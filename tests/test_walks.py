@@ -300,7 +300,7 @@ def test_interlace_certificate_walk_streams_levels(monkeypatch):
     monkeypatch.setattr(jacobi, "_sign_change_counts", traced)
     tracemalloc.start()
     try:
-        spectra = jacobi.completion_spectra(seq, (0.0, 1.0))
+        spectra, _ = jacobi.completion_spectra(seq, (0.0, 1.0))
     finally:
         tracemalloc.stop()
     assert [len(s) for s in spectra] == [4097, 4097]
@@ -363,10 +363,12 @@ def test_interlace_counts_are_the_two_certificates(corpus, monkeypatch):
             for tol in (None, 1e-9):
                 counted.clear()
                 separate = [eigenvalues(build_jacobi(seq, t), tol) for t in (tau1, tau2)]
-                spectra = jacobi.completion_spectra(seq, (tau1, tau2), tol)
+                spectra, tols = jacobi.completion_spectra(seq, (tau1, tau2), tol)
                 assert len(counted) == 3
                 assert counted[2].tolist() == counted[0].tolist() + counted[1].tolist()
                 assert bits(spectra[0]) == bits(separate[0]) and bits(spectra[1]) == bits(separate[1])
+                # the tols that certified them, each tau's own default without tol
+                assert tols == [jacobi._tolerance(build_jacobi(seq, t), tol) for t in (tau1, tau2)]
 
 
 def test_interlace_walk_across_level_blocks(corpus, monkeypatch):
