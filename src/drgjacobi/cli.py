@@ -25,17 +25,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import families, graphs, jacobi, oracle
 from .graphs import Graph, GraphError
 from .intersection import (
     IntersectionSequence,
     NonRegularityWitness,
     SequenceError,
-    _distance_polys,
     certify_distance_regular,
-    degree_sequence,
     parse_pairs,
     sequence_from_pairs,
 )
@@ -166,62 +162,8 @@ def cmd_spectrum(args) -> CommandResult:
     return CommandResult("ok", payload)
 
 
-def _verify_one(source: str) -> dict:
-    g = load_graph(source)
-    if g.vertex_count > oracle.MAX_DENSE_VERTICES:  # refused before certification's work
-        raise oracle.DenseSizeError(g.vertex_count)
-    report = {"input": source, "checks": []}
-
-    def check(name: str, passed: bool, detail):
-        report["checks"].append({"name": name, "pass": passed, "detail": detail})
-
-    seq = certify_distance_regular(g)
-    witness = isinstance(seq, NonRegularityWitness)
-    check("certify", not witness, seq.to_json())
-    if witness:
-        return report
-
-    # One exact pass, apart from certification's counts, also proves the table: its equations
-    # below d are the basis identity, and, given that, equation d gives both residuals.
-    adj = oracle.dense_adjacency(g)
-    mismatch, basis_error, residuals = oracle.recurrence_pass(g, seq, adj)
-    check("recurrence", mismatch is None,
-          "exact" if mismatch is None else {"mismatch": list(mismatch)})
-    if basis_error is None:
-        check("basis_identity", True, "exact")
-        residual, shift_residual = residuals
-        check("minimal_polynomial", residual == 0, {"max_entry": residual})
-        check("minimal_polynomial_shifted", shift_residual == 0,
-              {"max_entry_vs_predicted": shift_residual})
-    else:
-        check("basis_identity", False, str(basis_error))
-
-    dense = oracle.dense_symmetric_eigen(adj)
-    try:
-        measure = jacobi.spectral_measure(seq, vertex_count=g.vertex_count)
-    except JacobiError as exc:
-        check("oracle_spectrum", False, {"error": type(exc).__name__, "message": str(exc)})
-    else:
-        agree = len(dense.clusters) == len(measure.atoms) and all(
-            abs(cv - atom.eigenvalue) < 1e-7 and cm == atom.multiplicity
-            for (cv, cm), atom in zip(dense.clusters, measure.atoms)
-        )
-        check("oracle_spectrum", agree, {
-            "dense": [[cv, cm] for cv, cm in dense.clusters],
-            "measure": [[a.eigenvalue, a.multiplicity] for a in measure.atoms],
-        })
-
-    # Given the basis identity A_k = p_k(A), spec(A_k) is p_k of the dense spectrum.
-    polys = _distance_polys(seq, dense.eigenvalues)
-    basis_ok = basis_error is None
-    degs = degree_sequence(seq)
-    norm_ok = basis_ok and all(np.abs(p).max() <= deg + 1e-8 for p, deg in zip(polys, degs))
-    check("norm_bound", norm_ok, "norm(A_k) <= deg(A_k)" if basis_ok else "needs basis_identity")
-    return report
-
-
 def cmd_verify(args) -> CommandResult:
-    reports = [_verify_one(s) for s in args.inputs]
+    reports = [{"input": s, "checks": oracle.battery(load_graph(s))} for s in args.inputs]
     failing = [f"{r['input']}:{c['name']}" for r in reports for c in r["checks"] if not c["pass"]]
     return CommandResult("witness" if failing else "ok", {"reports": reports}, failing)
 
@@ -388,6 +330,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse reads "-1e-3" and "-inf" as options; take "-" and any float literal as a value
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _get_values(self, action, arg_strings):
+        # a "--" before the command name ends the top-level options; Python 3.11's
+        # argparse hands it on as the command name
+        if action.nargs == argparse.PARSER and arg_strings[:1] == ["--"]:
+            arg_strings = arg_strings[1:]
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):  # argparse would exit(2); keep 2 for witnesses
         raise CliUsageError(message)

@@ -3,54 +3,21 @@
 Vertices are dense 0-based indices. A ``Graph`` stores its adjacency
 once, as read-only int32 CSR arrays ``Graph.csr``, which the array
 kernels here, in ``intersection`` and in ``oracle`` read. Construction
-takes those arrays and verifies them with numpy: entries in range, no
-loops, rows strictly increasing (so no parallel edges) and the relation
-symmetric. It then proves the graph connected by a breadth-first
-search from vertex 0, so everything downstream may assume all of it.
-That search, ``_bfs``, is the module's only one: it also fills the
-tables of small graphs and names vertex 0's component when
-``graph_from_edges`` refuses a list too sparse to be connected. It
-stops as soon as every vertex is reached, and at construction it reads
-a view of the CSR arrays that converts a row to a Python list only when
-the search expands it, so on a complete graph it converts one row. Its
-row of distances and the least vertex at each distance, the distance
-classes of vertex 0 that certification reads first, are kept as
-``Graph._row0``. The builtins write their closed forms straight into the two
-arrays, and ``graph_from_edges`` builds them with one dedup of the arc
-codes; ``parse_edge_list`` reads plain edge lists a chunk at a time with
-numpy and leaves every other list, and every malformed-line error, to
-its line loop. ``Graph.adjacency``, the neighbour lists as tuples, is a
-view built on first use; nothing on the construction path builds it.
-Neighbour sums are products with
-``Graph.adjacency_operator``, built on first use and cached like the
-distances, in one of two forms that ``_dense_sums_pay`` picks by
-density: on graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, A_1 =
-(distances == 1) as a dense float32 array, whose BLAS products are
-exact while every sum stays below 2^24 (``_max_code``); on sparser
-ones, the CSR arrays wrapped in one int32 scipy CSR array.
-Certification in ``intersection`` takes one such product per block of
-the table, which sums a code of each neighbour's distance. All distance
-data is read from one read-only all-pairs array, ``Graph.distances``,
-filled on first use by path search, never by matrix powers, so entries
-are exact by construction.
-It has three fills.
-The bitset fill, ``_bitset_distances``, is one level-synchronous BFS
-from every source at once on rows packed 64 columns to a machine word.
-The two others search once per source: scipy's compiled
-``csgraph.shortest_path`` in row blocks, a Dijkstra search from each
-source (given ``indices``, its default method never switches to
-Floyd-Warshall), or, below ``SCIPY_MIN_VERTICES`` vertices, ``_bfs``
-from each vertex but 0, whose row construction kept.
-``_bitset_fill_pays`` takes the bitset fill when its worst-case cost,
-at twice the eccentricity of vertex 0 in levels, is below that of the
-search per source: graphs of small diameter take it, long thin ones
-such as cycles and prisms keep their search. Below
-``SCIPY_MIN_VERTICES`` vertices no scipy sparse code runs: the fill is
-the Python BFS, and every connected graph of at most 30 vertices takes
-the dense neighbour sums. The array is shared by certification in
+verifies them and proves the graph connected, so everything downstream
+may assume both. ``_bfs`` is the module's only search: it proves
+connectivity from vertex 0, whose row of distances ``Graph._row0``
+keeps for certification to read first, fills the tables of small
+graphs, and names vertex 0's component when ``graph_from_edges``
+refuses a list too sparse to be connected. All distance data is read
+from one read-only all-pairs array, ``Graph.distances``, filled on
+first use by path search, never by matrix powers, so entries are exact
+by construction: by the bitset fill, a level-synchronous BFS from every
+source at once (``_bitset_distances``), or by a search per source, as
+``_bitset_fill_pays`` decides. Below ``SCIPY_MIN_VERTICES`` vertices no
+scipy sparse code runs. The array is shared by certification in
 ``intersection`` and by ``oracle``, which checks its entries and then
-proves it by the exact distance recurrence.
-The distance-k matrix A_k is the boolean array ``distances == k``.
+proves it by the exact distance recurrence. The distance-k matrix A_k
+is the boolean array ``distances == k``.
 """
 
 from __future__ import annotations
@@ -101,19 +68,6 @@ BLOCK_ENTRIES = 1 << 16
 # complete graphs, where at 40 vertices scipy is 2.4x (cycle) to 6x
 # (complete) faster.
 SCIPY_MIN_VERTICES = 24
-
-# Neighbour sums are float32 BLAS products with a dense n x n operator on
-# graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, and sparse int32
-# products otherwise (``_dense_sums_pay``). Fitted to both routes' times on
-# 32 graphs of 31 to 2048 vertices and density 1/57 to 1 (numpy 2.4, scipy
-# 1.17, one BLAS thread, 2-core x86 VM): 12 to 16 give the least total time,
-# 0.1% above the faster route's on every graph, and only 16 sends every
-# connected graph of at most 30 vertices, which has at least 2 (n - 1) arcs,
-# the dense way. The crossover moves with n: the dense route wins down to
-# density 1/40 at 256 vertices, but only above about 1/13 from 1024 up.
-# The float32 sums are exact only while every sum stays below 2^24
-# (``_max_code``): the dense route is refused above that, whatever the density.
-DENSE_SUMS_DENSITY = 16
 
 # Cost model of the three distance fills, in nanoseconds, that decides
 # between the bitset fill and the search per source. Fitted by nonnegative
@@ -183,9 +137,8 @@ class Graph:
     naming the first offending entry in row-major order. It then runs
     ``_bfs`` from vertex 0 over ``_CsrRows``, which converts a row only
     when the search reads it, raises NotConnectedError naming vertex 0's
-    component if a vertex is unreached, and keeps ``_row0``: row 0 of
-    the distances and the least vertex at each distance from 0, read
-    off that row. Its largest distance is the eccentricity of vertex 0,
+    component if a vertex is unreached, and keeps ``_row0``, row 0 of
+    the distances. Its largest entry is the eccentricity of vertex 0,
     which bounds the diameter for the choice of fill. Graphs are equal
     when their arrays are.
     """
@@ -193,7 +146,7 @@ class Graph:
     indptr: InitVar[np.ndarray]
     indices: InitVar[np.ndarray]
     csr: tuple[np.ndarray, np.ndarray] = field(init=False)
-    _row0: tuple[np.ndarray, np.ndarray] = field(init=False)
+    _row0: np.ndarray = field(init=False)
 
     def __post_init__(self, indptr, indices):
         csr = _checked_csr(indptr, indices)
@@ -201,8 +154,7 @@ class Graph:
         row0 = np.array(_bfs(_CsrRows(*csr), 0), dtype=np.intp)
         if row0.min() < 0:
             raise NotConnectedError(np.flatnonzero(row0 >= 0).tolist())
-        # the least vertex at each distance: its first occurrence in the row
-        object.__setattr__(self, "_row0", (row0, np.unique(row0, return_index=True)[1]))
+        object.__setattr__(self, "_row0", row0)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -212,7 +164,7 @@ class Graph:
     @property
     def _ecc0(self) -> int:
         """The eccentricity of vertex 0."""
-        return len(self._row0[1]) - 1
+        return int(self._row0.max())
 
     @property
     def vertex_count(self) -> int:
@@ -235,7 +187,12 @@ class Graph:
 
         Its dtype is the smallest signed integer type that holds n + 1.
         The bitset fill or a search per source fills it, as
-        ``_bitset_fill_pays`` decides.
+        ``_bitset_fill_pays`` decides. The search is ``_bfs`` from each
+        vertex but 0, whose row construction kept, below
+        ``SCIPY_MIN_VERTICES`` vertices, and above, scipy's compiled
+        ``csgraph.shortest_path`` in row blocks: a Dijkstra search from
+        each source, as given ``indices`` its default method never
+        switches to Floyd-Warshall.
         """
         n = self.vertex_count
         dtype = np.int8 if n < 127 else np.int16 if n < 32767 else np.int32
@@ -245,7 +202,7 @@ class Graph:
         elif n < SCIPY_MIN_VERTICES:
             nbrs = _neighbour_lists(indptr, indices)
             dist = np.empty((n, n), dtype=dtype)
-            dist[0] = self._row0[0]
+            dist[0] = self._row0
             for v in range(1, n):
                 dist[v] = _bfs(nbrs, v)
         else:
@@ -262,52 +219,8 @@ class Graph:
         dist.flags.writeable = False
         return dist
 
-    @cached_property
-    def adjacency_operator(self):
-        """The adjacency matrix for neighbour sums, built on first use.
-
-        When ``_dense_sums_pay`` takes the dense route, A_1 read off
-        ``distances`` (so the table is filled first) as a float32 numpy
-        array, 4 n^2 bytes (64 MiB at 4096 vertices); otherwise an int32
-        scipy CSR array sharing ``csr``'s index arrays. Its products sum
-        the codes f(d(i, u)) of ``intersection`` over the neighbours u of
-        j, exactly while ``_max_code`` bounds them within the dtype: below
-        2^24, where float32 holds every integer, as ``_dense_sums_pay``
-        enforces, and below 2^31 for int32, which holds up to 43 690
-        vertices even when complete, whose table alone takes 3.8 GB.
-        """
-        indptr, indices = self.csr
-        n = self.vertex_count
-        if _dense_sums_pay(n, len(indices), int((indptr[1:] - indptr[:-1]).max())):
-            return (self.distances == 1).astype(np.float32)
-        from scipy.sparse import csr_array  # imported here, as in the fill
-
-        return csr_array((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
-
     def __repr__(self):
         return f"Graph(vertices={self.vertex_count}, edges={len(self.csr[1]) // 2})"
-
-
-def _max_code(n: int, max_degree: int) -> int:
-    """A bound on the neighbour sums of codes on a graph of n vertices.
-
-    The code of a pair (i, j) sums f(d(i, u)) = (d(i, u) >> 1) +
-    (max_degree + 1) (d(i, u) & 1) over the neighbours u of j. The first
-    terms sum to at most deg(j) ecc(i) / 2 <= (n + 2)^2 / 8, as at most 3
-    neighbours of j lie on a geodesic from i, so deg(j) + ecc(i) <= n + 2;
-    the second to at most max_degree (max_degree + 1).
-    """
-    return (n + 2) ** 2 // 8 + max_degree * (max_degree + 1)
-
-
-def _dense_sums_pay(n: int, arcs: int, max_degree: int) -> bool:
-    """True iff neighbour sums take the dense float32 operator.
-
-    They do when the graph has at least n^2 / DENSE_SUMS_DENSITY arcs and
-    ``_max_code`` stays below 2^24, so that float32 sums are exact: on
-    complete graphs, up to 3861 vertices.
-    """
-    return arcs * DENSE_SUMS_DENSITY >= n * n and _max_code(n, max_degree) < 1 << 24
 
 
 def _checked_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:

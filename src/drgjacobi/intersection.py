@@ -9,15 +9,14 @@ degree values included, because certificates must not inherit float
 drift. Certification reads one code per pair from one helper,
 ``_neighbour_codes``: the sum over the neighbours u of j of f(d(i, u))
 (``_code``), which, given d(i, j), is a bijection of the pair's counts
-(``_counts``). A block's codes are one product of the
-graph's cached ``Graph.adjacency_operator`` with a block of columns of
-``Graph.distances`` mapped by f: a float32 BLAS product on dense graphs,
-exact as every partial sum is an integer below 2^24, and a sparse int32
-one otherwise (``graphs._dense_sums_pay``). Certification compares each
-pair's code with that of its distance's reference pair, and decodes only
-the codes it reports: the sequence's and a witness's. It first checks
-the pairs (0, j) from row 0 alone, which construction's search from
-vertex 0 keeps, without the table.
+(``_counts``). A block's codes are one product of the adjacency
+operator, dense or sparse as ``_dense_sums_pay`` picks and built once
+per certification (``_adjacency_operator``), with a block of columns of
+``Graph.distances`` mapped by f. Certification compares each pair's
+code with that of its distance's reference pair, and decodes only the
+codes it reports: the sequence's and a witness's. It first checks the
+pairs (0, j) from row 0 alone, which construction's search from vertex
+0 keeps, without the table.
 """
 
 from __future__ import annotations
@@ -31,6 +30,17 @@ from .graphs import Graph, _row_blocks
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# Neighbour sums are float32 BLAS products with a dense n x n operator on
+# graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, and sparse int32
+# products otherwise (``_dense_sums_pay``). Fitted to both routes' times on
+# 32 graphs of 31 to 2048 vertices and density 1/57 to 1 (numpy 2.4, scipy
+# 1.17, one BLAS thread, 2-core x86 VM): 12 to 16 give the least total time,
+# 0.1% above the faster route's on every graph, and only 16 sends every
+# connected graph of at most 30 vertices, which has at least 2 (n - 1) arcs,
+# the dense way. The crossover moves with n: the dense route wins down to
+# density 1/40 at 256 vertices, but only above about 1/13 from 1024 up.
+DENSE_SUMS_DENSITY = 16
 
 
 class SequenceError(Exception):
@@ -185,14 +195,54 @@ def _counts(code, m, degree):
     return closer, level, degree - closer - level
 
 
-def _neighbour_codes(g: Graph, degree: int):
+def _max_code(n: int, max_degree: int) -> int:
+    """A bound on the codes (``_code``) of the pairs of a graph of n vertices.
+
+    The code of a pair (i, j) sums f(d(i, u)) = (d(i, u) >> 1) +
+    (max_degree + 1) (d(i, u) & 1) over the neighbours u of j. The first
+    terms sum to at most deg(j) ecc(i) / 2 <= (n + 2)^2 / 8, as at most 3
+    neighbours of j lie on a geodesic from i, so deg(j) + ecc(i) <= n + 2;
+    the second to at most max_degree (max_degree + 1).
+    """
+    return (n + 2) ** 2 // 8 + max_degree * (max_degree + 1)
+
+
+def _dense_sums_pay(n: int, arcs: int, max_degree: int) -> bool:
+    """True iff neighbour sums take the dense float32 operator.
+
+    They do when the graph has at least n^2 / DENSE_SUMS_DENSITY arcs and
+    ``_max_code`` stays below 2^24, so that float32 sums are exact,
+    whatever the density: on complete graphs, up to 3861 vertices.
+    """
+    return arcs * DENSE_SUMS_DENSITY >= n * n and _max_code(n, max_degree) < 1 << 24
+
+
+def _adjacency_operator(g: Graph):
+    """The adjacency matrix of g in the form its neighbour sums run fastest in.
+
+    On the dense route (``_dense_sums_pay``), A_1 read off ``g.distances``
+    (so the table is filled first) as a float32 array, 4 n^2 bytes (64 MiB
+    at 4096 vertices); otherwise an int32 scipy CSR array sharing
+    ``g.csr``'s index arrays, whose sums are exact while ``_max_code`` is
+    below 2^31: up to 43 690 vertices even when complete.
+    """
+    indptr, indices = g.csr
+    n = g.vertex_count
+    if _dense_sums_pay(n, len(indices), int((indptr[1:] - indptr[:-1]).max())):
+        return (g.distances == 1).astype(np.float32)
+    from scipy.sparse import csr_array  # imported here: small graphs never need it
+
+    return csr_array((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
+
+
+def _neighbour_codes(g: Graph, op, degree: int):
     """Yield (start, m, codes) over the pairs (i, j) of blocks of rows i.
 
-    g is regular of the given degree. m[j, c] is d(i, j) with i = start +
-    c, and codes[j, c] is the pair (i, j)'s code (``_code``) with step
-    degree + 1: as the table is symmetric, m is a block of its columns,
-    and codes is g.adjacency_operator times m mapped by f, in the
-    operator's dtype.
+    g is regular of the given degree and op is its ``_adjacency_operator``.
+    m[j, c] is d(i, j) with i = start + c, and codes[j, c] is the pair
+    (i, j)'s code (``_code``) with step degree + 1: as the table is
+    symmetric, m is a block of its columns, and codes is op times m
+    mapped by f, in op's dtype.
     Neither array is transposed, and m is intp, as numpy gathers from an
     intp index about twice as fast as from a strided int8 or int16 one.
     Up to 512 vertices, blocks hold BLOCK_ENTRIES / 2 pairs, as each pair
@@ -201,7 +251,7 @@ def _neighbour_codes(g: Graph, degree: int):
     hypercube:12, complete:1024 and K_{724,724}, 64 columns took at most
     5% longer than the fastest of 32, 64, 128 and 256.
     """
-    n, dist, op = g.vertex_count, g.distances, g.adjacency_operator
+    n, dist = g.vertex_count, g.distances
     fmap = _code(np.arange(n), degree + 1).astype(op.dtype)
     for start, stop in _row_blocks(n, 2 * min(n, 512)):
         m = dist[:, start:stop].astype(np.intp)
@@ -238,7 +288,8 @@ def certify_distance_regular(g: Graph):
         v = int(irregular[0])
         return NonRegularityWitness("NotRegular", 0, "b", (0, 0), degree, (v, v), int(degrees[v]))
 
-    row0, firsts = g._row0
+    row0 = g._row0
+    firsts = np.unique(row0, return_index=True)[1]  # the least vertex at each distance from 0
     code = _code(row0, degree + 1)[g.csr[1]].reshape(n, degree).sum(axis=1)  # of (0, j)
     ref = code[firsts]  # of the first pair at each distance from 0
     bad = np.flatnonzero(code != ref[row0])
@@ -250,9 +301,10 @@ def certify_distance_regular(g: Graph):
     # Row 0 holds the reference pairs of distances 0..ecc(0); those of the
     # larger distances are the first occurrences in the block that meets them.
     d = len(firsts) - 1
-    ref = np.concatenate((ref, np.full(n - d, -1))).astype(g.adjacency_operator.dtype)
+    op = _adjacency_operator(g)
+    ref = np.concatenate((ref, np.full(n - d, -1))).astype(op.dtype)
     ref_at = np.concatenate((firsts, np.zeros(n - d, dtype=firsts.dtype)))  # and its row-major index
-    for start, m, codes in _neighbour_codes(g, degree):
+    for start, m, codes in _neighbour_codes(g, op, degree):
         if (codes == ref.take(m)).all():
             continue
         k, code = m.T.ravel(), codes.T.ravel()  # in row-major order of the pairs
@@ -291,22 +343,6 @@ def degree_sequence(seq: IntersectionSequence) -> list[int]:
     sequence has integral degrees.
     """
     return list(seq._degrees)
-
-
-def _distance_polys(seq: IntersectionSequence, x):
-    """Yield p_0(x) = 1.0, p_1(x), ..., p_d(x), where p_k(A) = A_k; x may be a float array.
-
-    verify's norm_bound check reads each norm(A_k) as max |p_k| over A's spectrum.
-    """
-    alphas, p_prev, p = seq.alphas, None, 1.0
-    yield p
-    for m in range(seq.d):
-        nxt = (x - alphas[m]) * p
-        if m > 0:
-            nxt -= seq.b[m - 1] * p_prev
-        nxt /= seq.a[m]  # a_{m+1}
-        p_prev, p = p, nxt
-        yield p
 
 
 def parse_pairs(text: str, where: str) -> list[tuple[int, int]]:

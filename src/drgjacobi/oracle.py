@@ -1,6 +1,6 @@
-"""Brute-force reference implementations used for cross-checking.
+"""Brute-force reference implementations used for cross-checking, and verify's battery.
 
-Everything here is deliberately independent of the tridiagonal Sturm machinery and
+The kernels here are deliberately independent of the tridiagonal Sturm machinery and
 of certification's neighbour counts. LAPACK (numpy.linalg.eigvalsh) finds the
 eigenvalues alone of the adjacency matrix A, built from Graph.csr, held to two trace
 identities. checked_distances checks the entries of the one table, Graph.distances:
@@ -16,8 +16,9 @@ hypercubes; or d dense products with A, in O(d n^3), on denser ones such as
 complete and complete bipartite graphs. Both check the same equations entry by
 entry, so the induction holds on either, and a failure is reported from one dense
 product at its least failing k. Neither shares code with the BFS that filled the
-table. The equations below d are A_k = p_k(A); verify then reads each norm(A_k) as
-max |p_k| over A's spectrum. Dense paths are capped at MAX_DENSE_VERTICES.
+table. The equations below d are A_k = p_k(A). ``battery``, the verify command's checks,
+holds certification and jacobi's spectral measure to these kernels, and reads each
+norm(A_k) as max |p_k| over A's spectrum. Dense paths are capped at MAX_DENSE_VERTICES.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jacobi
 from .graphs import Graph, _row_blocks
-from .intersection import IntersectionSequence, degree_sequence
+from .intersection import IntersectionSequence, NonRegularityWitness, certify_distance_regular, degree_sequence
 
 MAX_DENSE_VERTICES = 2000
 # recurrence_pass's crossover in d n^2 / arcs: at and above it, on regular graphs,
@@ -130,8 +132,10 @@ def dense_symmetric_eigen(M: np.ndarray) -> EigenDecomposition:
             raise OracleError(f"sum(theta^{k}) = {rhs} misses by {miss:.3e} > {bound:.3e}")
 
     gap = 1e-6 * max(1.0, float(np.abs(values).max()))
-    blocks = np.split(values, np.flatnonzero(np.diff(values) > gap) + 1)
-    return EigenDecomposition(values, tuple((float(b.mean()), len(b)) for b in blocks))
+    cuts = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), len(values)]
+    # a cluster's sum over its count: the add.reduce and the division of np.mean, bit for bit
+    clusters = tuple((float(values[a:b].sum() / (b - a)), b - a) for a, b in zip(cuts, cuts[1:]))
+    return EigenDecomposition(values, clusters)
 
 
 def _gather_pays(g: Graph, d: int) -> bool:
@@ -287,3 +291,81 @@ def matrix_poly_firstkind(
         raise basis_error
     top = dist == seq.d
     return [(head - tau * top) / math.sqrt(degree_sequence(seq)[-1]) for tau in taus]
+
+
+def _distance_polys(seq: IntersectionSequence, x):
+    """Yield p_0(x) = 1.0, p_1(x), ..., p_d(x), where p_k(A) = A_k; x may be a float array.
+
+    battery's norm_bound check reads each norm(A_k) as max |p_k| over A's spectrum.
+    """
+    alphas, p_prev, p = seq.alphas, None, 1.0
+    yield p
+    for m in range(seq.d):
+        nxt = (x - alphas[m]) * p
+        if m > 0:
+            nxt -= seq.b[m - 1] * p_prev
+        nxt /= seq.a[m]  # a_{m+1}
+        p_prev, p = p, nxt
+        yield p
+
+
+def battery(g: Graph) -> list[dict]:
+    """The verify command's checks on g, each {"name", "pass", "detail"}, in order.
+
+    A graph above MAX_DENSE_VERTICES raises DenseSizeError before any check.
+    ``certify`` comes first, and a witness ends the battery. One exact
+    ``recurrence_pass`` gives ``recurrence``, ``basis_identity`` and both
+    ``minimal_polynomial`` checks. ``oracle_spectrum`` compares the dense clusters
+    with the spectral measure within 1e-7, or fails with a JacobiError the measure
+    raises. ``norm_bound`` reads norm(A_k) as max |p_k| over the dense spectrum,
+    within 1e-8 of deg(A_k), and fails when the basis identity does.
+    """
+    _check_size(g.vertex_count)  # refused before certification's work
+    checks = []
+
+    def check(name: str, passed: bool, detail):
+        checks.append({"name": name, "pass": passed, "detail": detail})
+
+    seq = certify_distance_regular(g)
+    witness = isinstance(seq, NonRegularityWitness)
+    check("certify", not witness, seq.to_json())
+    if witness:
+        return checks
+
+    # One exact pass, apart from certification's counts, also proves the table: its equations
+    # below d are the basis identity, and, given that, equation d gives both residuals.
+    adj = dense_adjacency(g)
+    mismatch, basis_error, residuals = recurrence_pass(g, seq, adj)
+    check("recurrence", mismatch is None,
+          "exact" if mismatch is None else {"mismatch": list(mismatch)})
+    if basis_error is None:
+        check("basis_identity", True, "exact")
+        residual, shift_residual = residuals
+        check("minimal_polynomial", residual == 0, {"max_entry": residual})
+        check("minimal_polynomial_shifted", shift_residual == 0,
+              {"max_entry_vs_predicted": shift_residual})
+    else:
+        check("basis_identity", False, str(basis_error))
+
+    dense = dense_symmetric_eigen(adj)
+    try:
+        measure = jacobi.spectral_measure(seq, vertex_count=g.vertex_count)
+    except jacobi.JacobiError as exc:
+        check("oracle_spectrum", False, {"error": type(exc).__name__, "message": str(exc)})
+    else:
+        agree = len(dense.clusters) == len(measure.atoms) and all(
+            abs(cv - atom.eigenvalue) < 1e-7 and cm == atom.multiplicity
+            for (cv, cm), atom in zip(dense.clusters, measure.atoms)
+        )
+        check("oracle_spectrum", agree, {
+            "dense": [[cv, cm] for cv, cm in dense.clusters],
+            "measure": [[a.eigenvalue, a.multiplicity] for a in measure.atoms],
+        })
+
+    # Given the basis identity A_k = p_k(A), spec(A_k) is p_k of the dense spectrum.
+    polys = _distance_polys(seq, dense.eigenvalues)
+    basis_ok = basis_error is None
+    degs = degree_sequence(seq)
+    norm_ok = basis_ok and all(np.abs(p).max() <= deg + 1e-8 for p, deg in zip(polys, degs))
+    check("norm_bound", norm_ok, "norm(A_k) <= deg(A_k)" if basis_ok else "needs basis_identity")
+    return checks

@@ -786,6 +786,8 @@ PARSE_CORPUS = [
     ["spectrum", "--arr", "1,3;1,2", "--can"],
     ["measure", "petersen", "--plot", "out.txt"],
     ["--", "certify", "petersen"],
+    ["--pretty", "--", "certify", "petersen"],
+    ["--", "--pretty", "certify", "petersen"],
     ["spectrum", "--", "petersen"],
     ["spectrum", "--array", "--", "1,3"],
     ["-h"],
@@ -806,6 +808,17 @@ PARSE_CORPUS = [
 @pytest.mark.parametrize("argv", PARSE_CORPUS)
 def test_a_command_parser_gives_what_the_top_level_parser_gives(argv):
     assert parse_outcome(cli._parse, argv) == parse_outcome(cli._PARSER.parse_args, argv)
+
+
+def test_a_double_dash_before_the_command_ends_the_top_level_options(capsys):
+    assert run(capsys, ["--", "certify", "petersen"]) == run(capsys, ["certify", "petersen"])
+    pretty = run(capsys, ["--pretty", "certify", "petersen"])
+    assert pretty[0] == 0 and pretty[1].startswith("status: ok\n")
+    assert run(capsys, ["--pretty", "--", "certify", "petersen"]) == pretty
+    # after the "--", "--pretty" is read as the command name
+    code, doc = run_json(capsys, ["--", "--pretty", "certify", "petersen"])
+    assert code == 1 and doc["payload"]["error"] == "usage"
+    assert doc["payload"]["message"].startswith("argument command: invalid choice: '--pretty'")
 
 
 def test_no_state_leaks_across_calls(capsys):

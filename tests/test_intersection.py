@@ -15,8 +15,7 @@ from drgjacobi import (
     parse_edge_list,
     sequence_from_pairs,
 )
-from drgjacobi.intersection import _distance_polys
-from drgjacobi.oracle import checked_distances, dense_adjacency, recurrence_pass
+from drgjacobi.oracle import _distance_polys, checked_distances, dense_adjacency, recurrence_pass
 from references import csr_of, distance_poly_eval, isoscycle_count, reference_bfs
 
 PRISM_TEXT = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5"
@@ -294,7 +293,7 @@ def test_distance_poly_eval_basics():
     assert distance_poly_eval(seq, 2, 3) == 6
     with pytest.raises(ValueError):
         distance_poly_eval(seq, 3, 0)
-    assert list(_distance_polys(seq, 3.0)) == [1.0, 3.0, 6.0]  # the walk verify's norm_bound reads
+    assert list(_distance_polys(seq, 3.0)) == [1.0, 3.0, 6.0]  # the walk the battery's norm_bound reads
 
 
 def test_distance_poly_at_degree_equals_deg_k(corpus_entry):

@@ -424,7 +424,7 @@ def test_verify_reports_a_failure_alike_on_both_routes(tamper, cut, k, monkeypat
         tamper(table)
     monkeypatch.setitem(g.__dict__, "distances", table)
     monkeypatch.setattr(cli, "load_graph", lambda source: g)
-    monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
+    monkeypatch.setattr(oracle, "certify_distance_regular", lambda g: seq)
     products = counted_products(monkeypatch)
     outs = []
     for gather in (True, False):
@@ -465,7 +465,7 @@ def tampered_petersen(monkeypatch, tamper):
     from drgjacobi import certify_distance_regular, cli, graphs
 
     seq = certify_distance_regular(graph_from_name("petersen"))
-    monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
+    monkeypatch.setattr(oracle, "certify_distance_regular", lambda g: seq)
     original = graphs._bfs
 
     def tampered(adjacency, source):
@@ -519,7 +519,7 @@ def test_verify_refuses_an_over_cap_input_before_certifying(monkeypatch, capsys)
     def certify(g):
         raise AssertionError("verify certified an input the dense oracle refuses")
 
-    monkeypatch.setattr(cli, "certify_distance_regular", certify)
+    monkeypatch.setattr(oracle, "certify_distance_regular", certify)
     assert cli.main(["verify", "cycle:2001"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
@@ -555,9 +555,9 @@ def test_verify_makes_one_neighbour_count_pass_per_input(monkeypatch, capsys):
     passes = []
     original = intersection._neighbour_codes
 
-    def counting(g, degree):
+    def counting(g, op, degree):
         passes.append(g.vertex_count)
-        return original(g, degree)
+        return original(g, op, degree)
 
     monkeypatch.setattr(intersection, "_neighbour_codes", counting)
     assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
@@ -619,7 +619,7 @@ def test_verify_makes_one_dense_eigensolve_per_input(monkeypatch, capsys):
 
 def mapped_norms(g, seq):
     """max |p_k| over the dense spectrum of A, k = 0..d, as verify reads norm(A_k)."""
-    from drgjacobi.intersection import _distance_polys
+    from drgjacobi.oracle import _distance_polys
 
     values = dense_symmetric_eigen(dense_adjacency(g).astype(float)).eigenvalues
     return [float(np.abs(p).max()) for p in _distance_polys(seq, values)]
@@ -647,7 +647,7 @@ def test_mapped_norms_match_dense_norms_on_ladder(name):
 
 
 def test_distance_poly_walk_matches_the_exact_reference(corpus_entry):
-    from drgjacobi.intersection import _distance_polys
+    from drgjacobi.oracle import _distance_polys
 
     _, g, seq = corpus_entry
     xs = np.array([-2.5, -1.0, 0.0, 0.3, 1.0, float(seq.degree), 7.25])
@@ -670,7 +670,7 @@ def test_norm_bound_fails_when_the_basis_identity_does(monkeypatch, capsys):
 
     # a feasible sequence that is not petersen's: a_2 = 2 in place of 1
     g, seq = graph_from_name("petersen"), sequence_from_pairs([(1, 3), (2, 2)])
-    monkeypatch.setattr(cli, "certify_distance_regular", lambda g: seq)
+    monkeypatch.setattr(oracle, "certify_distance_regular", lambda g: seq)
     assert cli.main(["verify", "petersen"]) == 2
     report = json.loads(capsys.readouterr().out)["payload"]["reports"][0]
     checks = {c["name"]: c for c in report["checks"]}
@@ -687,6 +687,21 @@ def test_norm_bound_fails_when_the_basis_identity_does(monkeypatch, capsys):
     assert checks["norm_bound"] == {
         "name": "norm_bound", "pass": False, "detail": "needs basis_identity",
     }
+
+
+def test_cluster_means_are_np_means_bit_for_bit():
+    # clusters of 1 to 60 members, each size once, as the diagonals of six matrices;
+    # numpy's pairwise summation starts at 8 members
+    rng = np.random.default_rng(45)
+    for sizes in rng.permutation(np.arange(1, 61)).reshape(6, 10):
+        centres = rng.permutation(np.arange(-30, 30))[: len(sizes)] * 1.5
+        values = np.concatenate([c + rng.random(size) * 1e-6 for c, size in zip(centres, sizes)])
+        dec = dense_symmetric_eigen(np.diag(values))
+        cuts = np.cumsum(sizes[np.argsort(centres)])[:-1]
+        blocks = np.split(dec.eigenvalues, cuts)
+        assert [(np.float64(mean).tobytes(), count) for mean, count in dec.clusters] == [
+            (np.float64(b.mean()).tobytes(), len(b)) for b in blocks
+        ]
 
 
 def test_dense_eigen_hypercube8():
