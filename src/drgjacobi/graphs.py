@@ -13,11 +13,12 @@ from one read-only all-pairs array, ``Graph.distances``, filled on
 first use by path search, never by matrix powers, so entries are exact
 by construction: by the bitset fill, a level-synchronous BFS from every
 source at once (``_bitset_distances``), or by a search per source, as
-``_bitset_fill_pays`` decides. Below ``SCIPY_MIN_VERTICES`` vertices no
-scipy sparse code runs. The array is shared by certification in
-``intersection`` and by ``oracle``, which checks its entries and then
-proves it by the exact distance recurrence. The distance-k matrix A_k
-is the boolean array ``distances == k``.
+``_bitset_fill_pays`` decides. ``scipy.sparse`` loads only for the
+search per source from ``SCIPY_MIN_VERTICES`` vertices up, scipy's
+Dijkstra fill. The array is shared by certification in ``intersection``
+and by ``oracle``, which checks its entries and then proves it by the
+exact distance recurrence. The distance-k matrix A_k is the boolean
+array ``distances == k``.
 """
 
 from __future__ import annotations

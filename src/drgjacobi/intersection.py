@@ -9,14 +9,16 @@ degree values included, because certificates must not inherit float
 drift. Certification reads one code per pair from one helper,
 ``_neighbour_codes``: the sum over the neighbours u of j of f(d(i, u))
 (``_code``), which, given d(i, j), is a bijection of the pair's counts
-(``_counts``). A block's codes are one product of the adjacency
-operator, dense or sparse as ``_dense_sums_pay`` picks and built once
-per certification (``_adjacency_operator``), with a block of columns of
-``Graph.distances`` mapped by f. Certification compares each pair's
-code with that of its distance's reference pair, and decodes only the
-codes it reports: the sequence's and a witness's. It first checks the
-pairs (0, j) from row 0 alone, which construction's search from vertex
-0 keeps, without the table.
+(``_counts``). A block's codes sum a block of columns of
+``Graph.distances``, mapped by f, over each vertex's neighbours: by one
+float32 product with the dense adjacency matrix, built once per
+certification (``_adjacency_operator``), or, on the sparser graphs that
+``_dense_sums_pay`` picks, by a numpy gather over the neighbour slots of
+``Graph.csr``. Certification compares each pair's code with that of its
+distance's reference pair, and decodes only the codes it reports: the
+sequence's and a witness's. It first checks the pairs (0, j) from row 0
+alone, which construction's search from vertex 0 keeps, without the
+table.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 # Neighbour sums are float32 BLAS products with a dense n x n operator on
-# graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, and sparse int32
-# products otherwise (``_dense_sums_pay``). Fitted to both routes' times on
-# 32 graphs of 31 to 2048 vertices and density 1/57 to 1 (numpy 2.4, scipy
-# 1.17, one BLAS thread, 2-core x86 VM): 12 to 16 give the least total time,
-# 0.1% above the faster route's on every graph, and only 16 sends every
-# connected graph of at most 30 vertices, which has at least 2 (n - 1) arcs,
-# the dense way. The crossover moves with n: the dense route wins down to
-# density 1/40 at 256 vertices, but only above about 1/13 from 1024 up.
+# graphs with at least n^2 / DENSE_SUMS_DENSITY arcs, and int32 gathers over
+# the neighbour slots otherwise (``_dense_sums_pay``). Fitted against the
+# scipy CSR products that the gather replaced, on 32 graphs of 31 to 2048
+# vertices and density 1/57 to 1 (numpy 2.4, scipy 1.17, one BLAS thread,
+# 2-core x86 VM): only 16 sends every connected graph of at most 30
+# vertices, which has at least 2 (n - 1) arcs, the dense way.
 DENSE_SUMS_DENSITY = 16
 
 
@@ -202,7 +202,9 @@ def _max_code(n: int, max_degree: int) -> int:
     (max_degree + 1) (d(i, u) & 1) over the neighbours u of j. The first
     terms sum to at most deg(j) ecc(i) / 2 <= (n + 2)^2 / 8, as at most 3
     neighbours of j lie on a geodesic from i, so deg(j) + ecc(i) <= n + 2;
-    the second to at most max_degree (max_degree + 1).
+    the second to at most max_degree (max_degree + 1). Sums are exact
+    below 2^24 in float32, on the dense route, and below 2^31 in int32,
+    on the gather route: up to 43 690 vertices even when complete.
     """
     return (n + 2) ** 2 // 8 + max_degree * (max_degree + 1)
 
@@ -218,21 +220,15 @@ def _dense_sums_pay(n: int, arcs: int, max_degree: int) -> bool:
 
 
 def _adjacency_operator(g: Graph):
-    """The adjacency matrix of g in the form its neighbour sums run fastest in.
+    """A_1 as a float32 array on the dense route (``_dense_sums_pay``), else None.
 
-    On the dense route (``_dense_sums_pay``), A_1 read off ``g.distances``
-    (so the table is filled first) as a float32 array, 4 n^2 bytes (64 MiB
-    at 4096 vertices); otherwise an int32 scipy CSR array sharing
-    ``g.csr``'s index arrays, whose sums are exact while ``_max_code`` is
-    below 2^31: up to 43 690 vertices even when complete.
+    A_1 is read off ``g.distances`` (so the table is filled first): 4 n^2
+    bytes, 64 MiB at 4096 vertices. The gather route needs no operator.
     """
     indptr, indices = g.csr
-    n = g.vertex_count
-    if _dense_sums_pay(n, len(indices), int((indptr[1:] - indptr[:-1]).max())):
+    if _dense_sums_pay(g.vertex_count, len(indices), int((indptr[1:] - indptr[:-1]).max())):
         return (g.distances == 1).astype(np.float32)
-    from scipy.sparse import csr_array  # imported here: small graphs never need it
-
-    return csr_array((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
+    return None
 
 
 def _neighbour_codes(g: Graph, op, degree: int):
@@ -241,21 +237,35 @@ def _neighbour_codes(g: Graph, op, degree: int):
     g is regular of the given degree and op is its ``_adjacency_operator``.
     m[j, c] is d(i, j) with i = start + c, and codes[j, c] is the pair
     (i, j)'s code (``_code``) with step degree + 1: as the table is
-    symmetric, m is a block of its columns, and codes is op times m
-    mapped by f, in op's dtype.
+    symmetric, m is a block of its columns. codes is op times f(m) in
+    float32 on the dense route; otherwise the int32 sum of f(m)[slots[s]]
+    over the slots s, where slots[s, j] is the s-th neighbour of j, with f
+    mapped from the table's narrow block and dropped before m is widened,
+    so that f, the codes and one take are the block's new working set.
     Neither array is transposed, and m is intp, as numpy gathers from an
     intp index about twice as fast as from a strided int8 or int16 one.
     Up to 512 vertices, blocks hold BLOCK_ENTRIES / 2 pairs, as each pair
     takes several temporaries; above, they keep the 64 columns that gives
-    at 512, as each product reads the whole operator once. On cycle:4096,
-    hypercube:12, complete:1024 and K_{724,724}, 64 columns took at most
-    5% longer than the fastest of 32, 64, 128 and 256.
+    at 512, as each product reads the whole operator once. On
+    complete:1024 and K_{724,724}, 64 columns took at most 5% longer than
+    the fastest of 32, 64, 128 and 256; on cycle:4096 and hypercube:12, by
+    the gather, at most 16% longer than the fastest of 16 to 256.
     """
     n, dist = g.vertex_count, g.distances
-    fmap = _code(np.arange(n), degree + 1).astype(op.dtype)
+    fmap = _code(np.arange(n), degree + 1).astype(np.int32 if op is None else op.dtype)
+    slots = g.csr[1].reshape(n, degree).T
     for start, stop in _row_blocks(n, 2 * min(n, 512)):
-        m = dist[:, start:stop].astype(np.intp)
-        yield start, m, op @ fmap.take(m)
+        block = dist[:, start:stop]
+        if op is None:
+            f = fmap.take(block)
+            codes = f.take(slots[0], axis=0)
+            for s in slots[1:]:
+                codes += f.take(s, axis=0)
+            del f
+            yield start, block.astype(np.intp), codes
+        else:
+            m = block.astype(np.intp)
+            yield start, m, op @ fmap.take(m)
 
 
 def certify_distance_regular(g: Graph):
@@ -302,7 +312,7 @@ def certify_distance_regular(g: Graph):
     # larger distances are the first occurrences in the block that meets them.
     d = len(firsts) - 1
     op = _adjacency_operator(g)
-    ref = np.concatenate((ref, np.full(n - d, -1))).astype(op.dtype)
+    ref = np.concatenate((ref, np.full(n - d, -1))).astype(np.int32 if op is None else op.dtype)
     ref_at = np.concatenate((firsts, np.zeros(n - d, dtype=firsts.dtype)))  # and its row-major index
     for start, m, codes in _neighbour_codes(g, op, degree):
         if (codes == ref.take(m)).all():

@@ -197,7 +197,7 @@ def _first_kind_blocks(J: JacobiOperator, xs: np.ndarray):
 
 
 def _sign_change_counts(
-    diag: np.ndarray, off: np.ndarray, xs: np.ndarray, lasts: tuple[float, ...] = ()
+    diag: np.ndarray, off: np.ndarray, xs: np.ndarray, lasts: tuple[float, ...]
 ) -> np.ndarray:
     """Number of eigenvalues below each x: the negative pivots of J - x.
 
@@ -206,8 +206,8 @@ def _sign_change_counts(
     stay in range and need no rescaling. A zero pivot is counted by its
     sign bit and sends the next pivot to -/+inf (a tiny one may too, by
     overflow), so the pair counts once. The pivots are filled a block
-    of levels at a time. With lasts, the xs fall into len(lasts) equal
-    consecutive groups, and group i takes lasts[i] for diag[-1].
+    of levels at a time. The xs fall into len(lasts) equal consecutive
+    groups, and group i takes lasts[i] for diag[-1].
     """
     off2 = off * off
     m, n = len(xs), len(diag)
@@ -224,13 +224,9 @@ def _sign_change_counts(
                 rows = list(buf)  # views made once: the buffer is reused by every block
             r = stop - start
             pivots = np.subtract.outer(diag[start:stop], xs, out=buf[:r])
-            if lasts and stop == n:
-                groups = len(lasts)
-                np.subtract(
-                    np.reshape(lasts, (groups, 1)),
-                    xs.reshape(groups, -1),
-                    rows[r - 1].reshape(groups, -1),
-                )
+            if stop == n:  # each group's own last diagonal entry
+                last = rows[r - 1].reshape(len(lasts), -1)
+                np.subtract(np.array(lasts)[:, None], xs.reshape(last.shape), last)
             if start:
                 rows[0] -= ratio
             for k, prev, pivot in zip(range(start, stop - 1), rows, rows[1:r]):
@@ -284,26 +280,34 @@ def _tolerance(J: JacobiOperator, tol: float | None) -> float:
     return tol
 
 
-def _certify(counts: np.ndarray, tol: float) -> None:
-    """ToleranceTooSmallError unless the pivot counts at root_0 - tol/2,
-    root_0 + tol/2, root_1 - tol/2, ... read exactly 0, 1, 1, 2, 2, ..."""
-    if (counts != np.arange(1, len(counts) + 1) >> 1).any():
-        raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {tol / 2!r}")
+def _certified_spectra(ops: list[JacobiOperator], tol: float | None) -> tuple[list, list[float]]:
+    """The roots of each of ops as arrays, solved and certified as in
+    eigenvalues, and the tol that certified each.
 
-
-def _sides(roots: np.ndarray, tol: float) -> np.ndarray:
-    """The points root_0 - tol/2, root_0 + tol/2, root_1 - tol/2, ... that certify."""
-    return np.add.outer(roots, (-tol / 2, tol / 2)).ravel()
+    The ops share all but their last diagonal entry, so one pivot count
+    serves them all: their roots -/+ tol/2 walk the shared levels
+    together, and only the last level reads each op's own entry. Each op
+    keeps its own default tol, from its own Gershgorin width, and the
+    first op whose roots fail raises ToleranceTooSmallError.
+    """
+    tols = [_tolerance(J, tol) for J in ops]
+    diags = [np.asarray(J.diag, dtype=float) for J in ops]
+    off = np.asarray(ops[0].offdiag, dtype=float)
+    roots = [_lapack_roots(diag, off) for diag in diags]
+    # the pivot counts at root_0 - tol/2, root_0 + tol/2, root_1 - tol/2, ...
+    # certify when they read exactly 0, 1, 1, 2, 2, ...
+    xs = np.concatenate([np.add.outer(r, (-t / 2, t / 2)).ravel() for r, t in zip(roots, tols)])
+    counts = _sign_change_counts(diags[0], off, xs, tuple(J.diag[-1] for J in ops))
+    counts = counts.reshape(len(ops), -1)
+    for group, t in zip(counts, tols):
+        if (group != np.arange(1, counts.shape[1] + 1) >> 1).any():
+            raise ToleranceTooSmallError(f"Sturm counts do not certify the roots within {t / 2!r}")
+    return roots, tols
 
 
 def _certified_roots(J: JacobiOperator, tol: float | None) -> np.ndarray:
     """The eigenvalues of J as an array, solved and certified as in eigenvalues."""
-    tol = _tolerance(J, tol)
-    diag = np.asarray(J.diag, dtype=float)
-    off = np.asarray(J.offdiag, dtype=float)
-    roots = _lapack_roots(diag, off)
-    _certify(_sign_change_counts(diag, off, _sides(roots, tol)), tol)
-    return roots
+    return _certified_spectra([J], tol)[0][0]
 
 
 def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
@@ -323,26 +327,10 @@ def eigenvalues(J: JacobiOperator, tol: float | None = None) -> list[float]:
 def completion_spectra(
     seq: IntersectionSequence, taus: tuple[float, ...], tol: float | None = None
 ) -> tuple[list[list[float]], list[float]]:
-    """eigenvalues(build_jacobi(seq, tau), tol) for each tau, certified in
-    one walk, and the tol that certified each.
-
-    The completions J_tau differ only in their last diagonal entry, so
-    one pivot count serves every tau: each tau's roots -/+ tol/2 walk
-    the shared levels together, and only the last level reads each
-    point's own tau. Each tau keeps its own default tol, from its own
-    Gershgorin width, and the first tau whose roots fail is the one
-    whose ToleranceTooSmallError is raised.
-    """
-    ops = [build_jacobi(seq, tau) for tau in taus]
-    tols = [_tolerance(J, tol) for J in ops]
-    off = np.asarray(ops[0].offdiag, dtype=float)
-    roots = [_lapack_roots(np.asarray(J.diag, dtype=float), off) for J in ops]
-    xs = np.concatenate([_sides(r, t) for r, t in zip(roots, tols)])
-    counts = _sign_change_counts(
-        np.asarray(ops[0].diag, dtype=float), off, xs, tuple(J.diag[-1] for J in ops)
-    )
-    for group, t in zip(np.split(counts, len(ops)), tols):
-        _certify(group, t)
+    """eigenvalues(build_jacobi(seq, tau), tol) for each tau, and the tol
+    that certified each, by one pivot count (``_certified_spectra``), as
+    the completions J_tau differ only in their last diagonal entry."""
+    roots, tols = _certified_spectra([build_jacobi(seq, tau) for tau in taus], tol)
     return [r.tolist() for r in roots], tols
 
 

@@ -38,7 +38,7 @@ def brute_force_counts(g):
 def test_counts_match_brute_force_on_int8_tables(name, density, block_entries, monkeypatch):
     # 126 vertices: the table is int8, while degree x diameter reaches 8 x 21 = 168
     # on the ring of triangles, so any sum taken in the table's own width wraps;
-    # density 1 takes every sum by the sparse product, 1 << 30 by the dense one
+    # density 1 takes every sum by the gather, 1 << 30 by the dense product
     monkeypatch.setattr(intersection, "DENSE_SUMS_DENSITY", density)
     monkeypatch.setattr(graphs, "BLOCK_ENTRIES", block_entries)
     g = graph_from_edges(ring_of_triangles(42)) if name.startswith("ring") else graph_from_name(name)
@@ -115,13 +115,13 @@ def test_counts_match_brute_force_either_side_of_the_density_rule(extra, dense):
 
 
 @pytest.mark.parametrize("name", ["complete_bipartite:724", "complete:1024"])
-def test_dense_codes_equal_sparse_codes_at_the_caps(name, monkeypatch):
+def test_dense_codes_equal_gather_codes_at_the_caps(name, monkeypatch):
     # the largest graphs the builtin caps send down the dense route; their
     # blocks have 64 columns, and the certificate is a function of these codes
     g = graph_from_name(name)
     widths = []
 
-    def first_and_last(n, width):  # of the blocks, as the sparse route is slow here
+    def first_and_last(n, width):  # of the blocks, as the gather is slow here
         widths.append(width)
         blocks = list(graphs._row_blocks(n, width))
         return blocks[0], blocks[-1]
@@ -130,12 +130,13 @@ def test_dense_codes_equal_sparse_codes_at_the_caps(name, monkeypatch):
     degree = g.degree(0)
     dense = list(intersection._neighbour_codes(g, intersection._adjacency_operator(g), degree))
     monkeypatch.setattr(intersection, "DENSE_SUMS_DENSITY", 1)
-    sparse = list(intersection._neighbour_codes(g, intersection._adjacency_operator(g), degree))
-    assert dense[0][2].dtype == np.float32 and sparse[0][2].dtype == np.int32
+    assert intersection._adjacency_operator(g) is None
+    gather = list(intersection._neighbour_codes(g, None, degree))
+    assert dense[0][2].dtype == np.float32 and gather[0][2].dtype == np.int32
     blocks = list(graphs._row_blocks(g.vertex_count, widths[0]))
     assert {stop - start for start, stop in blocks[:-1]} == {64}
-    for (start, m, codes), (start_s, m_s, codes_s) in zip(dense, sparse):
-        assert start == start_s and np.array_equal(m, m_s) and np.array_equal(codes, codes_s)
+    for (start, m, codes), (start_g, m_g, codes_g) in zip(dense, gather):
+        assert start == start_g and np.array_equal(m, m_g) and np.array_equal(codes, codes_g)
 
 
 def test_dense_route_holds_its_codes_below_2_to_24():
@@ -144,7 +145,7 @@ def test_dense_route_holds_its_codes_below_2_to_24():
     for n, exact in ((3861, True), (3862, False)):
         assert (intersection._max_code(n, n - 1) < 2**24) == exact
         assert intersection._dense_sums_pay(n, n * (n - 1), n - 1) == exact
-    # int32, on the sparse route, holds every code of up to 43 690 vertices
+    # int32, on the gather route, holds every code of up to 43 690 vertices
     assert intersection._max_code(43690, 43689) < 2**31 <= intersection._max_code(43691, 43690)
 
 
@@ -156,12 +157,12 @@ def test_dense_route_refuses_an_irregular_graph_past_the_bound(n, dense, monkeyp
     g = graphs.Graph(*csr_of(((n - 1,),) * (n - 1) + ((*range(n - 1),),)))
     assert intersection._dense_sums_pay(n, len(g.csr[1]), int(np.diff(g.csr[0]).max())) == dense
     if not dense:  # the dense operator would take 60 MB and the table
-        assert not isinstance(intersection._adjacency_operator(g), np.ndarray)
+        assert intersection._adjacency_operator(g) is None
 
 
 def certify_peak(g) -> int:
-    # a first call fills the table, and imports scipy.sparse for a sparse operator:
-    # the peak is certify's own working set, the operator it builds included
+    # a first call fills the table: the peak is certify's own working set, the
+    # dense operator it builds or the gather's slots and temporaries included
     certify_distance_regular(g)
     tracemalloc.start()
     try:
@@ -178,16 +179,20 @@ def test_certify_working_set_is_bounded_by_block_size(name):
     assert certify_peak(graph_from_name(name)) < 16 * graphs.BLOCK_ENTRIES
 
 
-def test_verify_builds_the_operator_once_per_input(monkeypatch, capsys):
-    built = Counter()
+def test_verify_picks_the_route_once_per_input(monkeypatch, capsys):
+    built, dense = Counter(), set()
     build = intersection._adjacency_operator
 
     def counting_build(g):
         built[g.vertex_count] += 1
-        return build(g)
+        op = build(g)
+        if op is not None:
+            dense.add(g.vertex_count)
+        return op
 
     monkeypatch.setattr(intersection, "_adjacency_operator", counting_build)
-    assert cli.main(["verify", "petersen", "cycle:30", "hypercube:5"]) == 0
+    assert cli.main(["verify", "petersen", "cycle:30", "hypercube:7"]) == 0
     capsys.readouterr()
-    # every input builds one, dense or sparse: no route sums without it
-    assert built == {10: 1, 30: 1, 32: 1}
+    # every input picks its route once; the dense route builds A_1, the gather
+    # (hypercube:7, with n^2 / 18.3 arcs) needs no operator
+    assert built == {10: 1, 30: 1, 128: 1} and dense == {10, 30}

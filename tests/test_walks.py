@@ -237,7 +237,7 @@ def test_pivot_counts_match_dense_around_roots(corpus):
             tol = 1e-12 * max(hi - lo, 1.0)
             roots = np.array(eigenvalues(J))
             xs = np.concatenate([roots - tol / 2, roots + tol / 2])
-            counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs)
+            counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs, (J.diag[-1],))
             assert counts.tolist() == dense_counts(J, xs).tolist()
 
 
@@ -250,7 +250,7 @@ def test_pivot_counts_at_exact_zero_pivots(corpus):
             # x = diag_0 = 0 zeroes the first pivot; diagonal entries zero others
             xs = np.array(sorted({0.0, *J.diag}))
             xs = xs[np.abs(xs[:, None] - eigs[None, :]).min(axis=1) > 1e-9]
-            counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs)
+            counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs, (J.diag[-1],))
             assert counts.tolist() == dense_counts(J, xs).tolist()
             checked += len(xs)
     assert checked > 50
@@ -258,7 +258,7 @@ def test_pivot_counts_at_exact_zero_pivots(corpus):
 
 def test_pivot_count_zero_pivot_by_hand():
     # J = [[0, 1], [1, 0]] at x = 0: pivots +0.0 then -inf, one eigenvalue (-1) below
-    counts = _sign_change_counts(np.array([0.0, 0.0]), np.array([1.0]), np.array([0.0, -0.0]))
+    counts = _sign_change_counts(np.array([0.0, 0.0]), np.array([1.0]), np.array([0.0, -0.0]), (0.0,))
     assert counts.tolist() == [1, 1]
 
 
@@ -334,7 +334,7 @@ def test_walks_match_references_across_level_blocks(corpus, monkeypatch):
                 assert type(new) is type(expected), (seq.d, tau, block_entries)
                 assert (new == expected) if isinstance(expected, str) else (bits(new) == bits(expected))
                 for xs in (around, few):
-                    counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs)
+                    counts = _sign_change_counts(np.array(J.diag), np.array(J.offdiag), xs, (J.diag[-1],))
                     # eigenvalues below each x, as dense_counts counts them
                     assert counts.tolist() == np.searchsorted(eigs, xs).tolist(), (seq.d, tau)
                 monkeypatch.undo()
